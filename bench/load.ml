@@ -23,10 +23,10 @@
    With --cold N, a cold-session mix follows the mixed workload: N
    rounds of fresh-content opens of the largest benchmark in demand and
    exhaustive mode, timing the first line-keyed may_alias of each.  The
-   table reports p50/p95 per step; --assert-demand-speedup X fails the
-   run unless the demand first-query p50 beats the exhaustive
-   open-plus-first-query path by at least X, or if any demand verdict
-   disagrees with the exhaustive one.
+   table reports p50/p95 per step.  Any demand verdict that disagrees
+   with the exhaustive one fails the run; --assert-demand-speedup X also
+   fails it unless the demand first-query p50 beats the exhaustive
+   open-plus-first-query path by at least X.
 
    With --deadline-ms, a slice of the traffic is budget-governed: opens
    and context-sensitive may_alias queries carry that deadline, so the

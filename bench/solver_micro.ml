@@ -239,7 +239,6 @@ let benchmark_json name =
         ("dyck_single_pair_p95_seconds", Ejson.Float dyfl.Telemetry.l_p95);
         ("ci_seconds", Ejson.Float (t1 -. t0));
         ("ci_meets", Ejson.Int (Ci_solver.flow_out_count ci));
-        ("ci_dup_skips", Ejson.Int (Ci_solver.worklist_dup_skips ci));
         ("cs_seconds", Ejson.Float (t2 -. t1));
         ("cs_meets", Ejson.Int (Cs_solver.flow_out_count cs));
         ("cs_stale_skips", Ejson.Int (Cs_solver.worklist_stale_skips cs));

@@ -7,13 +7,16 @@ type config = {
 
 let default_config = { strong_updates = true; schedule = Fifo }
 
-(* A discovered call edge: callee name plus the mapping from callee formal
-   index to actual argument index (identity for ordinary calls; special
-   for higher-order extern summaries like qsort). *)
+(* A discovered call edge: the callee's metadata, resolved once when the
+   edge is found, plus the mapping from callee formal index to actual
+   argument index (identity for ordinary calls; special for higher-order
+   extern summaries like qsort). *)
 type callee_edge = {
-  ce_name : string;
+  ce_meta : Vdg.fun_meta;
   ce_argmap : int array option;  (* None = identity *)
 }
+
+let edge_name e = e.ce_meta.Vdg.fm_name
 
 (* Work the sharded parallel solver must hand to another shard: a fact
    for a foreign output, a worklist notification for a foreign consumer,
@@ -33,18 +36,17 @@ type t = {
   config : config;
   budget : Budget.t;
   pts : Ptpair.Set.t array;
+  (* (consumer, input index, pair).  No membership guard: a push only
+     follows the first [Ptpair.Set.add] of a pair at its producer, and
+     each (consumer, input) has exactly one producer, so an item is never
+     queued twice (test_ptset checks the exact push count). *)
   worklist : (Vdg.node_id * int * Ptpair.t) Workbag.t;
-  (* membership guard: items currently enqueued, keyed by
-     (consumer, input index, packed pair key).  An already-pending item
-     is never pushed again, so [worklist_pushes] counts distinct pending
-     work and the queue carries no duplicates. *)
-  pending : (int * int * int, unit) Hashtbl.t;
-  mutable dup_skips : int;
   mutable flow_in_count : int;
   mutable flow_out_count : int;
   mutable ptset_stats : Ptset.stats option;  (* per-solve delta, set at fixpoint *)
   call_callees : (Vdg.node_id, callee_edge list ref) Hashtbl.t;
-  fun_callers : (string, Vdg.node_id list ref) Hashtbl.t;
+  (* each caller's call metadata, resolved once at registration *)
+  fun_callers : (string, Vdg.call_meta list ref) Hashtbl.t;
   ext_callees : (Vdg.node_id, string list ref) Hashtbl.t;
   (* sharding hooks (Par_solver): [owns] says whether this state is
      responsible for a node's output; flows destined for un-owned nodes
@@ -65,7 +67,6 @@ let flow_in_count t = t.flow_in_count
 let flow_out_count t = t.flow_out_count
 let worklist_pushes t = t.push_base + Workbag.pushed t.worklist
 let worklist_pops t = t.pop_base + Workbag.popped t.worklist
-let worklist_dup_skips t = t.dup_skips
 
 let ptset_stats t =
   match t.ptset_stats with
@@ -74,15 +75,17 @@ let ptset_stats t =
 
 let callees t call =
   match Hashtbl.find_opt t.call_callees call with
-  | Some cell -> List.map (fun e -> e.ce_name) !cell
+  | Some cell -> List.map edge_name !cell
   | None -> []
 
-let callers t fname =
+let caller_metas t fname =
   match Hashtbl.find_opt t.fun_callers fname with Some cell -> !cell | None -> []
+
+let callers t fname = List.map (fun cm -> cm.Vdg.cm_call) (caller_metas t fname)
 
 let callee_edges t call =
   match Hashtbl.find_opt t.call_callees call with
-  | Some cell -> List.map (fun e -> (e.ce_name, e.ce_argmap)) !cell
+  | Some cell -> List.map (fun e -> (edge_name e, e.ce_argmap)) !cell
   | None -> []
 
 let extern_callees t call =
@@ -104,35 +107,22 @@ let rec flow_out t output pair =
   t.flow_out_count <- t.flow_out_count + 1;
   Budget.tick_meet t.budget;
   if Ptpair.Set.add t.pts.(output) pair then begin
-    let pkey = Ptpair.key pair in
     List.iter
       (fun (consumer, idx) ->
-        if not (owns t consumer) then emit t (Rflow_in (consumer, idx, pair))
-        else begin
-          let wkey = (consumer, idx, pkey) in
-          if Hashtbl.mem t.pending wkey then t.dup_skips <- t.dup_skips + 1
-          else begin
-            Hashtbl.replace t.pending wkey ();
-            Workbag.add t.worklist (consumer, idx, pair)
-          end
-        end)
+        if owns t consumer then Workbag.add t.worklist (consumer, idx, pair)
+        else emit t (Rflow_in (consumer, idx, pair)))
       (Vdg.consumers t.g output);
     (* return values/stores flow to every discovered call site *)
     match (Vdg.node t.g output).Vdg.nkind with
     | Vdg.Nret_value fname ->
       List.iter
-        (fun call ->
-          let cm = Hashtbl.find t.g.Vdg.call_meta call in
+        (fun cm ->
           match cm.Vdg.cm_result with
           | Some res -> flow_out t res pair
           | None -> ())
-        (callers t fname)
+        (caller_metas t fname)
     | Vdg.Nret_store fname ->
-      List.iter
-        (fun call ->
-          let cm = Hashtbl.find t.g.Vdg.call_meta call in
-          flow_out t cm.Vdg.cm_cstore pair)
-        (callers t fname)
+      List.iter (fun cm -> flow_out t cm.Vdg.cm_cstore pair) (caller_metas t fname)
     | _ -> ()
   end
   end
@@ -140,8 +130,8 @@ let rec flow_out t output pair =
 (* ---- call-edge discovery ----------------------------------------------------- *)
 
 (* actual argument output feeding a callee formal, under an edge's argmap *)
-let actual_for cm edge formal_idx =
-  match edge.ce_argmap with
+let actual_for cm argmap formal_idx =
+  match argmap with
   | None ->
     if formal_idx < Array.length cm.Vdg.cm_args then Some cm.Vdg.cm_args.(formal_idx)
     else None
@@ -149,6 +139,29 @@ let actual_for cm edge formal_idx =
     if formal_idx < Array.length map && map.(formal_idx) < Array.length cm.Vdg.cm_args
     then Some cm.Vdg.cm_args.(map.(formal_idx))
     else None
+
+(* record [cm] as a caller of [fname]; [false] if it already was one *)
+let add_caller t fname (cm : Vdg.call_meta) =
+  let cell =
+    match Hashtbl.find_opt t.fun_callers fname with
+    | Some c -> c
+    | None ->
+      let c = ref [] in
+      Hashtbl.add t.fun_callers fname c;
+      c
+  in
+  if List.exists (fun c -> c.Vdg.cm_call = cm.Vdg.cm_call) !cell then false
+  else begin
+    cell := cm :: !cell;
+    true
+  end
+
+(* the callee's existing return facts flow back to the call site *)
+let back_flow t (cm : Vdg.call_meta) (meta : Vdg.fun_meta) =
+  (match cm.Vdg.cm_result, meta.Vdg.fm_ret_value with
+  | Some res, Some rv -> Ptpair.Set.iter (fun p -> flow_out t res p) t.pts.(rv)
+  | _ -> ());
+  Ptpair.Set.iter (fun p -> flow_out t cm.Vdg.cm_cstore p) t.pts.(meta.Vdg.fm_ret_store)
 
 (* Record [call] as a caller of [fname] and back-flow the callee's
    existing return facts to the call site.  In the sequential solver
@@ -158,25 +171,8 @@ let actual_for cm edge formal_idx =
    stale remote read would miss facts the owner has not yet published,
    so the owner performs the authoritative back-flow). *)
 let register_caller t fname call =
-  let callers_cell =
-    match Hashtbl.find_opt t.fun_callers fname with
-    | Some c -> c
-    | None ->
-      let c = ref [] in
-      Hashtbl.add t.fun_callers fname c;
-      c
-  in
-  if not (List.mem call !callers_cell) then begin
-    callers_cell := call :: !callers_cell;
-    let cm = Hashtbl.find t.g.Vdg.call_meta call in
-    let meta = Hashtbl.find t.g.Vdg.funs fname in
-    (match cm.Vdg.cm_result, meta.Vdg.fm_ret_value with
-    | Some res, Some rv -> Ptpair.Set.iter (fun p -> flow_out t res p) t.pts.(rv)
-    | _ -> ());
-    Ptpair.Set.iter
-      (fun p -> flow_out t cm.Vdg.cm_cstore p)
-      t.pts.(meta.Vdg.fm_ret_store)
-  end
+  let cm = Hashtbl.find t.g.Vdg.call_meta call in
+  if add_caller t fname cm then back_flow t cm (Hashtbl.find t.g.Vdg.funs fname)
 
 let add_defined_callee t call edge =
   let cell =
@@ -187,32 +183,23 @@ let add_defined_callee t call edge =
       Hashtbl.add t.call_callees call cell;
       cell
   in
-  if not (List.exists (fun e -> e.ce_name = edge.ce_name && e.ce_argmap = edge.ce_argmap) !cell)
+  let name = edge_name edge in
+  if not (List.exists (fun e -> edge_name e = name && e.ce_argmap = edge.ce_argmap) !cell)
   then begin
     cell := edge :: !cell;
     (* repropagation: existing facts at the call site flow into the callee,
        and the callee's existing results flow back (paper: "a new function
        updates the call graph and performs appropriate repropagation") *)
     let cm = Hashtbl.find t.g.Vdg.call_meta call in
-    let meta = Hashtbl.find t.g.Vdg.funs edge.ce_name in
+    let meta = edge.ce_meta in
     let callee_owned = owns t meta.Vdg.fm_formal_store in
-    if callee_owned then begin
-      (* caller registration only; the per-edge back-flow below keeps
-         the sequential flow order byte-for-byte *)
-      let callers_cell =
-        match Hashtbl.find_opt t.fun_callers edge.ce_name with
-        | Some c -> c
-        | None ->
-          let c = ref [] in
-          Hashtbl.add t.fun_callers edge.ce_name c;
-          c
-      in
-      if not (List.mem call !callers_cell) then callers_cell := call :: !callers_cell
-    end
-    else emit t (Rnew_caller (edge.ce_name, call));
+    (* caller registration only; the per-edge back-flow below keeps the
+       sequential flow order byte-for-byte *)
+    if callee_owned then ignore (add_caller t name cm)
+    else emit t (Rnew_caller (name, call));
     Array.iteri
       (fun formal_idx formal_out ->
-        match actual_for cm edge formal_idx with
+        match actual_for cm edge.ce_argmap formal_idx with
         | Some actual ->
           Ptpair.Set.iter (fun p -> flow_out t formal_out p) t.pts.(actual)
         | None -> ())
@@ -220,14 +207,7 @@ let add_defined_callee t call edge =
     Ptpair.Set.iter
       (fun p -> flow_out t meta.Vdg.fm_formal_store p)
       t.pts.(cm.Vdg.cm_store);
-    if callee_owned then begin
-      (match cm.Vdg.cm_result, meta.Vdg.fm_ret_value with
-      | Some res, Some rv -> Ptpair.Set.iter (fun p -> flow_out t res p) t.pts.(rv)
-      | _ -> ());
-      Ptpair.Set.iter
-        (fun p -> flow_out t cm.Vdg.cm_cstore p)
-        t.pts.(meta.Vdg.fm_ret_store)
-    end
+    if callee_owned then back_flow t cm meta
   end
 
 let rec add_extern_callee t call name =
@@ -269,11 +249,10 @@ let rec add_extern_callee t call name =
    or on a higher-order summary argument (via = Some (arg_idx, map)) *)
 and handle_function_value t call via (pair : Ptpair.t) =
   match pair.Ptpair.referent.Apath.proot with
-  | Some { Apath.bkind = Apath.Bfun name; _ } ->
-    if Hashtbl.mem t.g.Vdg.funs name then
-      add_defined_callee t call
-        { ce_name = name; ce_argmap = Option.map snd via }
-    else if via = None then add_extern_callee t call name
+  | Some { Apath.bkind = Apath.Bfun name; _ } -> (
+    match Hashtbl.find_opt t.g.Vdg.funs name with
+    | Some meta -> add_defined_callee t call { ce_meta = meta; ce_argmap = Option.map snd via }
+    | None -> if via = None then add_extern_callee t call name)
   | _ -> ()
 
 (* ---- transfer functions ------------------------------------------------------- *)
@@ -395,7 +374,6 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
     flow_out t nid pair
   | Vdg.Nret_value _ | Vdg.Nret_store _ -> flow_out t nid pair
   | Vdg.Ncall ->
-    let cm = Hashtbl.find t.g.Vdg.call_meta nid in
     (match idx with
     | 0 -> handle_function_value t nid None pair
     | 1 ->
@@ -403,14 +381,11 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
          extern identity summaries *)
       (match Hashtbl.find_opt t.call_callees nid with
       | Some cell ->
-        List.iter
-          (fun edge ->
-            let meta = Hashtbl.find t.g.Vdg.funs edge.ce_name in
-            flow_out t meta.Vdg.fm_formal_store pair)
-          !cell
+        List.iter (fun edge -> flow_out t edge.ce_meta.Vdg.fm_formal_store pair) !cell
       | None -> ());
       (match Hashtbl.find_opt t.ext_callees nid with
       | Some cell ->
+        let cm = Hashtbl.find t.g.Vdg.call_meta nid in
         List.iter (fun _name -> flow_out t cm.Vdg.cm_cstore pair) !cell
       | None -> ())
     | k ->
@@ -420,7 +395,6 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
       | Some cell ->
         List.iter
           (fun edge ->
-            let meta = Hashtbl.find t.g.Vdg.funs edge.ce_name in
             Array.iteri
               (fun formal_idx formal_out ->
                 let maps_here =
@@ -430,12 +404,13 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
                     formal_idx < Array.length map && map.(formal_idx) = arg_idx
                 in
                 if maps_here then flow_out t formal_out pair)
-              meta.Vdg.fm_formals)
+              edge.ce_meta.Vdg.fm_formals)
           !cell
       | None -> ());
       (* extern callees: result-from-arg and higher-order summaries *)
       (match Hashtbl.find_opt t.ext_callees nid with
       | Some cell ->
+        let cm = Hashtbl.find t.g.Vdg.call_meta nid in
         List.iter
           (fun name ->
             let fs = Hashtbl.find_opt t.g.Vdg.externs name in
@@ -493,9 +468,7 @@ let mk_state ?(config = default_config) ?budget ?pts ?(sharding = Sequential)
     config;
     budget;
     pts;
-    worklist = Workbag.create config.schedule;
-    pending = Hashtbl.create 1024;
-    dup_skips = 0;
+    worklist = Workbag.create ~dummy:(-1, -1, Ptpair.dummy) config.schedule;
     flow_in_count = 0;
     flow_out_count = 0;
     ptset_stats = None;
@@ -507,13 +480,12 @@ let mk_state ?(config = default_config) ?budget ?pts ?(sharding = Sequential)
     pop_base = 0;
   }
 
-(* one worklist item: pop, clear its pending slot, apply the transfer
-   function; [false] when the worklist is empty *)
+(* one worklist item: pop and apply the transfer function; [false] when
+   the worklist is empty *)
 let step t =
   if Workbag.is_empty t.worklist then false
   else begin
     let nid, idx, pair = Workbag.pop t.worklist in
-    Hashtbl.remove t.pending (nid, idx, Ptpair.key pair);
     flow_in t nid idx pair;
     true
   end
@@ -551,13 +523,7 @@ let solve ?(config = default_config) ?budget (g : Vdg.t) : t =
    grow); callers must compare interface summaries against the previous
    solution to detect it. *)
 
-let enqueue t consumer idx pair =
-  let wkey = (consumer, idx, Ptpair.key pair) in
-  if Hashtbl.mem t.pending wkey then t.dup_skips <- t.dup_skips + 1
-  else begin
-    Hashtbl.replace t.pending wkey ();
-    Workbag.add t.worklist (consumer, idx, pair)
-  end
+let enqueue t consumer idx pair = Workbag.add t.worklist (consumer, idx, pair)
 
 let solve_warm ?(config = default_config) ?budget (g : Vdg.t)
     ~(frozen : bool array)
@@ -579,21 +545,13 @@ let solve_warm ?(config = default_config) ?budget (g : Vdg.t)
   (* install frozen call tables, without repropagation *)
   List.iter
     (fun (call, edges) ->
+      let cm = Hashtbl.find g.Vdg.call_meta call in
       let cell = ref [] in
       Hashtbl.replace t.call_callees call cell;
       List.iter
         (fun (name, argmap) ->
-          cell := { ce_name = name; ce_argmap = argmap } :: !cell;
-          let callers_cell =
-            match Hashtbl.find_opt t.fun_callers name with
-            | Some c -> c
-            | None ->
-              let c = ref [] in
-              Hashtbl.add t.fun_callers name c;
-              c
-          in
-          if not (List.mem call !callers_cell) then
-            callers_cell := call :: !callers_cell)
+          cell := { ce_meta = Hashtbl.find g.Vdg.funs name; ce_argmap = argmap } :: !cell;
+          ignore (add_caller t name cm))
         (List.rev edges))
     calls;
   List.iter
@@ -622,10 +580,9 @@ let solve_warm ?(config = default_config) ?budget (g : Vdg.t)
         (fun (name, argmap) ->
           match Hashtbl.find_opt g.Vdg.funs name with
           | Some meta when not frozen.(meta.Vdg.fm_formal_store) ->
-            let edge = { ce_name = name; ce_argmap = argmap } in
             Array.iteri
               (fun formal_idx formal_out ->
-                match actual_for cm edge formal_idx with
+                match actual_for cm argmap formal_idx with
                 | Some actual ->
                   Ptpair.Set.iter (fun p -> flow_out t formal_out p)
                     t.pts.(actual)
@@ -667,15 +624,18 @@ module Internal = struct
   let has_local_work t = not (Workbag.is_empty t.worklist)
   let raw_pushes t = Workbag.pushed t.worklist
   let raw_pops t = Workbag.popped t.worklist
-  let dup_skips t = t.dup_skips
 
   let call_entries t =
     Hashtbl.fold
       (fun call cell acc ->
-        (call, List.map (fun e -> (e.ce_name, e.ce_argmap)) !cell) :: acc)
+        (call, List.map (fun e -> (edge_name e, e.ce_argmap)) !cell) :: acc)
       t.call_callees []
 
-  let caller_entries t = Hashtbl.fold (fun f cell acc -> (f, !cell) :: acc) t.fun_callers []
+  let caller_entries t =
+    Hashtbl.fold
+      (fun f cell acc -> (f, List.map (fun cm -> cm.Vdg.cm_call) !cell) :: acc)
+      t.fun_callers []
+
   let ext_entries t = Hashtbl.fold (fun call cell acc -> (call, !cell) :: acc) t.ext_callees []
 
   (* Build a finished solution from merged shard data.  [pts] slots must
@@ -685,20 +645,27 @@ module Internal = struct
       ~(calls : (Vdg.node_id * (string * int array option) list) list)
       ~(callers : (string * Vdg.node_id list) list)
       ~(ext_calls : (Vdg.node_id * string list) list) ~flow_in_count ~flow_out_count
-      ~pushes ~pops ~dup_skips ~(ptset_stats : Ptset.stats) : t =
+      ~pushes ~pops ~(ptset_stats : Ptset.stats) : t =
     let t = mk_state ~config ~pts g in
     List.iter
       (fun (call, edges) ->
         Hashtbl.replace t.call_callees call
-          (ref (List.map (fun (name, argmap) -> { ce_name = name; ce_argmap = argmap }) edges)))
+          (ref
+             (List.map
+                (fun (name, argmap) ->
+                  { ce_meta = Hashtbl.find g.Vdg.funs name; ce_argmap = argmap })
+                edges)))
       calls;
-    List.iter (fun (f, cs) -> Hashtbl.replace t.fun_callers f (ref cs)) callers;
+    List.iter
+      (fun (f, cs) ->
+        Hashtbl.replace t.fun_callers f
+          (ref (List.map (Hashtbl.find g.Vdg.call_meta) cs)))
+      callers;
     List.iter (fun (call, names) -> Hashtbl.replace t.ext_callees call (ref names)) ext_calls;
     t.flow_in_count <- flow_in_count;
     t.flow_out_count <- flow_out_count;
     t.push_base <- pushes;
     t.pop_base <- pops;
-    t.dup_skips <- dup_skips;
     t.ptset_stats <- Some ptset_stats;
     t
 end

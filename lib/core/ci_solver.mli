@@ -63,19 +63,14 @@ val flow_in_count : t -> int
 val flow_out_count : t -> int
 
 val worklist_pushes : t -> int
-(** Lifetime worklist additions (work-item granularity, one per
-    (consumer, input, pair) notification).  A membership guard keeps
-    already-pending items from being pushed twice, so this counts
-    distinct pending work, never double-counted re-pushes. *)
+(** Lifetime worklist additions, one per (consumer, input, pair)
+    notification.  A push only follows the first insertion of a pair at
+    its producer, and each (consumer, input) has exactly one producer, so
+    on a cold solve this is exactly [Σ_o |pairs o| × |consumers o|]
+    (test_ptset checks the equality); no item is ever queued twice. *)
 
 val worklist_pops : t -> int
 (** Lifetime worklist removals; equals [worklist_pushes] at fixpoint. *)
-
-val worklist_dup_skips : t -> int
-(** Pushes suppressed by the pending-membership guard.  Measured zero on
-    the whole suite — each (consumer, input) has a unique producing
-    output and [Ptpair.Set.add] fires once per (output, pair) — so the
-    counter doubles as a cheap runtime verification of that property. *)
 
 val ptset_stats : t -> Ptset.stats
 (** Hash-consing work attributed to this solve ({!Ptset.delta} around
@@ -147,7 +142,6 @@ module Internal : sig
   val has_local_work : t -> bool
   val raw_pushes : t -> int
   val raw_pops : t -> int
-  val dup_skips : t -> int
   val call_entries : t -> (Vdg.node_id * (string * int array option) list) list
   val caller_entries : t -> (string * Vdg.node_id list) list
   val ext_entries : t -> (Vdg.node_id * string list) list
@@ -163,7 +157,6 @@ module Internal : sig
     flow_out_count:int ->
     pushes:int ->
     pops:int ->
-    dup_skips:int ->
     ptset_stats:Ptset.stats ->
     t
   (** A finished solution from merged shard data; [pts] slots must be

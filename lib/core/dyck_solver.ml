@@ -75,7 +75,7 @@ let create ?(config = Ci_solver.default_config) ?budget (g : Vdg.t) : t =
     gstore = Ptpair.Set.create ();
     active = Array.make (max 1 (Vdg.n_nodes g)) false;
     act_queue = Queue.create ();
-    worklist = Workbag.create config.Ci_solver.schedule;
+    worklist = Workbag.create ~dummy:(-1, -1, Ptpair.dummy) config.Ci_solver.schedule;
     pending = Hashtbl.create 256;
     active_lookups = [];
     store_on = false;

@@ -48,7 +48,6 @@ type shard_result = {
   r_flow_out : int;
   r_pushes : int;
   r_pops : int;
-  r_skips : int;
   r_calls : (Vdg.node_id * (string * int array option) list) list;
   r_callers : (string * Vdg.node_id list) list;
   r_ext : (Vdg.node_id * string list) list;
@@ -275,7 +274,6 @@ let solve ?(config = Ci_solver.default_config) ~jobs (g : Vdg.t) :
         r_flow_out = Ci_solver.flow_out_count t;
         r_pushes = Internal.raw_pushes t;
         r_pops = Internal.raw_pops t;
-        r_skips = Internal.dup_skips t;
         r_calls = Internal.call_entries t;
         r_callers = Internal.caller_entries t;
         r_ext = Internal.ext_entries t;
@@ -325,7 +323,6 @@ let solve ?(config = Ci_solver.default_config) ~jobs (g : Vdg.t) :
         ~flow_out_count:(sum (fun r -> r.r_flow_out))
         ~pushes:(sum (fun r -> r.r_pushes))
         ~pops:(sum (fun r -> r.r_pops))
-        ~dup_skips:(sum (fun r -> r.r_skips))
         ~ptset_stats:stats_sum
     in
     ( ci,

@@ -5,6 +5,8 @@ type t = {
 
 let make path referent = { path; referent }
 
+let dummy = make Apath.dummy Apath.dummy
+
 let equal a b = Apath.equal a.path b.path && Apath.equal a.referent b.referent
 
 let compare a b =
@@ -26,10 +28,10 @@ let to_string p =
 module Set = struct
   type pair = t
 
-  (* Dual representation: the hash-consed version handle gives O(1)
-     membership/change-detection on packed keys; the item list preserves
-     insertion order, which the solvers' iteration order (and hence all
-     reported orderings) are defined by. *)
+  (* Dual representation: the hash-consed version handle gives
+     binary-search membership and O(1) change detection on packed keys;
+     the item list preserves insertion order, which the solvers'
+     iteration order (and hence all reported orderings) are defined by. *)
   type t = {
     mutable ver : Ptset.t;
     mutable items : pair list;  (* reversed insertion order *)

@@ -12,6 +12,10 @@ type t = {
 }
 
 val make : Apath.t -> Apath.t -> t
+
+val dummy : t
+(** Built from {!Apath.dummy}; fills unused worklist slots. *)
+
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
@@ -35,9 +39,10 @@ val to_string : t -> string
 
 (** Mutable pair sets, used per output by the solvers.
 
-    Backed by a hash-consed {!Ptset.t} over {!key}-packed ints (O(1)
-    membership and change detection) plus an insertion-order item list —
-    [elements] order is the solvers' deterministic iteration order. *)
+    Backed by a hash-consed {!Ptset.t} over {!key}-packed ints (binary
+    search membership, O(log n); O(1) change detection by comparing
+    versions) plus an insertion-order item list — [elements] order is the
+    solvers' deterministic iteration order. *)
 module Set : sig
   type pair = t
   type t

@@ -1,7 +1,8 @@
 type schedule = Fifo | Lifo | Random_order of int
 
 type 'a t = {
-  mutable items : 'a option array;
+  mutable items : 'a array;  (* live items in [head, count); others hold [dummy] *)
+  dummy : 'a;
   mutable count : int;
   policy : schedule;
   rng : Srng.t;
@@ -10,9 +11,10 @@ type 'a t = {
   mutable popped : int;  (* lifetime pop count *)
 }
 
-let create policy =
+let create ~dummy policy =
   {
-    items = Array.make 64 None;
+    items = Array.make 64 dummy;
+    dummy;
     count = 0;
     policy;
     rng = Srng.create (match policy with Random_order seed -> Int64.of_int seed | _ -> 0L);
@@ -27,13 +29,13 @@ let add t x =
   if t.count >= Array.length t.items then begin
     let live = t.count - t.head in
     let cap = max 64 (2 * live) in
-    let fresh = Array.make cap None in
+    let fresh = Array.make cap t.dummy in
     Array.blit t.items t.head fresh 0 live;
     t.items <- fresh;
     t.count <- live;
     t.head <- 0
   end;
-  t.items.(t.count) <- Some x;
+  t.items.(t.count) <- x;
   t.count <- t.count + 1;
   t.pushed <- t.pushed + 1
 
@@ -45,18 +47,18 @@ let pop t =
     | Lifo -> t.count - 1
     | Random_order _ -> t.head + Srng.int t.rng (t.count - t.head)
   in
-  let x = Option.get t.items.(idx) in
+  let x = t.items.(idx) in
   (match t.policy with
   | Fifo ->
-    t.items.(t.head) <- None;
+    t.items.(t.head) <- t.dummy;
     t.head <- t.head + 1
   | Lifo ->
-    t.items.(idx) <- None;
+    t.items.(idx) <- t.dummy;
     t.count <- t.count - 1
   | Random_order _ ->
     (* swap with the head slot, then advance the head *)
     t.items.(idx) <- t.items.(t.head);
-    t.items.(t.head) <- None;
+    t.items.(t.head) <- t.dummy;
     t.head <- t.head + 1);
   t.popped <- t.popped + 1;
   x

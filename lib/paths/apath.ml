@@ -152,6 +152,8 @@ let of_base tbl b = intern tbl (Some b) [] false
 
 let empty_offset tbl = intern tbl None [] false
 
+let dummy = { pid = -1; proot = None; paccs = []; ptruncated = false }
+
 let limit accs =
   let rec take n = function
     | [] -> ([], false)

@@ -76,6 +76,10 @@ val of_base : table -> base -> t
 val empty_offset : table -> t
 (** The empty offset (relative address of the whole value). *)
 
+val dummy : t
+(** A path of no table (pid [-1]), to fill unused container slots; never
+    pass it to a table operation. *)
+
 val extend : table -> t -> accessor -> t
 (** Append one accessor (k-limited). *)
 

@@ -185,6 +185,22 @@ let stale_skip_preserves_solutions () =
     "fast path skipped something or matched exactly" true
     (Cs_solver.worklist_stale_skips fast >= 0)
 
+(* A push only follows the first insertion of a pair at its producer, and
+   each (consumer, input) has exactly one producer, so a cold solve pushes
+   exactly Σ_o |pairs o| × |consumers o| — any path that queues an item
+   twice breaks the equality. *)
+let expected_pushes ci =
+  let g = Ci_solver.graph ci in
+  let n = ref 0 in
+  Vdg.iter_nodes g (fun nd ->
+      let o = nd.Vdg.nid in
+      n := !n + (Ptpair.Set.cardinal (Ci_solver.pairs ci o) * List.length (Vdg.consumers g o)));
+  !n
+
+let check_push_count label ci =
+  Alcotest.(check int) (label ^ " pushes = pairs × consumers") (expected_pushes ci)
+    (Ci_solver.worklist_pushes ci)
+
 let solver_stats_populated () =
   let a = analysis_of "allroots" in
   let cs = Engine.cs a in
@@ -194,8 +210,27 @@ let solver_stats_populated () =
      zero — but never negative.  Byte figures are absolute. *)
   Alcotest.(check bool) "interned sets delta sane" true (s.Ptset.st_sets >= 0);
   Alcotest.(check bool) "peak bytes counted" true (s.Ptset.st_peak_bytes > 0);
-  let ci_dups = Ci_solver.worklist_dup_skips a.Engine.ci in
-  Alcotest.(check bool) "ci dup counter non-negative" true (ci_dups >= 0)
+  check_push_count "allroots" a.Engine.ci
+
+let exact_push_count () =
+  let sources =
+    List.map (fun path -> (path, Test_par_solver.read_file path))
+      (Test_par_solver.example_files ())
+    @ List.map
+        (fun (e : Suite.entry) -> (e.Suite.profile.Profile.name ^ ".c", Suite.source e))
+        Suite.benchmarks
+    @ List.map
+        (fun profile -> (profile.Profile.name ^ ".c", Genc.generate profile))
+        Test_par_solver.battery_profiles
+  in
+  List.iter
+    (fun (file, src) ->
+      List.iter
+        (fun jobs ->
+          let a = Engine.run_exn ~jobs (Engine.load_string ~file src) in
+          check_push_count (Printf.sprintf "%s jobs %d" file jobs) a.Engine.ci)
+        [ 1; 2 ])
+    sources
 
 let tests =
   [
@@ -206,6 +241,7 @@ let tests =
     Alcotest.test_case "stale skip preserves solutions" `Quick
       stale_skip_preserves_solutions;
     Alcotest.test_case "solver ptset stats populated" `Quick solver_stats_populated;
+    Alcotest.test_case "cold solve pushes each item once" `Slow exact_push_count;
     QCheck_alcotest.to_alcotest law_of_list_elements;
     QCheck_alcotest.to_alcotest law_union;
     QCheck_alcotest.to_alcotest law_subset;
