@@ -8,7 +8,6 @@
      dune exec bench/load.exe -- -c 8 -n 200   # 8 clients, 200 requests each
      dune exec bench/load.exe -- --socket /tmp/alias.sock   # external daemon
      dune exec bench/load.exe -- --deadline-ms 50 --assert-degraded
-     dune exec bench/load.exe -- --cold 5 --assert-demand-speedup 5
      dune exec bench/load.exe -- --batch 64 --assert-rps 11000
      dune exec bench/load.exe -- --differential 400 --json load.json
 
@@ -19,14 +18,6 @@
          connection through the client's submit/await tickets
      N>1 batched: requests grouped N to a v6 batch envelope — one line
          out, one array line back
-
-   With --cold N, a cold-session mix follows the mixed workload: N
-   rounds of fresh-content opens of the largest benchmark in demand and
-   exhaustive mode, timing the first line-keyed may_alias of each.  The
-   table reports p50/p95 per step.  Any demand verdict that disagrees
-   with the exhaustive one fails the run; --assert-demand-speedup X also
-   fails it unless the demand first-query p50 beats the exhaustive
-   open-plus-first-query path by at least X.
 
    With --deadline-ms, a slice of the traffic is budget-governed: opens
    and context-sensitive may_alias queries carry that deadline, so the
@@ -91,161 +82,6 @@ let write_governed_sources dir =
           output_string oc "\n/* governed-budget variant */\n");
       path)
     benchmark_names
-
-(* ---- cold-session mix ------------------------------------------------------------ *)
-
-(* Time-to-first-answer on a cold session, demand vs exhaustive.  Each
-   round writes two fresh content variants of the largest benchmark (the
-   session key and the engine cache are content digests, so uniqueness is
-   what makes the open genuinely cold), opens one per mode, and asks the
-   same line-keyed may_alias first.  Each round asks a different memop
-   pair (round i walks the memop-line list), so the reported p50/p95 is
-   over the query population, not one cherry-picked (or cherry-bad)
-   slice.  Node ids cannot drive the query: learning them through modref
-   would force the exhaustive solution and defeat the measurement, so
-   the query lines come from a local build of the same source (the
-   variant's trailing comment shifts no line). *)
-let cold_benchmark = "bc"
-
-let cold_query_lines source =
-  let input = Engine.load_string ~file:"cold.c" source in
-  let g = Engine.build_graph (Engine.compile input) in
-  let lines =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun ((n : Vdg.node), _) ->
-           Option.map
-             (fun (l : Srcloc.t) -> l.Srcloc.line)
-             (Vdg.loc_of g n.Vdg.nid))
-         (Vdg.indirect_memops g))
-  in
-  if lines = [] then failwith "cold mix: the benchmark has no indirect memops";
-  Array.of_list lines
-
-type cold_result = {
-  co_open_demand : float list;  (* open {mode: demand} *)
-  co_first_demand : float list;  (* the first may_alias after it *)
-  co_answer_exhaustive : float list;  (* open {mode: exhaustive} + may_alias *)
-  co_mismatches : int;  (* demand vs exhaustive verdict disagreements *)
-}
-
-let run_cold ~socket ~dir ~rounds =
-  let entry = Option.get (Suite.find cold_benchmark) in
-  let source = Suite.source entry in
-  let lines = cold_query_lines source in
-  let client = Client.connect ~retry_for:10. ~timeout:300. socket in
-  let opens = ref [] and firsts = ref [] and answers = ref [] in
-  let mismatches = ref 0 in
-  let call meth params =
-    match Client.call client ~meth ~params with
-    | Ok v -> v
-    | Error (_, msg) -> failwith (meth ^ ": " ^ msg)
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let verdict json =
-    match Ejson.member "may_alias" json with
-    | Some (Ejson.Bool b) -> b
-    | _ -> failwith "may_alias: no verdict in response"
-  in
-  let may_alias session (la, lb) =
-    call "may_alias"
-      (Ejson.Assoc
-         [
-           ("session", Ejson.String session); ("a_line", Ejson.Int la);
-           ("b_line", Ejson.Int lb);
-         ])
-  in
-  let session_of json =
-    match Ejson.member "session" json with
-    | Some (Ejson.String s) -> s
-    | _ -> failwith "open: no session in response"
-  in
-  for i = 1 to rounds do
-    let n = Array.length lines in
-    let pair =
-      (lines.((i - 1) mod n), lines.((i - 1 + (n / 2)) mod n))
-    in
-    let variant mode =
-      let path = Filename.concat dir (Printf.sprintf "cold_%s_%d.c" mode i) in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc source;
-          Printf.fprintf oc "\n/* cold %s round %d pid %d */\n" mode i
-            (Unix.getpid ()));
-      path
-    in
-    let dfile = variant "demand" in
-    let opened, t_open =
-      timed (fun () ->
-          call "open"
-            (Ejson.Assoc
-               [
-                 ("file", Ejson.String dfile); ("mode", Ejson.String "demand");
-               ]))
-    in
-    let v_demand, t_first =
-      timed (fun () -> verdict (may_alias (session_of opened) pair))
-    in
-    opens := t_open :: !opens;
-    firsts := t_first :: !firsts;
-    ignore (call "close" (Ejson.Assoc [ ("file", Ejson.String dfile) ]));
-    let efile = variant "exhaustive" in
-    let v_exhaustive, t_answer =
-      timed (fun () ->
-          let opened =
-            call "open"
-              (Ejson.Assoc
-                 [
-                   ("file", Ejson.String efile);
-                   ("mode", Ejson.String "exhaustive");
-                 ])
-          in
-          verdict (may_alias (session_of opened) pair))
-    in
-    answers := t_answer :: !answers;
-    ignore (call "close" (Ejson.Assoc [ ("file", Ejson.String efile) ]));
-    if v_demand <> v_exhaustive then incr mismatches;
-    List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ dfile; efile ]
-  done;
-  Client.close client;
-  {
-    co_open_demand = !opens;
-    co_first_demand = !firsts;
-    co_answer_exhaustive = !answers;
-    co_mismatches = !mismatches;
-  }
-
-let cold_table c =
-  let t =
-    Table.create
-      ~headers:
-        [
-          ("step", Table.Left); ("count", Table.Right);
-          ("p50 (ms)", Table.Right); ("p95 (ms)", Table.Right);
-          ("max (ms)", Table.Right);
-        ]
-  in
-  let ms s = Table.cell_float ~decimals:3 (1000. *. s) in
-  List.iter
-    (fun (label, samples) ->
-      let l = Telemetry.summarize samples in
-      Table.add_row t
-        [
-          label; Table.cell_int l.Telemetry.l_count; ms l.Telemetry.l_p50;
-          ms l.Telemetry.l_p95; ms l.Telemetry.l_max;
-        ])
-    [
-      ("open (demand)", c.co_open_demand);
-      ("first query (demand)", c.co_first_demand);
-      ("open + first query (exhaustive)", c.co_answer_exhaustive);
-    ];
-  t
 
 (* ---- one client ----------------------------------------------------------------- *)
 
@@ -562,7 +398,6 @@ let () =
     };
   let clients = ref 4 and requests = ref 100 and ext_socket = ref None in
   let deadline_ms = ref None and assert_degraded = ref false in
-  let cold = ref 0 and assert_speedup = ref None in
   let batch = ref 1 and differential = ref 0 and rounds = ref 1 in
   let assert_rps = ref None and assert_p95_us = ref None in
   let json_file = ref None and check_file = ref None in
@@ -580,12 +415,6 @@ let () =
         parse (i + 2)
       | "--deadline-ms" when i + 1 < Array.length Sys.argv ->
         deadline_ms := Some (max 1 (int_of_string Sys.argv.(i + 1)));
-        parse (i + 2)
-      | "--cold" when i + 1 < Array.length Sys.argv ->
-        cold := max 0 (int_of_string Sys.argv.(i + 1));
-        parse (i + 2)
-      | "--assert-demand-speedup" when i + 1 < Array.length Sys.argv ->
-        assert_speedup := Some (float_of_string Sys.argv.(i + 1));
         parse (i + 2)
       | "--assert-degraded" ->
         assert_degraded := true;
@@ -615,8 +444,8 @@ let () =
         Printf.eprintf
           "usage: load [-c CLIENTS] [-n REQUESTS] [-b|--batch N] \
            [--rounds N] [--socket PATH] [--deadline-ms MS] \
-           [--assert-degraded] [--cold ROUNDS] [--assert-demand-speedup X] \
-           [--differential N] [--assert-rps X] [--assert-p95-us X] \
+           [--assert-degraded] [--differential N] [--assert-rps X] \
+           [--assert-p95-us X] \
            [--json FILE] [--check BENCH.json] (got %S)\n"
           arg;
         exit 2
@@ -706,32 +535,6 @@ let () =
   let wall = Unix.gettimeofday () -. t0 in
   print_endline "== Client-observed latency per method ==";
   Table.print (latency_table results);
-  (* The cold mix runs on one connection after the mixed workload so its
-     latency samples are contention-free. *)
-  let speedup_failed = ref false in
-  if !cold > 0 then begin
-    let c = run_cold ~socket ~dir ~rounds:!cold in
-    Printf.printf
-      "\n== Cold-session first answer on '%s' (demand vs exhaustive) ==\n"
-      cold_benchmark;
-    Table.print (cold_table c);
-    let p50 samples = (Telemetry.summarize samples).Telemetry.l_p50 in
-    let first = p50 c.co_first_demand
-    and exhaustive = p50 c.co_answer_exhaustive in
-    let speedup = exhaustive /. Float.max 1e-9 first in
-    Printf.printf
-      "cold first-query p50 %.3f ms vs exhaustive-path p50 %.3f ms: %.1fx; \
-       %d verdict mismatch(es)\n"
-      (1000. *. first) (1000. *. exhaustive) speedup c.co_mismatches;
-    if c.co_mismatches > 0 then speedup_failed := true;
-    match !assert_speedup with
-    | Some want when speedup < want ->
-      Printf.eprintf
-        "--assert-demand-speedup: %.1fx is below the required %.1fx\n" speedup
-        want;
-      speedup_failed := true
-    | _ -> ()
-  end;
   let n_samples =
     List.fold_left (fun acc r -> acc + List.length r.cr_samples) 0 results
   in
@@ -884,7 +687,7 @@ let () =
       (fun () ->
         output_string oc (Ejson.to_compact_string json);
         output_char oc '\n'));
-  let failed = ref (n_errors > 0 || !speedup_failed) in
+  let failed = ref (n_errors > 0) in
   if !assert_degraded && !server_degradations = 0 && n_degraded = 0 then begin
     prerr_endline
       "--assert-degraded: no degradation was observed — the ladder never \

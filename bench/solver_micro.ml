@@ -13,7 +13,7 @@
    where the memo wins) and uniform-random (the memo's worst case, where
    the naive lists win).  The "benchmarks" section times full CI and CS
    solves and records the deterministic outcome facts — executed meets,
-   pair counts, the canonical solution digest, and the demand resolver's
+   pair counts, the canonical solution digest, and the dyck resolver's
    activation counts for a canonical first query and for the full memop
    sweep (the activation set depends only on the graph and the query
    order, both fixed here).
@@ -134,6 +134,10 @@ let micro_json () =
 
 (* ---- full solves ------------------------------------------------------------------- *)
 
+(* An unbudgeted exhaustive run always carries the analysis. *)
+let analysis_of req input =
+  Option.get (Result.get_ok (Engine.analyze req input)).Engine.td_analysis
+
 let benchmark_json name =
   match Suite.find name with
   | None -> failwith ("unknown benchmark: " ^ name)
@@ -148,26 +152,12 @@ let benchmark_json name =
     let cs = Engine.solve_cs g ~ci in
     let t2 = Unix.gettimeofday () in
     let cs_stats = Cs_solver.ptset_stats cs in
-    (* The demand tier's deterministic footprint: a fresh resolver, the
+    (* The dyck tier's deterministic footprint: a fresh resolver, the
        first indirect memop as the canonical first query, then the rest.
        Activation counts depend only on the graph and the query order,
        both fixed here, so they belong in the drift gate alongside the
        meet counts and digests. *)
-    let demand = Demand_solver.create g in
     let memops = Vdg.indirect_memops g in
-    (match memops with
-    | ((n : Vdg.node), _) :: _ ->
-      ignore (Demand_solver.referenced_locations demand n.Vdg.nid)
-    | [] -> ());
-    let demand_first_visited = Demand_solver.nodes_activated demand in
-    List.iter
-      (fun ((n : Vdg.node), _) ->
-        ignore (Demand_solver.referenced_locations demand n.Vdg.nid))
-      memops;
-    let demand_full_visited = Demand_solver.nodes_activated demand in
-    (* the dyck tier's footprint, same shape: canonical first query,
-       then the full memop sweep — activation counts are deterministic
-       and join the drift gate *)
     let dyck = Dyck_solver.create g in
     (match memops with
     | ((n : Vdg.node), _) :: _ ->
@@ -179,33 +169,20 @@ let benchmark_json name =
         ignore (Dyck_solver.referenced_locations dyck n.Vdg.nid))
       memops;
     let dyck_full_visited = Dyck_solver.nodes_activated dyck in
-    (* first-query latency distribution: each sample is a fresh resolver
-       (a cold session) answering the canonical first query *)
-    let cold_samples create query =
-      match memops with
-      | [] -> [ 0. ]
-      | ((n : Vdg.node), _) :: _ ->
-        List.init 20 (fun _ ->
-            let d = create g in
-            let t0 = Unix.gettimeofday () in
-            ignore (query d n.Vdg.nid);
-            Unix.gettimeofday () -. t0)
-    in
-    let fl =
-      Telemetry.summarize
-        (cold_samples
-           (fun g -> Demand_solver.create g)
-           Demand_solver.referenced_locations)
-    in
-    (* the server's tier="dyck" path: a cold per-session dyck resolver
-       answering one single-pair query *)
+    (* the server's tier="dyck" path: each sample is a cold per-session
+       dyck resolver answering the canonical first query *)
     let dyfl =
       Telemetry.summarize
-        (cold_samples
-           (fun g -> Dyck_solver.create g)
-           Dyck_solver.referenced_locations)
+        (match memops with
+        | [] -> [ 0. ]
+        | ((n : Vdg.node), _) :: _ ->
+          List.init 20 (fun _ ->
+              let d = Dyck_solver.create g in
+              let t0 = Unix.gettimeofday () in
+              ignore (Dyck_solver.referenced_locations d n.Vdg.nid);
+              Unix.gettimeofday () -. t0))
     in
-    let base_a = Result.get_ok (Engine.run input) in
+    let base_a = analysis_of Engine.default_request input in
     let digest = Solution_digest.digest base_a in
     (* the incremental engine's deterministic footprint: append one probe
        procedure (a single-procedure edit) and re-solve against the cold
@@ -216,23 +193,22 @@ let benchmark_json name =
       source ^ "\nint __bench_probe(int *p) { return p == 0; }\n"
     in
     let probe_input = Engine.load_string ~file:(name ^ ".c") probe_source in
-    let a_inc, outcome =
+    let td_inc =
       Result.get_ok
-        (Engine.run_incremental ~prev:(Engine.incr_snapshot base_a) probe_input)
+        (Engine.analyze
+           { Engine.default_request with prev = Some (Engine.incr_snapshot base_a) }
+           probe_input)
     in
-    let incr_stats = outcome.Incr_engine.o_stats in
+    let incr_stats = (Option.get td_inc.Engine.td_incr).Incr_engine.o_stats in
     let incr_digest_ok =
-      String.equal (Solution_digest.digest a_inc)
-        (Solution_digest.digest (Result.get_ok (Engine.run probe_input)))
+      String.equal
+        (Solution_digest.digest (Option.get td_inc.Engine.td_analysis))
+        (Solution_digest.digest (analysis_of Engine.default_request probe_input))
     in
     Ejson.Assoc
       [
         ("name", Ejson.String name);
         ("nodes", Ejson.Int (Vdg.n_nodes g));
-        ("demand_first_visited", Ejson.Int demand_first_visited);
-        ("demand_full_visited", Ejson.Int demand_full_visited);
-        ("demand_first_p50_seconds", Ejson.Float fl.Telemetry.l_p50);
-        ("demand_first_p95_seconds", Ejson.Float fl.Telemetry.l_p95);
         ("dyck_first_visited", Ejson.Int dyck_first_visited);
         ("dyck_full_visited", Ejson.Int dyck_full_visited);
         ("dyck_single_pair_p50_seconds", Ejson.Float dyfl.Telemetry.l_p50);
@@ -269,17 +245,19 @@ let parallel_json ~lines =
   let src = Genc.generate p in
   let file = p.Profile.name ^ ".c" in
   let solve jobs =
-    let a = Engine.run_exn ?jobs (Engine.load_string ~file src) in
+    let a =
+      analysis_of { Engine.default_request with jobs } (Engine.load_string ~file src)
+    in
     let ci_s =
       Option.value ~default:0. (Telemetry.phase_seconds a.Engine.telemetry "ci")
     in
     (ci_s, Solution_digest.ci_digest a, a.Engine.telemetry.Telemetry.t_par)
   in
-  let seq_s, seq_digest, _ = solve None in
+  let seq_s, seq_digest, _ = solve 1 in
   let widths =
     List.map
       (fun jobs ->
-        let s, digest, par = solve (Some jobs) in
+        let s, digest, par = solve jobs in
         (jobs, s, digest, par))
       parallel_jobs_sweep
   in
@@ -330,8 +308,7 @@ let required_speedup_jobs = 8
    interning deltas) legitimately varies between hosts and run shapes *)
 let deterministic_fields =
   [
-    "nodes"; "demand_first_visited"; "demand_full_visited";
-    "dyck_first_visited"; "dyck_full_visited"; "ci_meets"; "cs_meets";
+    "nodes"; "dyck_first_visited"; "dyck_full_visited"; "ci_meets"; "cs_meets";
     "cs_pairs"; "digest"; "incr_probe_resolved"; "incr_probe_reused";
     "incr_probe_digest_ok";
   ]

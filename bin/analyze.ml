@@ -34,6 +34,13 @@ let engine_errors r =
     Printf.eprintf "alias-analyze: error: %s\n" (Engine.error_message e);
     exit 1
 
+(* The analysis of an unbudgeted CI run, which always reaches it;
+   failures exit. *)
+let analysis_of input =
+  Option.get
+    (engine_errors (Engine.analyze Engine.default_request input))
+      .Engine.td_analysis
+
 let budget_of_deadline deadline_ms =
   match deadline_ms with
   | None -> None
@@ -51,8 +58,8 @@ let tier_conv =
       Error
         (`Msg
           (Printf.sprintf
-             "unknown tier %S (expected steensgaard, andersen, dyck, demand, \
-              ci, or cs)" s))
+             "unknown tier %S (expected steensgaard, andersen, dyck, ci, or \
+              cs)" s))
   in
   Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Engine.string_of_tier t))
 
@@ -64,10 +71,10 @@ let deadline_arg =
         ~doc:
           "Wall-clock budget for the solve.  On exhaustion the analysis \
            degrades down the precision ladder (cs, ci, andersen, \
-           steensgaard) instead of failing; with $(b,--min-tier demand) or \
-           $(b,--min-tier dyck) an exhausted ci solve lands on that lazy \
-           tier (VDG built, pairs resolved per query) instead of a \
-           baseline.  The output reports the tier that answered.")
+           steensgaard) instead of failing; with $(b,--min-tier dyck) an \
+           exhausted ci solve lands on that lazy tier (VDG built, pairs \
+           resolved per query) instead of a baseline.  The output reports \
+           the tier that answered.")
 
 let min_tier_arg =
   Arg.(
@@ -76,7 +83,8 @@ let min_tier_arg =
     & info [ "min-tier" ] ~docv:"TIER"
         ~doc:
           "Lowest acceptable precision tier; the run fails (exit 1) rather \
-           than degrade below it.")
+           than degrade below it.  A tier above the one asked for is \
+           solved outright.")
 
 let write_metrics path json =
   match open_out path with
@@ -108,29 +116,13 @@ let print_degradations degradations =
         (Budget.string_of_reason d.Engine.d_reason))
     degradations
 
-(* The full-precision report, shared by the governed and ungoverned
-   paths. *)
-let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
-  let prog = a.Engine.prog and g = a.Engine.graph and ci = a.Engine.ci in
-  if dump_sil then Format.printf "%a@." Sil.pp_program prog;
-  if dump_dot then print_string (Vdg.to_dot g);
+(* The report every node tier prints: the program's shape, the mode,
+   and what each indirect memory operation may touch by [locations_of]. *)
+let print_memop_report prog g ~mode locations_of =
   Printf.printf "functions: %d   VDG nodes: %d   alias-related outputs: %d\n"
     (List.length prog.Sil.p_functions) (Vdg.n_nodes g)
     (Stats.alias_related_outputs g);
-  let locations_of =
-    if context_sensitive then begin
-      let cs = Engine.cs a in
-      Printf.printf "mode: context-sensitive (CS pairs: %d, CI pairs: %d)\n"
-        (Stats.cs_pair_counts cs g).Stats.pc_total
-        (Stats.ci_pair_counts ci).Stats.pc_total;
-      Cs_solver.referenced_locations cs
-    end
-    else begin
-      Printf.printf "mode: context-insensitive (pairs: %d)\n"
-        (Stats.ci_pair_counts ci).Stats.pc_total;
-      Ci_solver.referenced_locations ci
-    end
-  in
+  print_endline ("mode: " ^ mode);
   let t =
     Table.create
       ~headers:
@@ -152,7 +144,27 @@ let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
         ])
     (Vdg.indirect_memops g);
   print_endline "indirect memory operations:";
-  Table.print t;
+  Table.print t
+
+(* The full-precision report, shared by the governed and ungoverned
+   paths. *)
+let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
+  let prog = a.Engine.prog and g = a.Engine.graph and ci = a.Engine.ci in
+  if dump_sil then Format.printf "%a@." Sil.pp_program prog;
+  if dump_dot then print_string (Vdg.to_dot g);
+  let mode, locations_of =
+    if context_sensitive then
+      let cs = Engine.cs a in
+      ( Printf.sprintf "context-sensitive (CS pairs: %d, CI pairs: %d)"
+          (Stats.cs_pair_counts cs g).Stats.pc_total
+          (Stats.ci_pair_counts ci).Stats.pc_total,
+        Cs_solver.referenced_locations cs )
+    else
+      ( Printf.sprintf "context-insensitive (pairs: %d)"
+          (Stats.ci_pair_counts ci).Stats.pc_total,
+        Ci_solver.referenced_locations ci )
+  in
+  print_memop_report prog g ~mode locations_of;
   if show_pairs then begin
     print_endline "points-to pairs per alias-related output:";
     Vdg.iter_nodes g (fun n ->
@@ -166,80 +178,12 @@ let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
         end)
   end
 
-(* At the demand tier the VDG exists but points-to pairs are materialized
-   per query: answer the report's own questions through the lazy resolver,
-   then show how much of the graph those questions activated. *)
-let report_demand (td : Engine.tiered) (d : Demand_solver.t) =
-  let view = Query.demand_view d in
-  let g = view.Query.nv_graph in
-  Printf.printf "functions: %d   VDG nodes: %d   alias-related outputs: %d\n"
-    (List.length td.Engine.td_prog.Sil.p_functions)
-    (Vdg.n_nodes g)
-    (Stats.alias_related_outputs g);
-  print_endline "mode: demand (lazy resolver; pairs materialized per query)";
-  let t =
-    Table.create
-      ~headers:
-        [
-          ("function", Table.Left); ("op", Table.Left); ("where", Table.Left);
-          ("may touch", Table.Left);
-        ]
-  in
-  List.iter
-    (fun ((n : Vdg.node), rw) ->
-      Table.add_row t
-        [
-          n.Vdg.nfun;
-          (match rw with `Read -> "read" | `Write -> "write");
-          (match Vdg.loc_of g n.Vdg.nid with
-          | Some l -> Srcloc.to_string l
-          | None -> "-");
-          String.concat ", "
-            (List.map Apath.to_string (view.Query.nv_referenced n.Vdg.nid));
-        ])
-    (Vdg.indirect_memops g);
-  print_endline "indirect memory operations:";
-  Table.print t;
-  let c = Engine.demand_counters d in
-  Printf.printf "demand: activated %d of %d nodes for %d quer(y/ies)\n"
-    c.Telemetry.dc_nodes_activated c.Telemetry.dc_nodes_total
-    c.Telemetry.dc_queries
-
-(* The dyck tier reports through the same lazy-resolver shape; the
-   referenced-location sets may be wider than ci's (flow-insensitive,
-   no strong updates). *)
+(* The dyck tier materializes pairs per query; its referenced-location
+   sets may be wider than ci's (flow-insensitive, no strong updates). *)
 let report_dyck (td : Engine.tiered) (d : Dyck_solver.t) =
-  let view = Query.dyck_view d in
-  let g = view.Query.nv_graph in
-  Printf.printf "functions: %d   VDG nodes: %d   alias-related outputs: %d\n"
-    (List.length td.Engine.td_prog.Sil.p_functions)
-    (Vdg.n_nodes g)
-    (Stats.alias_related_outputs g);
-  print_endline
-    "mode: dyck (flow-insensitive reachability; pairs materialized per query)";
-  let t =
-    Table.create
-      ~headers:
-        [
-          ("function", Table.Left); ("op", Table.Left); ("where", Table.Left);
-          ("may touch", Table.Left);
-        ]
-  in
-  List.iter
-    (fun ((n : Vdg.node), rw) ->
-      Table.add_row t
-        [
-          n.Vdg.nfun;
-          (match rw with `Read -> "read" | `Write -> "write");
-          (match Vdg.loc_of g n.Vdg.nid with
-          | Some l -> Srcloc.to_string l
-          | None -> "-");
-          String.concat ", "
-            (List.map Apath.to_string (view.Query.nv_referenced n.Vdg.nid));
-        ])
-    (Vdg.indirect_memops g);
-  print_endline "indirect memory operations:";
-  Table.print t;
+  print_memop_report td.Engine.td_prog (Dyck_solver.graph d)
+    ~mode:"dyck (flow-insensitive reachability; pairs materialized per query)"
+    (Dyck_solver.referenced_locations d);
   let c = Engine.dyck_counters d in
   Printf.printf "dyck: activated %d of %d nodes for %d quer(y/ies)\n"
     c.Telemetry.dc_nodes_activated c.Telemetry.dc_nodes_total
@@ -272,12 +216,11 @@ let report_baseline (td : Engine.tiered) =
   print_endline "indirect memory operations:";
   Table.print t
 
-let run_analyze file dump_sil dump_dot context_sensitive demand dyck show_pairs
+let run_analyze file dump_sil dump_dot context_sensitive dyck show_pairs
     deadline_ms min_tier metrics jobs =
   with_frontend_errors @@ fun () ->
-  if (context_sensitive && (demand || dyck)) || (demand && dyck) then begin
-    prerr_endline
-      "alias-analyze: --demand, --dyck and --context-sensitive conflict";
+  if context_sensitive && dyck then begin
+    prerr_endline "alias-analyze: --dyck and --context-sensitive conflict";
     exit 2
   end;
   (match jobs with
@@ -286,31 +229,31 @@ let run_analyze file dump_sil dump_dot context_sensitive demand dyck show_pairs
     exit 2
   | _ -> ());
   let input = Engine.load_file file in
-  let budget = budget_of_deadline deadline_ms in
-  let want =
-    if context_sensitive then Engine.Cs
-    else if demand then Engine.Demand
-    else if dyck then Engine.Dyck
-    else Engine.Ci
+  let req =
+    {
+      Engine.want =
+        (if context_sensitive then Engine.Cs
+         else if dyck then Engine.Dyck
+         else Engine.Ci);
+      min_tier = Option.value ~default:Engine.Steensgaard min_tier;
+      budget = budget_of_deadline deadline_ms;
+      prev = None;
+      jobs = Option.value ~default:1 jobs;
+    }
   in
-  let td = engine_errors (Engine.run_tiered ?budget ?min_tier ?jobs ~want input) in
-  if
-    deadline_ms <> None || demand || dyck
-    || td.Engine.td_degradations <> []
-  then Printf.printf "tier: %s\n" (Engine.string_of_tier td.Engine.td_tier);
+  let td = engine_errors (Engine.analyze req input) in
+  if deadline_ms <> None || dyck || td.Engine.td_degradations <> [] then
+    Printf.printf "tier: %s\n" (Engine.string_of_tier td.Engine.td_tier);
   print_degradations td.Engine.td_degradations;
-  (match (td.Engine.td_analysis, td.Engine.td_demand, td.Engine.td_dyck) with
-  | Some a, _, _ ->
-    let context_sensitive =
-      context_sensitive && td.Engine.td_tier = Engine.Cs
-    in
-    report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs
-  | None, Some d, _ -> report_demand td d
-  | None, None, Some d -> report_dyck td d
-  | None, None, None -> report_baseline td);
+  (match (td.Engine.td_analysis, td.Engine.td_dyck) with
+  | Some a, _ ->
+    report_analysis a
+      ~context_sensitive:(td.Engine.td_tier = Engine.Cs)
+      ~dump_sil ~dump_dot ~show_pairs
+  | None, Some d -> report_dyck td d
+  | None, None -> report_baseline td);
   Option.iter
     (fun path ->
-      Engine.refresh_demand_telemetry td;
       Engine.refresh_dyck_telemetry td;
       write_metrics path (Telemetry.to_json td.Engine.td_telemetry))
     metrics
@@ -323,15 +266,6 @@ let analyze_cmd =
   let cs =
     Arg.(value & flag & info [ "context-sensitive"; "s" ]
            ~doc:"Use the context-sensitive solver for the report.")
-  in
-  let demand =
-    Arg.(
-      value & flag
-      & info [ "demand" ]
-          ~doc:
-            "Stop after the VDG build and answer the report through the \
-             lazy demand resolver; the footer reports how many nodes the \
-             queries activated.")
   in
   let dyck =
     Arg.(
@@ -364,14 +298,14 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run the points-to analysis on a C file")
     Term.(
-      const run_analyze $ file $ dump_sil $ dot $ cs $ demand $ dyck $ pairs
+      const run_analyze $ file $ dump_sil $ dot $ cs $ dyck $ pairs
       $ deadline_arg $ min_tier_arg $ metrics_arg $ jobs)
 
 (* ---- conflicts ----------------------------------------------------------------- *)
 
 let run_conflicts file =
   with_frontend_errors @@ fun () ->
-  let a = engine_errors (Engine.run (Engine.load_file file)) in
+  let a = analysis_of (Engine.load_file file) in
   let modref = Modref.of_ci a.Engine.ci in
   List.iter
     (fun fd ->
@@ -415,7 +349,7 @@ let run_lint file format checkers compare_cs deadline_ms metrics =
     Printf.eprintf "alias-analyze: %s\n" msg;
     exit 2);
   with_frontend_errors @@ fun () ->
-  let a = engine_errors (Engine.run (Engine.load_file file)) in
+  let a = analysis_of (Engine.load_file file) in
   let budget = budget_of_deadline deadline_ms in
   let report = Lint.run ~checkers ~compare_cs ?budget a in
   (match format with
@@ -465,7 +399,7 @@ let lint_cmd =
 
 let run_purity file =
   with_frontend_errors @@ fun () ->
-  let a = engine_errors (Engine.run (Engine.load_file file)) in
+  let a = analysis_of (Engine.load_file file) in
   List.iter
     (fun fd ->
       let fname = fd.Sil.fd_name in
@@ -1118,7 +1052,7 @@ let run_edit_replay file bench script edits_n json no_verify min_speedup =
   let phase tele ph =
     Option.value ~default:0. (Telemetry.phase_seconds tele ph)
   in
-  let base_a = engine_errors (Engine.run (Engine.load_string ~file:name base)) in
+  let base_a = analysis_of (Engine.load_string ~file:name base) in
   let prev = ref (Engine.incr_snapshot base_a) in
   let mismatches = ref 0 in
   let rows =
@@ -1130,10 +1064,15 @@ let run_edit_replay file bench script edits_n json no_verify min_speedup =
            cold and the incremental timing, but unevenly *)
         Gc.compact ();
         let input = Engine.load_string ~file:name e.re_source in
-        let a_inc, outcome =
-          engine_errors (Engine.run_incremental ~prev:!prev input)
+        let td_inc =
+          engine_errors
+            (Engine.analyze
+               { Engine.default_request with prev = Some !prev }
+               input)
         in
-        let a_cold = engine_errors (Engine.run input) in
+        let a_inc = Option.get td_inc.Engine.td_analysis
+        and outcome = Option.get td_inc.Engine.td_incr in
+        let a_cold = analysis_of input in
         let digest_match =
           no_verify
           || String.equal

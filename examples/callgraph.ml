@@ -41,7 +41,9 @@ int main(void) {
 |}
 
 let () =
-  let a = Engine.run_exn (Engine.load_string ~file:"events.c" program) in
+  let input = Engine.load_string ~file:"events.c" program in
+  let td = Result.get_ok (Engine.analyze Engine.default_request input) in
+  let a = Option.get td.Engine.td_analysis in
   let prog = a.Engine.prog and g = a.Engine.graph and ci = a.Engine.ci in
 
   print_endline "resolved call graph (direct and indirect edges):";

@@ -52,7 +52,9 @@ int main(int argc, char **argv) {
 |}
 
 let compare_on name src =
-  let a = Engine.run_exn (Engine.load_string ~file:(name ^ ".c") src) in
+  let input = Engine.load_string ~file:(name ^ ".c") src in
+  let td = Result.get_ok (Engine.analyze Engine.default_request input) in
+  let a = Option.get td.Engine.td_analysis in
   let g = a.Engine.graph and ci = a.Engine.ci in
   let cs = Engine.cs a in
   Printf.printf "== %s ==\n" name;
@@ -95,7 +97,9 @@ let per_callsite_projection () =
      void set(int *p, int v) { *p = v; }\n\
      int main(void) { set(&a, 1); set(&b, 2); return a + b; }"
   in
-  let a = Engine.run_exn (Engine.load_string ~file:"proj.c" src) in
+  let input = Engine.load_string ~file:"proj.c" src in
+  let td = Result.get_ok (Engine.analyze Engine.default_request input) in
+  let a = Option.get td.Engine.td_analysis in
   let g = a.Engine.graph and ci = a.Engine.ci in
   let cs = Engine.cs a in
   print_endline "== qualified pairs used directly (per-callsite mod sets) ==";

@@ -28,7 +28,9 @@ int main(void) {
 |}
 
 let () =
-  let a = Engine.run_exn (Engine.load_string ~file:"deadstore.c" program) in
+  let input = Engine.load_string ~file:"deadstore.c" program in
+  let td = Result.get_ok (Engine.analyze Engine.default_request input) in
+  let a = Option.get td.Engine.td_analysis in
   let g = a.Engine.graph and ci = a.Engine.ci in
   let modref = Modref.of_ci ci in
 

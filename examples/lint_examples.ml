@@ -38,7 +38,9 @@ let () =
     exit 1);
   List.iter
     (fun file ->
-      let a = Engine.run_exn (Engine.load_file file) in
+      let input = Engine.load_file file in
+      let td = Result.get_ok (Engine.analyze Engine.default_request input) in
+      let a = Option.get td.Engine.td_analysis in
       let r = Lint.run ~compare_cs:true a in
       (* 1. SARIF output must satisfy the structural schema check *)
       let sarif = Lint.to_sarif r in

@@ -38,11 +38,14 @@ let () =
      build the value dependence graph (SSA + threaded store), and solve
      the context-insensitive analysis (paper, Figure 1).  The
      context-sensitive solve is lazy — untouched here, never run.
-     Failure is a value: [Engine.run] returns a result whose error side
-     covers frontend failures, exhausted budgets, and cancellation. *)
+     Failure is a value: [Engine.analyze] returns a result whose error
+     side covers frontend failures, exhausted budgets, and cancellation;
+     an unbudgeted request always reaches the full analysis. *)
+  let input = Engine.load_string ~file:"quickstart.c" program in
   let a =
-    match Engine.run (Engine.load_string ~file:"quickstart.c" program) with
-    | Ok a -> a
+    match Engine.analyze Engine.default_request input with
+    | Ok { Engine.td_analysis = Some a; _ } -> a
+    | Ok _ -> assert false (* only a budget degrades a run below ci *)
     | Error e ->
       prerr_endline (Engine.error_message e);
       exit 1

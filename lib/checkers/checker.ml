@@ -1,5 +1,5 @@
 (* Checkers consume the tier-agnostic Query.node_view: the same checker
-   body runs against the CI, CS or demand solution, whichever view the
+   body runs against the CI, CS or dyck solution, whichever view the
    lint driver hands it. *)
 type ctx = {
   cx_prog : Sil.program;

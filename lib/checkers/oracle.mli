@@ -2,7 +2,7 @@
 
     Runs a program under the concrete interpreter ({!Interp}) and checks
     that no analysis tier refutes a concretely observed storage access:
-    the node tiers (CI, CS, demand, dyck) must predict a dominating
+    the node tiers (CI, CS, dyck) must predict a dominating
     location path at the observation's position and direction, and the
     baseline tiers (Andersen, Steensgaard) — bridged through base
     projection — must include the observed root base wherever they
@@ -35,8 +35,8 @@ type report = {
 }
 
 val tier_names : string list
-(** The six tiers every observation is checked against, coarse to fine:
-    ["steensgaard"; "andersen"; "dyck"; "demand"; "ci"; "cs"]. *)
+(** The five tiers every observation is checked against, coarse to fine:
+    ["steensgaard"; "andersen"; "dyck"; "ci"; "cs"]. *)
 
 val ok : report -> bool
 (** No trap and no violations. *)

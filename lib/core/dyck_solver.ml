@@ -1,7 +1,8 @@
 (* Dyck-reachability alias analysis: field-sensitive, flow-insensitive.
 
-   The machinery is Demand_solver's activation-gated saturation engine
-   with the store dimension collapsed.  There is no store threading: one
+   The machinery is an activation-gated saturation engine over the VDG:
+   a node joins the fixpoint only once some query needs its value, and
+   the store dimension is collapsed.  There is no store threading: one
    global pair set [gstore] stands for every store value in the program.
    Updates write into it (the location × value product, never killed),
    lookups read from it (accessor-chain matching via dom/subtract — the
@@ -178,7 +179,7 @@ let rec flow_out t output pair =
     end
   end
 
-(* ---- call-edge discovery (Demand_solver's, minus store wiring) ---- *)
+(* ---- call-edge discovery (CI's call wiring, minus store threading) ---- *)
 
 and add_defined_callee t call edge =
   let cell =

@@ -34,7 +34,7 @@
     - {!resolve} is the on-demand single-pair mode: it activates only
       the backward value slice of the queried node (plus, the first time
       a lookup is demanded, the update sites that feed the global
-      store), mirroring {!Demand_solver}'s activation discipline.  A
+      store); a node is never activated before some query needs it.  A
       [Query.may_alias] on two nodes resolves two slices and compares
       target sets; no full solve happens.
 

@@ -32,14 +32,6 @@ let cs_view ci cs =
     nv_referenced = Cs_solver.referenced_locations cs;
   }
 
-let demand_view d =
-  {
-    nv_tier = "demand";
-    nv_graph = Demand_solver.graph d;
-    nv_pairs = (fun nid -> Ptpair.Set.elements (Demand_solver.resolve d nid));
-    nv_referenced = Demand_solver.referenced_locations d;
-  }
-
 let dyck_view d =
   {
     nv_tier = "dyck";

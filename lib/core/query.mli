@@ -28,10 +28,6 @@ val ci_view : Ci_solver.t -> node_view
 val cs_view : Ci_solver.t -> Cs_solver.t -> node_view
 (** Assumption sets stripped; the CI solver supplies the graph. *)
 
-val demand_view : Demand_solver.t -> node_view
-(** Queries through this view demand slices lazily; answers equal
-    {!ci_view} answers on the same graph. *)
-
 val dyck_view : Dyck_solver.t -> node_view
 (** The flow-insensitive Dyck-reachability tier.  Queries resolve
     single-pair slices on demand; answers are a sound superset of
@@ -59,7 +55,7 @@ val may_alias : Ci_solver.t -> Vdg.node_id -> Vdg.node_id -> bool
 
     The full query surface one resolved program exposes, uniform across
     all five tiers.  Node-keyed questions are available when [pv_nodes]
-    is [Some] (ci, cs, demand); line-keyed questions are total — node
+    is [Some] (ci, cs, dyck); line-keyed questions are total — node
     tiers derive them from the VDG here, baseline tiers (which have no
     VDG) implement them over their own representations.  [None] from a
     line closure means no indirect memory operation anchors on that

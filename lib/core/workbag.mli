@@ -3,8 +3,9 @@
     The paper notes the algorithm "has the desirable property that its
     convergence time is independent of the scheduling strategy used for
     the worklist"; the test suite checks the stronger statement that the
-    *solution* is schedule-independent.  Shared by the exhaustive
-    ({!Ci_solver}) and demand-driven ({!Demand_solver}) fixpoints. *)
+    *solution* is schedule-independent.  Shared by the CI fixpoint
+    ({!Ci_solver}) and the Dyck-reachability saturation
+    ({!Dyck_solver}). *)
 
 type schedule = Fifo | Lifo | Random_order of int  (** seed *)
 

@@ -1,24 +1,26 @@
 (* The single front door to the analysis pipeline.
 
-   Every client (CLI, examples, bench harness, figure generator) used to
-   hand-roll  read_file -> Norm.compile -> Vdg_build.build ->
-   Ci_solver.solve -> Cs_solver.solve.  The engine owns that sequence:
+   Every client (CLI, examples, bench harness, figure generator, query
+   server) used to hand-roll  read_file -> Norm.compile ->
+   Vdg_build.build -> Ci_solver.solve -> Cs_solver.solve.  The engine
+   owns that sequence behind one request-driven entry point:
 
-     let a = Result.get_ok (Engine.run (Engine.load_file "prog.c")) in
-     ... a.ci ...                       (* context-insensitive solution *)
-     ... Engine.cs a ...               (* CS solution, solved on demand *)
-     ... a.telemetry ...               (* per-phase times + counters *)
+     match Engine.analyze Engine.default_request (Engine.load_file "prog.c") with
+     | Ok { td_analysis = Some a; _ } ->
+       ... a.ci ...                     (* context-insensitive solution *)
+       ... Engine.cs a ...              (* CS solution, solved on demand *)
+       ... a.telemetry ...              (* per-phase times + counters *)
 
    Phases: load -> frontend (preproc/parse/sema/SIL) -> vdg (SSA) ->
    ci (Figure 1) -> cs (Figure 5, lazily forced).  Each phase is timed
    into the analysis' Telemetry.t; solver cost counters are captured so
    the paper's Section 4.2 cost story can be emitted as JSON.
 
-   [run] optionally consults an Engine_cache.t keyed by a digest of the
-   source text and the configuration fingerprint: in-memory within a
+   [analyze] optionally consults an Engine_cache.t keyed by a digest of
+   the source text and the configuration fingerprint: in-memory within a
    process, on disk (Marshal, version-guarded) across processes.
 
-   Failure is a value, not an exception: [run]/[run_tiered] return
+   Failure is a value, not an exception: [analyze] returns
    ('a, error) result, and a Budget threaded into the solvers powers a
    precision-degradation ladder Cs -> Ci -> Andersen -> Steensgaard —
    the paper's headline (~2% extra precision for orders of magnitude of
@@ -46,28 +48,23 @@ let default_config =
 
 (* ---- the precision ladder -------------------------------------------------------- *)
 
-(* Dyck sits between Andersen and Demand: field-sensitive like Ci (so
+(* Dyck sits between Andersen and Ci: field-sensitive like Ci (so
    strictly above the field-insensitive baselines) but flow-insensitive —
    one global store relation, no strong updates — so its answers are a
-   sound superset of Ci's.  Demand sits between Dyck and Ci: it has full
-   node-level precision (its answers equal Ci's) but only resolves the
-   slices that queries demand, so a workload that asks little pays
-   little. *)
-type tier = Steensgaard | Andersen | Dyck | Demand | Ci | Cs
+   sound superset of Ci's. *)
+type tier = Steensgaard | Andersen | Dyck | Ci | Cs
 
 let tier_rank = function
   | Steensgaard -> 0
   | Andersen -> 1
   | Dyck -> 2
-  | Demand -> 3
-  | Ci -> 4
-  | Cs -> 5
+  | Ci -> 3
+  | Cs -> 4
 
 let string_of_tier = function
   | Steensgaard -> "steensgaard"
   | Andersen -> "andersen"
   | Dyck -> "dyck"
-  | Demand -> "demand"
   | Ci -> "ci"
   | Cs -> "cs"
 
@@ -75,12 +72,11 @@ let tier_of_string = function
   | "steensgaard" -> Some Steensgaard
   | "andersen" -> Some Andersen
   | "dyck" -> Some Dyck
-  | "demand" -> Some Demand
   | "ci" -> Some Ci
   | "cs" -> Some Cs
   | _ -> None
 
-let all_tiers = [ Steensgaard; Andersen; Dyck; Demand; Ci; Cs ]
+let all_tiers = [ Steensgaard; Andersen; Dyck; Ci; Cs ]
 
 type degradation = { d_from : tier; d_to : tier; d_reason : Budget.reason }
 
@@ -98,7 +94,6 @@ type error =
   | Frontend_error of { fe_loc : Srcloc.t; fe_message : string }
   | Budget_exhausted of { be_tier : tier; be_reason : Budget.reason }
   | Cancelled
-  | Cache_corrupt of string
 
 let error_message = function
   | Frontend_error { fe_loc; fe_message } ->
@@ -107,7 +102,6 @@ let error_message = function
     Printf.sprintf "budget exhausted (%s) at tier %s"
       (Budget.string_of_reason be_reason) (string_of_tier be_tier)
   | Cancelled -> "cancelled"
-  | Cache_corrupt msg -> "corrupt cache entry: " ^ msg
 
 let error_json e =
   let kind, fields =
@@ -125,13 +119,11 @@ let error_json e =
           ("reason", Ejson.String (Budget.string_of_reason be_reason));
         ] )
     | Cancelled -> ("cancelled", [])
-    | Cache_corrupt msg -> ("cache-corrupt", [ ("message", Ejson.String msg) ])
   in
   Ejson.Assoc (("error", Ejson.String kind) :: fields)
 
-(* internal carrier for strict-cache corruption through the old
-   exception-shaped pipeline internals *)
-exception Corrupt_entry of string
+let frontend_error loc msg =
+  Error (Frontend_error { fe_loc = loc; fe_message = msg })
 
 let budget_fields b =
   List.map
@@ -392,12 +384,8 @@ let store_payload cache key a =
    solver.  [jobs] never enters the cache fingerprint — the parallel
    solution is byte-identical to the sequential one, so a cache entry
    produced at any width serves every width. *)
-let solve_ci_wide ~config ?budget ~jobs ~telemetry graph =
-  let parallel =
-    jobs > 1
-    && (match budget with None -> true | Some b -> Budget.is_unbounded b)
-  in
-  if parallel then begin
+let solve_ci_wide ~config ~budget ~jobs ~telemetry graph =
+  if jobs > 1 && Budget.is_unbounded budget then begin
     let ci, pstats = Par_solver.solve ~config:config.ci_config ~jobs graph in
     telemetry.Telemetry.t_par <-
       Some
@@ -409,125 +397,7 @@ let solve_ci_wide ~config ?budget ~jobs ~telemetry graph =
         };
     ci
   end
-  else solve_ci ~config ?budget graph
-
-let fresh_run ?cache ?budget ?(jobs = 1) ~key config input =
-  let telemetry =
-    Telemetry.create ~file:input.in_file
-      ~source_bytes:(String.length input.in_source)
-  in
-  Telemetry.record_phase telemetry "load" input.in_load_seconds;
-  let prog = Telemetry.time telemetry "frontend" (fun () -> compile input) in
-  (match budget with Some b -> Budget.check_now b | None -> ());
-  let graph = Telemetry.time telemetry "vdg" (fun () -> build_graph ~config prog) in
-  let ci =
-    Telemetry.time telemetry "ci" (fun () ->
-        solve_ci_wide ~config ?budget ~jobs ~telemetry graph)
-  in
-  populate_shape_counters telemetry prog graph;
-  telemetry.Telemetry.t_ci <- Some (ci_counters ci);
-  telemetry.Telemetry.t_tier <- Some (string_of_tier Ci);
-  let rec analysis =
-    lazy
-      {
-        a_input = input;
-        a_config = config;
-        prog;
-        graph;
-        ci;
-        cs_cell =
-          make_cs_cell
-            ~solve:(fun ?budget () -> solve_cs ~config ?budget graph ~ci)
-            ~on_solved:(fun _ ->
-              match cache with
-              | Some c -> store_payload c key (Lazy.force analysis)
-              | None -> ())
-            None;
-        telemetry;
-        a_digests =
-          lazy (Proc_summary.digests prog, Proc_summary.program_digest prog);
-      }
-  in
-  let a = Lazy.force analysis in
-  (match cache with
-  | Some c ->
-    Engine_cache.add_memory c key a;
-    store_payload c key a
-  | None -> ());
-  a
-
-let of_stored ?cache ~key config input (s : stored) =
-  let telemetry = Telemetry.copy s.s_telemetry in
-  telemetry.Telemetry.t_cache <- Telemetry.Disk_hit;
-  let rec analysis =
-    lazy
-      {
-        a_input = input;
-        a_config = config;
-        prog = s.s_prog;
-        graph = s.s_graph;
-        ci = s.s_ci;
-        cs_cell =
-          make_cs_cell
-            ~seconds:
-              (Option.value ~default:0.
-                 (Telemetry.phase_seconds s.s_telemetry "cs"))
-            ?counters:s.s_telemetry.Telemetry.t_cs
-            ~solve:(fun ?budget () -> solve_cs ~config ?budget s.s_graph ~ci:s.s_ci)
-            ~on_solved:(fun _ ->
-              match cache with
-              | Some c -> store_payload c key (Lazy.force analysis)
-              | None -> ())
-            s.s_cs;
-        telemetry;
-        a_digests = lazy (s.s_digests, s.s_program_digest);
-      }
-  in
-  Lazy.force analysis
-
-(* A cache-hit view: same heavyweight results, private telemetry so the
-   hit can be reported without rewriting the original run's record. *)
-let hit_view status a =
-  let telemetry = Telemetry.copy a.telemetry in
-  telemetry.Telemetry.t_cache <- status;
-  { a with telemetry }
-
-(* Exception-shaped pipeline core; the public result-typed surface wraps
-   it.  Raises Srcloc.Error (frontend), Budget.Exhausted (budget), and —
-   in strict-cache mode — Corrupt_entry. *)
-let run_raw ?(config = default_config) ?cache ?(strict_cache = false) ?budget
-    ?jobs input =
-  match cache with
-  | None -> fresh_run ?budget ?jobs ~key:"" config input
-  | Some c -> (
-    let key = cache_key config input in
-    match Engine_cache.find_memory c key with
-    | Some a -> hit_view Telemetry.Memory_hit a
-    | None -> (
-      match
-        (Engine_cache.read_disk c key
-          : [ `Hit of stored | `Miss | `Corrupt of string ])
-      with
-      | `Hit s ->
-        let a = of_stored ~cache:c ~key config input s in
-        Engine_cache.add_memory c key a;
-        a
-      | `Corrupt msg when strict_cache -> raise (Corrupt_entry msg)
-      | `Corrupt _ | `Miss ->
-        Engine_cache.record_miss c;
-        fresh_run ~cache:c ?budget ?jobs ~key config input))
-
-let run_exn ?config ?cache ?jobs input = run_raw ?config ?cache ?jobs input
-
-let run ?config ?cache ?strict_cache ?budget ?jobs input =
-  match run_raw ?config ?cache ?strict_cache ?budget ?jobs input with
-  | a -> Ok a
-  | exception Srcloc.Error (loc, msg) ->
-    Error (Frontend_error { fe_loc = loc; fe_message = msg })
-  | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
-  | exception Budget.Exhausted r ->
-    Error (Budget_exhausted { be_tier = Ci; be_reason = r })
-  | exception Corrupt_entry msg -> Error (Cache_corrupt msg)
+  else solve_ci ~config ~budget graph
 
 (* ---- incremental re-analysis ------------------------------------------------------- *)
 
@@ -552,31 +422,45 @@ let incr_counters (s : Incr_engine.stats) : Telemetry.incr_counters =
     inc_full_fallback = s.Incr_engine.st_full_fallback;
   }
 
-(* The incremental pipeline: compile and rebuild the VDG as usual (both
-   are linear and cheap next to the fixpoint), then splice the previous
-   solution through Incr_engine instead of solving cold.  The result is
-   an ordinary analysis — same caching, same lazy CS — whose telemetry
-   additionally carries the incr_* counters. *)
-let run_incremental_raw ?(config = default_config) ?cache ?budget
-    ~(prev : Incr_engine.prev) input =
+(* ---- the exhaustive pipeline --------------------------------------------------------- *)
+
+let new_telemetry input =
   let telemetry =
     Telemetry.create ~file:input.in_file
       ~source_bytes:(String.length input.in_source)
   in
   Telemetry.record_phase telemetry "load" input.in_load_seconds;
+  telemetry
+
+(* Compile, build the VDG and solve CI — cold, or, given the previous
+   snapshot, by splicing it through Incr_engine (only procedures whose
+   canonical digest changed, plus whatever the splice checks force in,
+   are re-solved; the result is digest-identical to a cold solve).
+   Either way the result is an ordinary analysis with a lazy CS half,
+   stored under [store]'s key into its cache when given (again once the
+   CS half is solved).  Raises Srcloc.Error and Budget.Exhausted. *)
+let solve_fresh ?store ~budget ~jobs ~prev config input =
+  let telemetry = new_telemetry input in
   let prog = Telemetry.time telemetry "frontend" (fun () -> compile input) in
-  (match budget with Some b -> Budget.check_now b | None -> ());
+  Budget.check_now budget;
   let graph = Telemetry.time telemetry "vdg" (fun () -> build_graph ~config prog) in
-  let outcome =
-    Telemetry.time telemetry "incr" (fun () ->
-        Incr_engine.update ~config:config.ci_config ?budget ~prev prog graph)
+  let ci, incr =
+    match prev with
+    | None ->
+      ( Telemetry.time telemetry "ci" (fun () ->
+            solve_ci_wide ~config ~budget ~jobs ~telemetry graph),
+        None )
+    | Some prev ->
+      let outcome =
+        Telemetry.time telemetry "incr" (fun () ->
+            Incr_engine.update ~config:config.ci_config ~budget ~prev prog graph)
+      in
+      telemetry.Telemetry.t_incr <- Some (incr_counters outcome.Incr_engine.o_stats);
+      (outcome.Incr_engine.o_ci, Some outcome)
   in
-  let ci = outcome.Incr_engine.o_ci in
   populate_shape_counters telemetry prog graph;
   telemetry.Telemetry.t_ci <- Some (ci_counters ci);
-  telemetry.Telemetry.t_incr <- Some (incr_counters outcome.Incr_engine.o_stats);
   telemetry.Telemetry.t_tier <- Some (string_of_tier Ci);
-  let key = match cache with Some _ -> cache_key config input | None -> "" in
   let rec analysis =
     lazy
       {
@@ -589,8 +473,8 @@ let run_incremental_raw ?(config = default_config) ?cache ?budget
           make_cs_cell
             ~solve:(fun ?budget () -> solve_cs ~config ?budget graph ~ci)
             ~on_solved:(fun _ ->
-              match cache with
-              | Some c -> store_payload c key (Lazy.force analysis)
+              match store with
+              | Some (c, key) -> store_payload c key (Lazy.force analysis)
               | None -> ())
             None;
         telemetry;
@@ -599,21 +483,72 @@ let run_incremental_raw ?(config = default_config) ?cache ?budget
       }
   in
   let a = Lazy.force analysis in
-  (match cache with
-  | Some c ->
+  (match store with
+  | Some (c, key) ->
     Engine_cache.add_memory c key a;
     store_payload c key a
   | None -> ());
-  (a, outcome)
+  (a, incr)
 
-let run_incremental ?config ?cache ?budget ~prev input =
-  match run_incremental_raw ?config ?cache ?budget ~prev input with
-  | r -> Ok r
-  | exception Srcloc.Error (loc, msg) ->
-    Error (Frontend_error { fe_loc = loc; fe_message = msg })
-  | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
-  | exception Budget.Exhausted r ->
-    Error (Budget_exhausted { be_tier = Ci; be_reason = r })
+let of_stored ~cache ~key config input (s : stored) =
+  let telemetry = Telemetry.copy s.s_telemetry in
+  telemetry.Telemetry.t_cache <- Telemetry.Disk_hit;
+  let rec analysis =
+    lazy
+      {
+        a_input = input;
+        a_config = config;
+        prog = s.s_prog;
+        graph = s.s_graph;
+        ci = s.s_ci;
+        cs_cell =
+          make_cs_cell
+            ~seconds:
+              (Option.value ~default:0.
+                 (Telemetry.phase_seconds s.s_telemetry "cs"))
+            ?counters:s.s_telemetry.Telemetry.t_cs
+            ~solve:(fun ?budget () -> solve_cs ~config ?budget s.s_graph ~ci:s.s_ci)
+            ~on_solved:(fun _ -> store_payload cache key (Lazy.force analysis))
+            s.s_cs;
+        telemetry;
+        a_digests = lazy (s.s_digests, s.s_program_digest);
+      }
+  in
+  Lazy.force analysis
+
+(* A solved analysis for [input] from the cache's memory layer (as a view
+   with private telemetry, so the hit can be reported without rewriting
+   the original run's record), else from its disk layer.  A damaged disk
+   entry is purged and reads as a miss. *)
+let find_cached cache ~key config input =
+  match Engine_cache.find_memory cache key with
+  | Some a ->
+    let telemetry = Telemetry.copy a.telemetry in
+    telemetry.Telemetry.t_cache <- Telemetry.Memory_hit;
+    Some { a with telemetry }
+  | None -> (
+    match (Engine_cache.find_disk cache key : stored option) with
+    | Some s ->
+      let a = of_stored ~cache ~key config input s in
+      Engine_cache.add_memory cache key a;
+      Some a
+    | None -> None)
+
+(* An incremental request splices rather than looking the result up, so
+   the result always carries the outcome of the splice. *)
+let solve_exhaustive ?cache ~budget ~jobs ~prev config input =
+  match (cache, prev) with
+  | None, _ -> solve_fresh ~budget ~jobs ~prev config input
+  | Some c, Some _ ->
+    solve_fresh ~store:(c, cache_key config input) ~budget ~jobs ~prev config
+      input
+  | Some c, None -> (
+    let key = cache_key config input in
+    match find_cached c ~key config input with
+    | Some a -> (a, None)
+    | None ->
+      Engine_cache.record_miss c;
+      solve_fresh ~store:(c, key) ~budget ~jobs ~prev config input)
 
 (* ---- the degradation ladder -------------------------------------------------------- *)
 
@@ -621,22 +556,22 @@ type baseline = Base_andersen of Andersen.t | Base_steensgaard of Steensgaard.t
 
 type tiered = {
   td_input : input;
-  td_config : config;
   td_tier : tier;
   td_analysis : analysis option;  (* present iff td_tier >= Ci *)
-  td_demand : Demand_solver.t option;  (* present iff the run went demand-first *)
   td_dyck : Dyck_solver.t option;  (* present iff the run landed on the dyck rung *)
   td_baseline : baseline option;  (* present iff td_tier < Dyck *)
   td_prog : Sil.program;
   td_telemetry : Telemetry.t;
   td_degradations : degradation list;
+  td_incr : Incr_engine.outcome option;  (* present iff the CI solve was spliced *)
 }
 
 (* A tiered view's telemetry is a private copy annotated with the tier
    achieved, the ladder descents, and the budget consumed — the record
    inside [td_analysis] keeps its own unannotated history. *)
-let annotate_telemetry base ~tier ~degradations ~budget =
-  let telemetry = Telemetry.copy base in
+let tiered input prog telemetry ~tier ~degradations ~budget ?analysis ?dyck
+    ?baseline ?incr () =
+  let telemetry = Telemetry.copy telemetry in
   telemetry.Telemetry.t_tier <- Some (string_of_tier tier);
   List.iter
     (fun d ->
@@ -645,162 +580,65 @@ let annotate_telemetry base ~tier ~degradations ~budget =
         ~reason:(Budget.string_of_reason d.d_reason))
     degradations;
   telemetry.Telemetry.t_budget <- budget_fields budget;
-  telemetry
+  {
+    td_input = input;
+    td_tier = tier;
+    td_analysis = analysis;
+    td_dyck = dyck;
+    td_baseline = baseline;
+    td_prog = prog;
+    td_telemetry = telemetry;
+    td_degradations = degradations;
+    td_incr = incr;
+  }
 
-(* The tiered view of an incremental re-solve, for callers that hold
-   tiered sessions (the server): the splice always lands at the full Ci
-   tier — the ladder never engages, there is nothing to degrade to that
-   would still be spliceable. *)
-let run_incremental_tiered ?(config = default_config) ?cache ?budget ~prev
-    input =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  match run_incremental ~config ?cache ~budget ~prev input with
-  | Error _ as e -> e
-  | Ok (a, outcome) ->
-    Ok
-      ( {
-          td_input = input;
-          td_config = config;
-          td_tier = Ci;
-          td_analysis = Some a;
-          td_demand = None;
-          td_dyck = None;
-          td_baseline = None;
-          td_prog = a.prog;
-          td_telemetry =
-            annotate_telemetry a.telemetry ~tier:Ci ~degradations:[] ~budget;
-          td_degradations = [];
-        },
-        outcome )
+let of_analysis ?incr a ~tier ~degradations ~budget =
+  tiered a.a_input a.prog a.telemetry ~tier ~degradations ~budget ~analysis:a
+    ?incr ()
 
 (* Fall back below Ci: recompile (cheap next to any solve) and run the
    flow-insensitive baselines.  Andersen gets a restarted budget (fresh
    operation counters, same absolute deadline and cancel flag);
    Steensgaard is the terminal tier and runs unbudgeted apart from a
    cancellation check — it is near-linear and must always produce an
-   answer for the ladder to bottom out on. *)
-let baseline_descent ~config ~budget ~min_tier ~degradations input =
-  let telemetry =
-    Telemetry.create ~file:input.in_file
-      ~source_bytes:(String.length input.in_source)
-  in
-  Telemetry.record_phase telemetry "load" input.in_load_seconds;
+   answer for the ladder to bottom out on.  Callers only descend here
+   when [min_tier] is at most Andersen. *)
+let baseline_descent ~budget ~min_tier ~degradations input =
+  let telemetry = new_telemetry input in
   match Telemetry.time telemetry "frontend" (fun () -> compile input) with
-  | exception Srcloc.Error (loc, msg) ->
-    Error (Frontend_error { fe_loc = loc; fe_message = msg })
-  | prog ->
+  | exception Srcloc.Error (loc, msg) -> frontend_error loc msg
+  | prog -> (
     (* no VDG at these tiers, so only the function count is known *)
     telemetry.Telemetry.t_functions <- List.length prog.Sil.p_functions;
     let finish tier baseline degradations =
-      let telemetry =
-        annotate_telemetry telemetry ~tier ~degradations ~budget
-      in
-      Ok
-        {
-          td_input = input;
-          td_config = config;
-          td_tier = tier;
-          td_analysis = None;
-          td_demand = None;
-          td_dyck = None;
-          td_baseline = Some baseline;
-          td_prog = prog;
-          td_telemetry = telemetry;
-          td_degradations = degradations;
-        }
+      Ok (tiered input prog telemetry ~tier ~degradations ~budget ~baseline ())
     in
-    let steensgaard degradations =
-      if Budget.is_cancelled budget then Error Cancelled
+    match
+      Telemetry.time telemetry "andersen" (fun () ->
+          Andersen.analyze ~budget:(Budget.restart budget) prog)
+    with
+    | t -> finish Andersen (Base_andersen t) degradations
+    | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
+    | exception Budget.Exhausted r ->
+      if tier_rank min_tier >= tier_rank Andersen then
+        Error (Budget_exhausted { be_tier = Andersen; be_reason = r })
+      else if Budget.is_cancelled budget then Error Cancelled
       else
         finish Steensgaard
           (Base_steensgaard
              (Telemetry.time telemetry "steensgaard" (fun () ->
                   Steensgaard.analyze prog)))
-          degradations
-    in
-    if tier_rank min_tier > tier_rank Andersen then
-      (* caller guarantees this is unreachable: the ladder only descends
-         below Ci when min_tier allows it *)
-      assert false
-    else begin
-      match
-        Telemetry.time telemetry "andersen" (fun () ->
-            Andersen.analyze ~budget:(Budget.restart budget) prog)
-      with
-      | t -> finish Andersen (Base_andersen t) degradations
-      | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
-      | exception Budget.Exhausted r ->
-        if tier_rank min_tier >= tier_rank Andersen then
-          Error (Budget_exhausted { be_tier = Andersen; be_reason = r })
-        else
-          steensgaard
-            (degradations
-            @ [ { d_from = Andersen; d_to = Steensgaard; d_reason = r } ])
-    end
+          (degradations
+          @ [ { d_from = Andersen; d_to = Steensgaard; d_reason = r } ]))
 
-(* The demand-first pipeline: compile and build the VDG (both budgeted —
-   a deadline can still trip here and descend), then hand back a lazy
-   resolver with NO solving done.  The resolver itself is deliberately
-   unbudgeted: the open's deadline governs the open, and must not trip
-   queries issued long after the open returned. *)
-let demand_fresh ~config ~budget ~min_tier ~degradations input =
-  let telemetry =
-    Telemetry.create ~file:input.in_file
-      ~source_bytes:(String.length input.in_source)
-  in
-  Telemetry.record_phase telemetry "load" input.in_load_seconds;
-  match
-    let prog = Telemetry.time telemetry "frontend" (fun () -> compile input) in
-    Budget.check_now budget;
-    let graph =
-      Telemetry.time telemetry "vdg" (fun () -> build_graph ~config prog)
-    in
-    Budget.check_now budget;
-    (prog, graph)
-  with
-  | exception Srcloc.Error (loc, msg) ->
-    Error (Frontend_error { fe_loc = loc; fe_message = msg })
-  | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
-  | exception Budget.Exhausted r ->
-    if tier_rank min_tier >= tier_rank Demand then
-      Error (Budget_exhausted { be_tier = Demand; be_reason = r })
-    else
-      baseline_descent ~config ~budget ~min_tier
-        ~degradations:
-          (degradations @ [ { d_from = Demand; d_to = Andersen; d_reason = r } ])
-        input
-  | prog, graph ->
-    let demand =
-      Telemetry.time telemetry "demand" (fun () ->
-          Demand_solver.create ~config:config.ci_config graph)
-    in
-    populate_shape_counters telemetry prog graph;
-    Ok
-      {
-        td_input = input;
-        td_config = config;
-        td_tier = Demand;
-        td_analysis = None;
-        td_demand = Some demand;
-        td_dyck = None;
-        td_baseline = None;
-        td_prog = prog;
-        td_telemetry =
-          annotate_telemetry telemetry ~tier:Demand ~degradations ~budget;
-        td_degradations = degradations;
-      }
-
-(* The dyck-first pipeline mirrors the demand-first one: compile and
-   build the VDG under the budget, then hand back the lazy Dyck resolver
-   with no solving done.  Single-pair queries activate slices on demand;
-   [Dyck_solver.solve_all] turns the same object into the exhaustive
-   all-pairs mode. *)
+(* The dyck-first pipeline: compile and build the VDG under the budget,
+   then hand back the lazy Dyck resolver with no solving done.
+   Single-pair queries activate slices on demand; [Dyck_solver.solve_all]
+   turns the same object into the exhaustive all-pairs mode.  The
+   resolver itself is unbudgeted: the run's deadline governs the run,
+   and must not trip queries issued long after it returned. *)
 let dyck_fresh ~config ~budget ~min_tier ~degradations input =
-  let telemetry =
-    Telemetry.create ~file:input.in_file
-      ~source_bytes:(String.length input.in_source)
-  in
-  Telemetry.record_phase telemetry "load" input.in_load_seconds;
+  let telemetry = new_telemetry input in
   match
     let prog = Telemetry.time telemetry "frontend" (fun () -> compile input) in
     Budget.check_now budget;
@@ -810,14 +648,13 @@ let dyck_fresh ~config ~budget ~min_tier ~degradations input =
     Budget.check_now budget;
     (prog, graph)
   with
-  | exception Srcloc.Error (loc, msg) ->
-    Error (Frontend_error { fe_loc = loc; fe_message = msg })
+  | exception Srcloc.Error (loc, msg) -> frontend_error loc msg
   | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
   | exception Budget.Exhausted r ->
     if tier_rank min_tier >= tier_rank Dyck then
       Error (Budget_exhausted { be_tier = Dyck; be_reason = r })
     else
-      baseline_descent ~config ~budget ~min_tier
+      baseline_descent ~budget ~min_tier
         ~degradations:
           (degradations @ [ { d_from = Dyck; d_to = Andersen; d_reason = r } ])
         input
@@ -827,116 +664,85 @@ let dyck_fresh ~config ~budget ~min_tier ~degradations input =
           Dyck_solver.create ~config:config.ci_config graph)
     in
     populate_shape_counters telemetry prog graph;
-    Ok
-      {
-        td_input = input;
-        td_config = config;
-        td_tier = Dyck;
-        td_analysis = None;
-        td_demand = None;
-        td_dyck = Some dyck;
-        td_baseline = None;
-        td_prog = prog;
-        td_telemetry =
-          annotate_telemetry telemetry ~tier:Dyck ~degradations ~budget;
-        td_degradations = degradations;
-      }
+    Ok (tiered input prog telemetry ~tier:Dyck ~degradations ~budget ~dyck ())
 
-let run_tiered ?(config = default_config) ?cache ?strict_cache ?budget ?jobs
-    ?(want = Ci) ?(min_tier = Steensgaard) input =
-  if tier_rank want < tier_rank min_tier then
-    invalid_arg "Engine.run_tiered: want is below min_tier";
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  let finish_analysis a tier degradations =
-    Ok
-      {
-        td_input = input;
-        td_config = config;
-        td_tier = tier;
-        td_analysis = Some a;
-        td_demand = None;
-        td_dyck = None;
-        td_baseline = None;
-        td_prog = a.prog;
-        td_telemetry =
-          annotate_telemetry a.telemetry ~tier ~degradations ~budget;
-        td_degradations = degradations;
-      }
-  in
-  if want = Demand || want = Dyck then begin
-    (* A warm full solution outranks the lazy tiers; peek the cache
-       without recording a miss (a demand/dyck run is not a solve the
-       cache failed to serve). *)
-    let cached =
-      match cache with
-      | None -> Ok None
-      | Some c -> (
-        let key = cache_key config input in
-        match Engine_cache.find_memory c key with
-        | Some a -> Ok (Some (hit_view Telemetry.Memory_hit a))
-        | None -> (
-          match
-            (Engine_cache.read_disk c key
-              : [ `Hit of stored | `Miss | `Corrupt of string ])
-          with
-          | `Hit s ->
-            let a = of_stored ~cache:c ~key config input s in
-            Engine_cache.add_memory c key a;
-            Ok (Some a)
-          | `Corrupt msg when strict_cache = Some true ->
-            Error (Cache_corrupt msg)
-          | `Corrupt _ | `Miss -> Ok None))
+(* ---- the entry point ------------------------------------------------------------------ *)
+
+type request = {
+  want : tier;
+  min_tier : tier;
+  budget : Budget.t option;
+  prev : Incr_engine.prev option;
+  jobs : int;
+}
+
+let default_request =
+  { want = Ci; min_tier = Steensgaard; budget = None; prev = None; jobs = 1 }
+
+(* The exhaustive pipeline under the ladder: solve (or splice, or find
+   cached) CI, force CS when wanted, and descend on exhaustion. *)
+let exhaustive ?cache ~config ~budget ~want ~min_tier ~jobs ~prev input =
+  match solve_exhaustive ?cache ~budget ~jobs ~prev config input with
+  | a, incr -> (
+    let finish tier degradations =
+      Ok (of_analysis ?incr a ~tier ~degradations ~budget)
     in
-    match cached with
-    | Error e -> Error e
-    | Ok (Some a) -> finish_analysis a (if cs_forced a then Cs else Ci) []
-    | Ok None ->
-      if want = Dyck then
-        dyck_fresh ~config ~budget ~min_tier ~degradations:[] input
-      else demand_fresh ~config ~budget ~min_tier ~degradations:[] input
-  end
+    if tier_rank want < tier_rank Cs then
+      finish (if cs_forced a then Cs else Ci) []
+    else
+      match cs_tiered ~budget a with
+      | Error e -> Error e
+      | Ok { co_degradation = None; _ } -> finish Cs []
+      | Ok { co_degradation = Some d; _ } ->
+        if tier_rank min_tier >= tier_rank Cs then
+          Error (Budget_exhausted { be_tier = Cs; be_reason = d.d_reason })
+        else finish Ci [ d ])
+  | exception Srcloc.Error (loc, msg) -> frontend_error loc msg
+  | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
+  | exception Budget.Exhausted r ->
+    if tier_rank min_tier >= tier_rank Ci then
+      Error (Budget_exhausted { be_tier = Ci; be_reason = r })
+    else if min_tier = Dyck then
+      (* an explicit dyck floor recovers at the dyck rung: fresh
+         operation counters, same absolute deadline (a dead deadline
+         trips the re-check inside and errors at the floor) *)
+      dyck_fresh ~config ~budget:(Budget.restart budget) ~min_tier
+        ~degradations:[ { d_from = Ci; d_to = Dyck; d_reason = r } ]
+        input
+    else
+      (* the default descent skips the dyck rung: a batch client that
+         wanted an exhaustive solve gains nothing from a lazy resolver
+         it would immediately have to drain *)
+      baseline_descent ~budget ~min_tier
+        ~degradations:[ { d_from = Ci; d_to = Andersen; d_reason = r } ]
+        input
+
+let analyze ?(config = default_config) ?cache req input =
+  let min_tier = req.min_tier in
+  (* a floor above the aim demands the floor outright *)
+  let want =
+    if tier_rank min_tier > tier_rank req.want then min_tier else req.want
+  in
+  let budget =
+    match req.budget with Some b -> b | None -> Budget.unlimited ()
+  in
+  if want <> Dyck then
+    exhaustive ?cache ~config ~budget ~want ~min_tier ~jobs:req.jobs
+      ~prev:req.prev input
   else
-    match run_raw ~config ?cache ?strict_cache ~budget ?jobs input with
-    | a ->
-      if tier_rank want >= tier_rank Cs then begin
-        match cs_tiered ~budget a with
-        | Error e -> Error e
-        | Ok { co_tier = Cs; _ } -> finish_analysis a Cs []
-        | Ok { co_degradation = Some d; _ } ->
-          if tier_rank min_tier >= tier_rank Cs then
-            Error (Budget_exhausted { be_tier = Cs; be_reason = d.d_reason })
-          else finish_analysis a Ci [ d ]
-        | Ok { co_degradation = None; _ } ->
-          (* cs_tiered yields either Cs or a degradation *)
-          assert false
-      end
-      else finish_analysis a (if cs_forced a then Cs else Ci) []
-    | exception Srcloc.Error (loc, msg) ->
-      Error (Frontend_error { fe_loc = loc; fe_message = msg })
-    | exception Corrupt_entry msg -> Error (Cache_corrupt msg)
-    | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
-    | exception Budget.Exhausted r ->
-      if tier_rank min_tier >= tier_rank Ci then
-        Error (Budget_exhausted { be_tier = Ci; be_reason = r })
-      else if min_tier = Demand then
-        (* an explicit demand floor recovers at the demand tier: fresh
-           operation counters, same absolute deadline (a dead deadline
-           trips the re-check inside and errors at the floor) *)
-        demand_fresh ~config ~budget:(Budget.restart budget) ~min_tier
-          ~degradations:[ { d_from = Ci; d_to = Demand; d_reason = r } ]
-          input
-      else if min_tier = Dyck then
-        (* likewise, an explicit dyck floor recovers at the dyck rung *)
-        dyck_fresh ~config ~budget:(Budget.restart budget) ~min_tier
-          ~degradations:[ { d_from = Ci; d_to = Dyck; d_reason = r } ]
-          input
-      else
-        (* the default descent skips the demand and dyck rungs: a batch
-           client that wanted an exhaustive solve gains nothing from a
-           lazy resolver it would immediately have to drain *)
-        baseline_descent ~config ~budget ~min_tier
-          ~degradations:[ { d_from = Ci; d_to = Andersen; d_reason = r } ]
-          input
+    (* A warm full solution outranks the lazy dyck tier; peek the cache
+       without recording a miss (a dyck run is not a solve the cache
+       failed to serve). *)
+    match
+      Option.bind cache (fun c ->
+          find_cached c ~key:(cache_key config input) config input)
+    with
+    | Some a ->
+      Ok
+        (of_analysis a
+           ~tier:(if cs_forced a then Cs else Ci)
+           ~degradations:[] ~budget)
+    | None -> dyck_fresh ~config ~budget ~min_tier ~degradations:[] input
 
 (* ---- queries at degraded tiers ------------------------------------------------------ *)
 
@@ -949,29 +755,17 @@ let line_locations td line =
   | Some (Base_steensgaard t) -> Some (Steensgaard.memops_on_line t line)
   | None -> None
 
+let overlap a b =
+  List.exists (fun l -> List.exists (fun l' -> Absloc.compare l l' = 0) b) a
+
 let line_may_alias td la lb =
   match (line_locations td la, line_locations td lb) with
-  | Some a, Some b ->
-    Some (List.exists (fun l -> List.exists (fun l' -> Absloc.compare l l' = 0) b) a)
+  | Some a, Some b -> Some (overlap a b)
   | _ -> None
 
-(* ---- the demand tier ---------------------------------------------------------------- *)
+(* ---- the dyck tier ------------------------------------------------------------------ *)
 
-let demand_counters (d : Demand_solver.t) : Telemetry.demand_counters =
-  {
-    Telemetry.dc_queries = Demand_solver.queries d;
-    dc_cache_hits = Demand_solver.cache_hits d;
-    dc_nodes_activated = Demand_solver.nodes_activated d;
-    dc_nodes_total = Demand_solver.nodes_total d;
-    dc_flow_in = Demand_solver.flow_in_count d;
-    dc_flow_out = Demand_solver.flow_out_count d;
-    dc_worklist_pushes = Demand_solver.worklist_pushes d;
-    dc_worklist_pops = Demand_solver.worklist_pops d;
-  }
-
-(* The dyck resolver has the same lazy-activation shape, so it reports
-   the same counter record under its own telemetry slot. *)
-let dyck_counters (d : Dyck_solver.t) : Telemetry.demand_counters =
+let dyck_counters (d : Dyck_solver.t) : Telemetry.dyck_counters =
   {
     Telemetry.dc_queries = Dyck_solver.queries d;
     dc_cache_hits = Dyck_solver.cache_hits d;
@@ -983,63 +777,12 @@ let dyck_counters (d : Dyck_solver.t) : Telemetry.demand_counters =
     dc_worklist_pops = Dyck_solver.worklist_pops d;
   }
 
-(* The resolvers accumulate work as queries arrive, so their counters are
+(* The resolver accumulates work as queries arrive, so its counters are
    snapshotted into the telemetry at read time, not at build time. *)
-let refresh_demand_telemetry td =
-  match td.td_demand with
-  | Some d -> td.td_telemetry.Telemetry.t_demand <- Some (demand_counters d)
-  | None -> ()
-
 let refresh_dyck_telemetry td =
   match td.td_dyck with
   | Some d -> td.td_telemetry.Telemetry.t_dyck <- Some (dyck_counters d)
   | None -> ()
-
-(* Upgrade a demand- or dyck-tier result to a full exhaustive analysis in
-   place of the record: the graph is reused, only the CI fixpoint runs.
-   Identity on any result that already has (or can never have) an
-   analysis. *)
-let promote ?budget td =
-  let upgrade graph refresh =
-    let config = td.td_config in
-    match
-      Telemetry.time td.td_telemetry "ci" (fun () ->
-          solve_ci ~config ?budget graph)
-    with
-    | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
-    | exception Budget.Exhausted r ->
-      Error (Budget_exhausted { be_tier = Ci; be_reason = r })
-    | ci ->
-      let telemetry = td.td_telemetry in
-      refresh ();
-      telemetry.Telemetry.t_ci <- Some (ci_counters ci);
-      telemetry.Telemetry.t_tier <- Some (string_of_tier Ci);
-      let analysis =
-        {
-          a_input = td.td_input;
-          a_config = config;
-          prog = td.td_prog;
-          graph;
-          ci;
-          cs_cell =
-            make_cs_cell
-              ~solve:(fun ?budget () -> solve_cs ~config ?budget graph ~ci)
-              None;
-          telemetry;
-          a_digests =
-            lazy
-              ( Proc_summary.digests td.td_prog,
-                Proc_summary.program_digest td.td_prog );
-        }
-      in
-      Ok { td with td_tier = Ci; td_analysis = Some analysis }
-  in
-  match (td.td_analysis, td.td_demand, td.td_dyck) with
-  | Some _, _, _ | None, None, None -> Ok td
-  | None, Some d, _ ->
-    upgrade (Demand_solver.graph d) (fun () -> refresh_demand_telemetry td)
-  | None, None, Some d ->
-    upgrade (Dyck_solver.graph d) (fun () -> refresh_dyck_telemetry td)
 
 (* ---- the unified provider ----------------------------------------------------------- *)
 
@@ -1048,23 +791,21 @@ let promote ?budget td =
    their own line-keyed representations here — Query cannot see them,
    the baseline library sits above the core one. *)
 let provider_of_tiered td =
-  match (td.td_analysis, td.td_demand, td.td_dyck, td.td_baseline) with
-  | Some a, _, _, _ ->
+  match (td.td_analysis, td.td_dyck) with
+  | Some a, _ ->
     let view =
       if cs_forced a then Query.cs_view a.ci (cs a) else Query.ci_view a.ci
     in
     Query.node_provider view
-  | None, Some d, _, _ -> Query.node_provider (Query.demand_view d)
-  | None, None, Some d, _ -> Query.node_provider (Query.dyck_view d)
-  | None, None, None, _ ->
-    let tier = string_of_tier td.td_tier in
+  | None, Some d -> Query.node_provider (Query.dyck_view d)
+  | None, None ->
     let locs line =
       match line_locations td line with
       | Some (_ :: _ as ls) -> Some ls
       | _ -> None
     in
     {
-      Query.pv_tier = tier;
+      Query.pv_tier = string_of_tier td.td_tier;
       pv_nodes = None;
       pv_line_locations =
         (fun line ->
@@ -1075,10 +816,6 @@ let provider_of_tiered td =
       pv_line_may_alias =
         (fun la lb ->
           match (locs la, locs lb) with
-          | Some a, Some b ->
-            Some
-              (List.exists
-                 (fun l -> List.exists (fun l' -> Absloc.compare l l' = 0) b)
-                 a)
+          | Some a, Some b -> Some (overlap a b)
           | _ -> None);
     }

@@ -3,37 +3,40 @@
     Every client (CLI, examples, bench harness, figure generator, query
     server) goes through the engine instead of hand-rolling
     read_file -> Norm.compile -> Vdg_build.build -> Ci_solver.solve ->
-    Cs_solver.solve:
+    Cs_solver.solve, and every pipeline run goes through one entry
+    point, {!analyze}, driven by a {!request}:
 
     {[
-      match Engine.run (Engine.load_file "prog.c") with
+      match Engine.analyze Engine.default_request (Engine.load_file "prog.c") with
       | Error e -> prerr_endline (Engine.error_message e)
-      | Ok a ->
+      | Ok { td_analysis = Some a; _ } ->
         ... a.ci ...                 (* context-insensitive solution *)
         ... Engine.cs a ...          (* CS solution, solved on demand *)
         ... a.telemetry ...          (* per-phase times + counters *)
+      | Ok _ -> ...                  (* a degraded tier (budgeted runs) *)
     ]}
 
     Phases: load -> frontend (preproc/parse/sema/SIL) -> vdg (SSA) ->
     ci (Figure 1) -> cs (Figure 5, lazily forced).  Each phase is timed
     into the analysis' {!Telemetry.t}.
 
-    {!run} optionally consults an {!Engine_cache.t} keyed by a digest of
-    the source text and the configuration fingerprint: in-memory within a
-    process, on disk (Marshal, version-guarded) across processes.
+    {!analyze} optionally consults an {!Engine_cache.t} keyed by a digest
+    of the source text and the configuration fingerprint: in-memory
+    within a process, on disk (Marshal, version-guarded) across
+    processes.
 
     {2 Resource governance}
 
-    Failure is a value: {!run} and {!run_tiered} return
-    [('a, error) result].  A {!Budget.t} threaded into the solvers turns
-    unbounded solves into governed ones, and {!run_tiered} adds the
-    precision-degradation ladder [Cs -> Ci -> Andersen -> Steensgaard]:
-    when a solve exhausts its budget, the engine falls back to the next
-    coarser tier (recompiling is cheap next to any solve) and tags the
-    result with the {!tier} actually achieved.  This operationalizes the
-    paper's headline — context-sensitivity buys ~2% precision for orders
-    of magnitude of cost — as a latency lever: under resource pressure,
-    trade precision instead of failing. *)
+    Failure is a value: {!analyze} returns [('a, error) result].  A
+    {!Budget.t} threaded into the solvers turns unbounded solves into
+    governed ones, and the precision-degradation ladder
+    [Cs -> Ci -> Andersen -> Steensgaard] answers an exhausted budget:
+    the engine falls back to the next coarser tier (recompiling is cheap
+    next to any solve) and tags the result with the {!tier} actually
+    achieved.  This operationalizes the paper's headline —
+    context-sensitivity buys ~2% precision for orders of magnitude of
+    cost — as a latency lever: under resource pressure, trade precision
+    instead of failing. *)
 
 type input = {
   in_file : string;  (** display name, used in diagnostics and telemetry *)
@@ -52,17 +55,14 @@ val default_config : config
 (** {2 The precision ladder} *)
 
 (** Analysis tiers in increasing precision (and cost) order.  [Dyck]
-    sits between [Andersen] and [Demand]: field-sensitive like [Ci]
+    sits between [Andersen] and [Ci]: field-sensitive like [Ci]
     (accessor chains are matched as Dyck parenthesis strings) but
     flow-insensitive — one global store relation, no strong updates — so
-    its answers are a sound superset of [Ci]'s.  [Demand] sits between
-    [Dyck] and [Ci]: node-level answers identical to [Ci]'s, computed
-    lazily over the backward slices queries demand, so a workload that
-    asks little pays little. *)
-type tier = Steensgaard | Andersen | Dyck | Demand | Ci | Cs
+    its answers are a sound superset of [Ci]'s. *)
+type tier = Steensgaard | Andersen | Dyck | Ci | Cs
 
 val tier_rank : tier -> int
-(** 0 (Steensgaard) .. 5 (Cs); monotone in precision. *)
+(** 0 (Steensgaard) .. 4 (Cs); monotone in precision. *)
 
 val string_of_tier : tier -> string
 val tier_of_string : string -> tier option
@@ -85,13 +85,11 @@ type error =
       (** the budget tripped at [be_tier] and the floor ([min_tier])
           forbade degrading further *)
   | Cancelled  (** {!Budget.cancel} was called; no coarser tier is tried *)
-  | Cache_corrupt of string
-      (** strict-cache mode only: a damaged on-disk entry *)
 
 val error_message : error -> string
 val error_json : error -> Ejson.t
 (** [{"error": kind, ...}] with kind one of ["frontend-error"],
-    ["budget-exhausted"], ["cancelled"], ["cache-corrupt"]. *)
+    ["budget-exhausted"], ["cancelled"]. *)
 
 type cs_cell
 (** The demand-driven context-sensitive half; shared between the original
@@ -133,67 +131,112 @@ val solve_cs :
 (** {2 The pipeline} *)
 
 val cache_key : config -> input -> string
-(** The content-hash key {!run} files results under: a digest of the
+(** The content-hash key {!analyze} files results under: a digest of the
     source text and the configuration fingerprint.  The query server
     uses it as the session identity. *)
 
-val run :
+(** A flow-insensitive fallback solution, for tiers below [Dyck]. *)
+type baseline = Base_andersen of Andersen.t | Base_steensgaard of Steensgaard.t
+
+(** What {!analyze} produced: the tier achieved and the solution
+    component that tier has. *)
+type tiered = {
+  td_input : input;
+  td_tier : tier;  (** the tier actually achieved *)
+  td_analysis : analysis option;  (** present iff [td_tier >= Ci] *)
+  td_dyck : Dyck_solver.t option;
+      (** present iff the run landed on the lazy dyck rung *)
+  td_baseline : baseline option;  (** present iff [td_tier < Dyck] *)
+  td_prog : Sil.program;
+  td_telemetry : Telemetry.t;
+      (** a private copy annotated with tier, degradations, and budget
+          consumption *)
+  td_degradations : degradation list;  (** ladder descents, in order *)
+  td_incr : Incr_engine.outcome option;
+      (** present iff the CI solve was spliced from [prev]: which
+          procedures were re-solved *)
+}
+
+(** One pipeline run. *)
+type request = {
+  want : tier;
+      (** the tier aimed for; [Dyck] takes the lazy dyck-first
+          pipeline, [Cs] also forces the CS solve, anything else solves
+          CI *)
+  min_tier : tier;
+      (** the precision floor; a floor above [want] raises [want] to it *)
+  budget : Budget.t option;  (** [None]: unbudgeted *)
+  prev : Incr_engine.prev option;
+      (** a previous snapshot ({!incr_snapshot}) to splice the CI solve
+          from instead of solving cold *)
+  jobs : int;  (** CI solve width when unbudgeted *)
+}
+
+val default_request : request
+(** [{want = Ci; min_tier = Steensgaard; budget = None; prev = None;
+    jobs = 1}]: an unbudgeted, sequential, cold CI solve. *)
+
+val analyze :
   ?config:config ->
   ?cache:analysis Engine_cache.t ->
-  ?strict_cache:bool ->
-  ?budget:Budget.t ->
-  ?jobs:int ->
+  request ->
   input ->
-  (analysis, error) result
-(** Compile, build the VDG, and solve CI (the CS solve is left on
-    demand).  With [cache], consult the memory layer, then the disk
-    layer, before solving; the returned analysis on a hit is a view with
-    private telemetry reporting the hit.  A corrupt disk entry is purged
-    and re-solved by default; with [strict_cache:true] it returns
-    [Error (Cache_corrupt _)] instead.  With [budget], the CI solve is
-    governed: exhaustion returns [Error (Budget_exhausted {be_tier = Ci})]
-    (no ladder — use {!run_tiered} for graceful degradation).
+  (tiered, error) result
+(** Run the pipeline at the highest affordable tier at or above
+    [min_tier].
+
+    {b Exhaustive} ([want >= Ci], or any [want] other than [Dyck]):
+    compile, build the VDG and solve CI; with [want = Cs], also force
+    the CS solve.  With no budget the run always reaches [want], so
+    [td_analysis] is [Some] — callers that need the {!analysis} read it
+    from there.  With [cache], the memory layer, then the disk layer, is
+    consulted before solving, and a fresh solution is stored into both;
+    a hit's analysis carries private telemetry reporting it.  A corrupt
+    disk entry is purged and re-solved.
+
+    {b Incremental} ([prev = Some p]): the CI solve splices [p] through
+    {!Incr_engine.update}: only procedures whose canonical digest
+    changed (plus whatever the splice checks force in) are re-solved,
+    and the result is digest-identical to a cold solve.  The cache is
+    written, never read, and [td_incr] reports the splice.
+
+    {b Dyck} ([want = Dyck]): compile and build the VDG under the
+    budget, then return a lazy {!Dyck_solver.t} in [td_dyck] with no
+    solving done (the resolver itself is unbudgeted — a run's deadline
+    must not trip queries issued long after it returned).  A warm cached
+    full solution outranks it: with [cache], a hit answers at [Ci]/[Cs].
+
+    {b Degradation}: on budget exhaustion the engine descends
+    [Cs -> Ci -> Andersen -> Steensgaard] until a tier completes; ladder
+    steps are reported in [td_degradations].  The default descent skips
+    the dyck rung, but an explicit [min_tier = Dyck] recovers there.
+    The wall-clock deadline is shared across the whole descent;
+    operation ceilings restart per tier.  Steensgaard never exhausts: it
+    is near-linear and terminal, so with the default floor the ladder
+    always bottoms out on an answer.
 
     With [jobs > 1] and no effective budget ({!Budget.is_unbounded}),
     the CI solve is sharded across that many domains by {!Par_solver};
     the solution is byte-identical to the sequential one, so [jobs]
-    does not enter the cache fingerprint and cached entries serve every
-    width.  Any real budget forces the sequential path, since the
-    parallel solver does not checkpoint budgets. *)
+    does not enter the cache fingerprint.  Any real budget forces the
+    sequential path, since the parallel solver does not checkpoint
+    budgets.
 
-val run_exn :
-  ?config:config ->
-  ?cache:analysis Engine_cache.t ->
-  ?jobs:int ->
-  input ->
-  analysis
-(** Exception-shaped compatibility wrapper over {!run} without a budget:
-    raises [Srcloc.Error] on frontend failure, exactly like the pre-result
-    API.  Prefer {!run} in new code. *)
-
-(** {2 Incremental re-analysis} *)
+    Errors: [Frontend_error]; [Budget_exhausted] when the floor forbids
+    descending past the tier that trips; [Cancelled] on cancellation
+    (never degraded). *)
 
 val incr_snapshot : analysis -> Incr_engine.prev
-(** Capture the analysis as the baseline a later {!run_incremental}
-    diffs against.  For an analysis rehydrated from the disk cache, the
-    digests are the persisted ones, so a restarted session resumes
-    incrementality against the exact identity of the solved snapshot. *)
+(** Capture the analysis as the baseline a later incremental request
+    ([prev]) diffs against.  For an analysis rehydrated from the disk
+    cache, the digests are the persisted ones, so a restarted session
+    resumes incrementality against the exact identity of the solved
+    snapshot. *)
 
-val run_incremental :
-  ?config:config ->
-  ?cache:analysis Engine_cache.t ->
-  ?budget:Budget.t ->
-  prev:Incr_engine.prev ->
-  input ->
-  (analysis * Incr_engine.outcome, error) result
-(** Compile and rebuild the VDG as usual, then splice the previous
-    solution through {!Incr_engine.update} instead of solving cold: only
-    procedures whose canonical digest changed (plus whatever the splice
-    checks force in) are re-solved.  The returned analysis is an
-    ordinary one — same caching, same lazy CS — whose telemetry
-    additionally carries [Telemetry.incr_counters]; the outcome reports
-    which procedures were re-solved.  The result is digest-identical to
-    a cold {!run} of the same input (test/test_incr.ml). *)
+(** {2 The context-sensitive half}
+
+    These force the CS solve of an analysis {!analyze} already produced;
+    they do not run the pipeline. *)
 
 val cs : analysis -> Cs_solver.t
 (** Force the context-sensitive solve; idempotent, safe under domains.
@@ -218,103 +261,17 @@ val cs_tiered : ?budget:Budget.t -> analysis -> (cs_outcome, error) result
     direct CI run, since the CI solution is already complete.  Only
     cancellation surfaces as [Error Cancelled]. *)
 
-(** {2 The degradation ladder} *)
-
-(** A flow-insensitive fallback solution, for tiers below [Ci]. *)
-type baseline = Base_andersen of Andersen.t | Base_steensgaard of Steensgaard.t
-
-type tiered = {
-  td_input : input;
-  td_config : config;  (** the config the run used; {!promote} reuses it *)
-  td_tier : tier;  (** the tier actually achieved *)
-  td_analysis : analysis option;  (** present iff [td_tier >= Ci] *)
-  td_demand : Demand_solver.t option;
-      (** present iff the run went demand-first; survives {!promote} so
-          the resolver's counters stay readable *)
-  td_dyck : Dyck_solver.t option;
-      (** present iff the run landed on the dyck rung; survives
-          {!promote} like [td_demand] *)
-  td_baseline : baseline option;  (** present iff [td_tier < Dyck] *)
-  td_prog : Sil.program;
-  td_telemetry : Telemetry.t;
-      (** a private copy annotated with tier, degradations, and budget
-          consumption *)
-  td_degradations : degradation list;  (** ladder descents, in order *)
-}
-
-val run_tiered :
-  ?config:config ->
-  ?cache:analysis Engine_cache.t ->
-  ?strict_cache:bool ->
-  ?budget:Budget.t ->
-  ?jobs:int ->
-  ?want:tier ->
-  ?min_tier:tier ->
-  input ->
-  (tiered, error) result
-(** Run the pipeline at the highest affordable tier.  [want] (default
-    [Ci]) is the tier aimed for; [min_tier] (default [Steensgaard]) is
-    the precision floor.  On budget exhaustion the engine descends
-    [Cs -> Ci -> Andersen -> Steensgaard] until a tier completes; ladder
-    steps are reported in [td_degradations].  Errors:
-    [Budget_exhausted] when the floor forbids descending past the tier
-    that trips, [Cancelled] on cancellation (never degraded),
-    [Frontend_error] / [Cache_corrupt] as in {!run}.
-
-    [want = Demand] takes the demand-first pipeline instead: compile and
-    build the VDG under the budget, then return a lazy
-    {!Demand_solver.t} with no solving done (the resolver itself is
-    unbudgeted — an open's deadline must not trip queries issued long
-    after the open returned).  [want = Dyck] is the same pipeline with a
-    lazy {!Dyck_solver.t}: single-pair queries activate slices on
-    demand, and {!Dyck_solver.solve_all} turns the same object into the
-    exhaustive all-pairs mode.  A warm cached full solution outranks
-    both: with [cache], a hit answers at [Ci]/[Cs] directly.  The
-    default exhaustion descent skips the demand and dyck rungs — a
-    batch client that wanted an exhaustive solve gains nothing from a
-    lazy resolver — but an explicit [min_tier = Demand] or
-    [min_tier = Dyck] floor recovers at that rung.
-
-    The wall-clock deadline is shared across the whole descent;
-    operation ceilings restart per tier.  Steensgaard never exhausts: it
-    is near-linear and terminal, so with the default floor the ladder
-    always bottoms out on an answer. *)
-
-val promote : ?budget:Budget.t -> tiered -> (tiered, error) result
-(** Upgrade a demand- or dyck-tier result to a full [Ci] analysis in
-    place of the record: the graph is reused, only the CI fixpoint runs
-    (budgeted when [budget] is given; exhaustion is an error, never a
-    descent — the caller already holds a usable lazy result).  Identity
-    on any result that already has, or can never have, an analysis. *)
-
-val run_incremental_tiered :
-  ?config:config ->
-  ?cache:analysis Engine_cache.t ->
-  ?budget:Budget.t ->
-  prev:Incr_engine.prev ->
-  input ->
-  (tiered * Incr_engine.outcome, error) result
-(** {!run_incremental}, packaged as a [tiered] view for callers that
-    hold tiered sessions (the server's in-place update).  The splice
-    always lands at the full [Ci] tier: the degradation ladder never
-    engages, since there is no lower tier a splice could target. *)
-
-val demand_counters : Demand_solver.t -> Telemetry.demand_counters
-val dyck_counters : Dyck_solver.t -> Telemetry.demand_counters
-
-val refresh_demand_telemetry : tiered -> unit
-(** Snapshot the live resolver's counters into [td_telemetry]; no-op
-    without one.  Call before serializing telemetry — the resolver
-    accumulates work as queries arrive. *)
+val dyck_counters : Dyck_solver.t -> Telemetry.dyck_counters
 
 val refresh_dyck_telemetry : tiered -> unit
-(** Same, for the dyck resolver (into [t_dyck]). *)
+(** Snapshot the live dyck resolver's counters into [td_telemetry] (its
+    [t_dyck]); no-op without one.  Call before serializing telemetry —
+    the resolver accumulates work as queries arrive. *)
 
 val provider_of_tiered : tiered -> Query.provider
 (** The unified query surface for whatever tier the run achieved:
-    node-keyed views for [ci]/[cs]/[demand]/[dyck], line-keyed closures
-    for every tier (the baselines answer from their own
-    representations). *)
+    node-keyed views for [ci]/[cs]/[dyck], line-keyed closures for every
+    tier (the baselines answer from their own representations). *)
 
 (** {2 Queries at degraded tiers}
 

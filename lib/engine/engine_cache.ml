@@ -40,7 +40,8 @@ type 'v t = {
    field. *)
 (* /6: Ci_solver's call tables carry resolved call/function metadata and
    its worklist lost the pending-membership table. *)
-let format_version = "alias-engine-cache/6"
+(* /7: Telemetry.t lost the demand-tier counter field. *)
+let format_version = "alias-engine-cache/7"
 
 let create ?dir () =
   (match dir with
@@ -78,51 +79,33 @@ let add_memory t k v = locked t (fun () -> Hashtbl.replace t.mem k v)
 (* The payload type is chosen by the caller and must match between store
    and find — the usual Marshal contract.  The version header catches
    cross-format reads; within one build the caller guarantees the type.
-
-   [read_disk] distinguishes a stale-but-well-formed entry (a different
-   format version: `Miss) from a damaged one (truncated header, failed
-   unmarshal: `Corrupt) so that strict callers can surface corruption as
-   a typed error.  Both kinds are purged from disk either way. *)
-let read_disk (type d) t k : [ `Hit of d | `Miss | `Corrupt of string ] =
-  match entry_path t k with
-  | None -> `Miss
-  | Some path ->
-    if not (Sys.file_exists path) then `Miss
-    else begin
-      let payload =
-        match
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () ->
-              let header = really_input_string ic (String.length format_version) in
-              if header <> format_version then `Miss
-              else `Hit (Marshal.from_channel ic : d))
-        with
-        | v -> v
-        | exception e ->
-          `Corrupt
-            (Printf.sprintf "unreadable cache entry %s: %s"
-               (Filename.basename path) (Printexc.to_string e))
-      in
-      match payload with
-      | `Hit v ->
-        locked t (fun () -> t.st.disk_hits <- t.st.disk_hits + 1);
-        `Hit v
-      | (`Miss | `Corrupt _) as r ->
-        (* stale format or corrupt payload: reclaim the disk space now,
-           rather than re-reading and skipping the entry forever *)
-        (try
-           Sys.remove path;
-           locked t (fun () -> t.st.purged <- t.st.purged + 1)
-         with Sys_error _ -> ());
-        r
-    end
-
+   A stale entry (another format version) and a damaged one (truncated
+   header, failed unmarshal) both read as a miss and are purged. *)
 let find_disk (type d) t k : d option =
-  match (read_disk t k : [ `Hit of d | `Miss | `Corrupt of string ]) with
-  | `Hit v -> Some v
-  | `Miss | `Corrupt _ -> None
+  match entry_path t k with
+  | None -> None
+  | Some path when not (Sys.file_exists path) -> None
+  | Some path -> (
+    match
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          let header = really_input_string ic (String.length format_version) in
+          if header <> format_version then None
+          else Some (Marshal.from_channel ic : d))
+    with
+    | Some v ->
+      locked t (fun () -> t.st.disk_hits <- t.st.disk_hits + 1);
+      Some v
+    | None | (exception _) ->
+      (* stale format or corrupt payload: reclaim the disk space now,
+         rather than re-reading and skipping the entry forever *)
+      (try
+         Sys.remove path;
+         locked t (fun () -> t.st.purged <- t.st.purged + 1)
+       with Sys_error _ -> ());
+      None)
 
 let store_disk (type d) t k (v : d) =
   match entry_path t k with

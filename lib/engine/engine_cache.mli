@@ -34,18 +34,13 @@ val key : source:string -> fingerprint:string -> string
 val find_memory : 'v t -> string -> 'v option
 val add_memory : 'v t -> string -> 'v -> unit
 
-val read_disk : 'v t -> string -> [ `Hit of 'd | `Miss | `Corrupt of string ]
-(** The disk payload type is chosen by the caller and must match between
-    {!store_disk} and {!read_disk} — the usual Marshal contract.  The
-    version header catches cross-format reads.  A stale entry (different
-    format version) reads as [`Miss]; a damaged one (truncated header or
-    failed unmarshal) as [`Corrupt] with a diagnostic, so strict callers
-    can surface it as [Engine.Cache_corrupt].  Either way the entry is
-    deleted from disk and counted in [stats.purged]. *)
-
 val find_disk : 'v t -> string -> 'd option
-(** {!read_disk} with [`Miss] and [`Corrupt] collapsed to [None] — the
-    resilient default used by [Engine.run]. *)
+(** The disk payload type is chosen by the caller and must match between
+    {!store_disk} and {!find_disk} — the usual Marshal contract.  The
+    version header catches cross-format reads.  A stale entry (different
+    format version) and a damaged one (truncated header or failed
+    unmarshal) both read as [None]; either way the entry is deleted from
+    disk and counted in [stats.purged]. *)
 
 val store_disk : 'v t -> string -> 'd -> unit
 (** Atomic (write-to-temp, rename) and silent on I/O failure. *)

@@ -34,10 +34,10 @@ type checker_stat = {
   ck_diagnostics : int;
 }
 
-(* Counters of the demand-driven tier: how much of the program a query
-   workload actually touched.  The slice/total ratio is the tier's whole
-   value proposition, so it travels with every metrics payload. *)
-type demand_counters = {
+(* Counters of the lazy Dyck resolver: how much of the program a query
+   workload actually touched.  The slice/total ratio is the resolver's
+   whole value proposition, so it travels with every metrics payload. *)
+type dyck_counters = {
   dc_queries : int;
   dc_cache_hits : int;        (* queries answered without new activation *)
   dc_nodes_activated : int;   (* union of all demanded slices *)
@@ -88,11 +88,8 @@ type t = {
   mutable t_alias_outputs : int;
   mutable t_ci : solver_counters option;
   mutable t_cs : solver_counters option;
-  mutable t_demand : demand_counters option;
-  mutable t_dyck : demand_counters option;   (* same shape: the dyck tier is
-                                                also an activation-gated lazy
-                                                resolver *)
-  mutable t_incr : incr_counters option;     (* set by Engine.run_incremental *)
+  mutable t_dyck : dyck_counters option;     (* refreshed from the live resolver *)
+  mutable t_incr : incr_counters option;     (* set by an incremental Engine.analyze *)
   mutable t_par : par_counters option;       (* set when the CI solve was sharded *)
   mutable t_checkers : checker_stat list;    (* in execution order *)
   mutable t_tier : string option;            (* ladder tier actually achieved *)
@@ -100,11 +97,12 @@ type t = {
   mutable t_budget : (string * Ejson.t) list;  (* budget consumption *)
 }
 
-(* Phases recorded by Engine.run, in pipeline order.  "cs" only appears
-   once the lazily-forced context-sensitive solve has actually run;
-   "demand" replaces "ci"/"cs" on the demand-driven tier, where solving
-   is folded into the queries themselves. *)
-let phase_names = [ "load"; "frontend"; "vdg"; "demand"; "dyck"; "ci"; "incr"; "cs" ]
+(* Phases recorded by Engine.analyze, in pipeline order.  "cs" only
+   appears once the lazily-forced context-sensitive solve has actually
+   run; "dyck" replaces "ci"/"cs" on the lazy Dyck tier, where solving is
+   folded into the queries themselves, and "incr" replaces "ci" on an
+   incremental re-solve. *)
+let phase_names = [ "load"; "frontend"; "vdg"; "dyck"; "ci"; "incr"; "cs" ]
 
 let create ~file ~source_bytes =
   {
@@ -117,7 +115,6 @@ let create ~file ~source_bytes =
     t_alias_outputs = 0;
     t_ci = None;
     t_cs = None;
-    t_demand = None;
     t_dyck = None;
     t_incr = None;
     t_par = None;
@@ -253,7 +250,6 @@ let copy t =
     t_alias_outputs = t.t_alias_outputs;
     t_ci = t.t_ci;
     t_cs = t.t_cs;
-    t_demand = t.t_demand;
     t_dyck = t.t_dyck;
     t_incr = t.t_incr;
     t_par = t.t_par;
@@ -279,19 +275,17 @@ let counters_json prefix (c : solver_counters) =
     (prefix ^ "_peak_table_bytes", Ejson.Int c.sc_peak_table_bytes);
   ]
 
-let lazy_counters_json prefix (d : demand_counters) =
+let dyck_json (d : dyck_counters) =
   [
-    (prefix ^ "_queries", Ejson.Int d.dc_queries);
-    (prefix ^ "_cache_hits", Ejson.Int d.dc_cache_hits);
-    (prefix ^ "_nodes_activated", Ejson.Int d.dc_nodes_activated);
-    (prefix ^ "_nodes_total", Ejson.Int d.dc_nodes_total);
-    (prefix ^ "_flow_in", Ejson.Int d.dc_flow_in);
-    (prefix ^ "_flow_out", Ejson.Int d.dc_flow_out);
-    (prefix ^ "_worklist_pushes", Ejson.Int d.dc_worklist_pushes);
-    (prefix ^ "_worklist_pops", Ejson.Int d.dc_worklist_pops);
+    ("dyck_queries", Ejson.Int d.dc_queries);
+    ("dyck_cache_hits", Ejson.Int d.dc_cache_hits);
+    ("dyck_nodes_activated", Ejson.Int d.dc_nodes_activated);
+    ("dyck_nodes_total", Ejson.Int d.dc_nodes_total);
+    ("dyck_flow_in", Ejson.Int d.dc_flow_in);
+    ("dyck_flow_out", Ejson.Int d.dc_flow_out);
+    ("dyck_worklist_pushes", Ejson.Int d.dc_worklist_pushes);
+    ("dyck_worklist_pops", Ejson.Int d.dc_worklist_pops);
   ]
-
-let demand_json = lazy_counters_json "demand"
 
 let incr_json (i : incr_counters) =
   [
@@ -324,8 +318,7 @@ let to_json t =
     ]
     @ (match t.t_ci with Some c -> counters_json "ci" c | None -> [])
     @ (match t.t_cs with Some c -> counters_json "cs" c | None -> [])
-    @ (match t.t_demand with Some d -> demand_json d | None -> [])
-    @ (match t.t_dyck with Some d -> lazy_counters_json "dyck" d | None -> [])
+    @ (match t.t_dyck with Some d -> dyck_json d | None -> [])
     @ (match t.t_incr with Some i -> incr_json i | None -> [])
     @ (match t.t_par with Some p -> par_json p | None -> [])
   in

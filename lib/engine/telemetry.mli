@@ -34,11 +34,11 @@ type checker_stat = {
   ck_diagnostics : int;
 }
 
-(** Counters of the demand-driven tier: how much of the program a query
+(** Counters of the lazy Dyck resolver: how much of the program a query
     workload actually touched.  The activated/total node ratio is the
-    tier's whole value proposition, so it travels with every metrics
+    resolver's whole value proposition, so it travels with every metrics
     payload. *)
-type demand_counters = {
+type dyck_counters = {
   dc_queries : int;
   dc_cache_hits : int;  (** queries answered without new activation *)
   dc_nodes_activated : int;  (** union of all demanded slices *)
@@ -52,7 +52,7 @@ type demand_counters = {
 (** Counters of an incremental re-solve ([Incr_engine]): how much of the
     program the edit actually dirtied.  The reused/total procedure ratio
     is the incremental engine's whole value proposition, so it travels
-    with every metrics payload of an [Engine.run_incremental]. *)
+    with every metrics payload of an incremental [Engine.analyze]. *)
 type incr_counters = {
   inc_procs_total : int;
   inc_dirty_initial : int;  (** procedures whose canonical digest changed *)
@@ -91,13 +91,10 @@ type t = {
   mutable t_alias_outputs : int;
   mutable t_ci : solver_counters option;
   mutable t_cs : solver_counters option;
-  mutable t_demand : demand_counters option;
+  mutable t_dyck : dyck_counters option;
       (** refreshed from the live resolver as queries accumulate *)
-  mutable t_dyck : demand_counters option;
-      (** the Dyck tier is also an activation-gated lazy resolver, so it
-          reports the same counter shape under a ["dyck_"] prefix *)
   mutable t_incr : incr_counters option;
-      (** set by [Engine.run_incremental] *)
+      (** set by an incremental [Engine.analyze] *)
   mutable t_par : par_counters option;
       (** set when the CI solve was sharded across domains *)
   mutable t_checkers : checker_stat list;  (** in execution order *)
@@ -107,8 +104,9 @@ type t = {
 }
 
 val phase_names : string list
-(** Phases recorded by [Engine.run], in pipeline order.  ["cs"] only
-    appears once the lazily-forced context-sensitive solve has run. *)
+(** Phases recorded by [Engine.analyze], in pipeline order.  ["cs"] only
+    appears once the lazily-forced context-sensitive solve has run;
+    ["dyck"] and ["incr"] only on the runs that take those paths. *)
 
 val create : file:string -> source_bytes:int -> t
 
@@ -161,14 +159,6 @@ val summarize_array : float array -> latency
 val latency_json : latency -> (string * Ejson.t) list
 
 (** {2 JSON} *)
-
-val lazy_counters_json : string -> demand_counters -> (string * Ejson.t) list
-(** [lazy_counters_json prefix d] renders the counter fields under
-    [prefix ^ "_..."] names; used for both the demand and dyck tiers. *)
-
-val demand_json : demand_counters -> (string * Ejson.t) list
-(** [lazy_counters_json "demand"] — the ["demand_*"] counter fields, as
-    embedded in {!to_json} and the server's [stats] reply. *)
 
 val incr_json : incr_counters -> (string * Ejson.t) list
 (** The ["incr_*"] counter fields, as embedded in {!to_json} and the

@@ -15,7 +15,12 @@ let analyze_benchmark ?cache (entry : Suite.entry) : bench_result =
   let input =
     Engine.load_string ~file:(entry.Suite.profile.Profile.name ^ ".c") src
   in
-  let analysis = Engine.run_exn ?cache input in
+  let analysis =
+    match Engine.analyze ?cache Engine.default_request input with
+    | Ok { Engine.td_analysis = Some a; _ } -> a
+    | Ok _ -> assert false (* an unbudgeted CI run always reaches ci *)
+    | Error e -> failwith (Engine.error_message e)
+  in
   let cs = Engine.cs analysis in
   let phase name =
     Option.value ~default:0.
@@ -449,7 +454,7 @@ let ladder_table results =
       ~headers:
         [
           ("name", Table.Left); ("node pairs", Table.Right); ("cs", Table.Right);
-          ("ci", Table.Right); ("demand", Table.Right); ("dyck", Table.Right);
+          ("ci", Table.Right); ("dyck", Table.Right);
           ("andersen", Table.Right); ("steensgaard", Table.Right);
         ]
   in
@@ -466,7 +471,7 @@ let ladder_table results =
     done;
     (!count, !hits)
   in
-  let totals = Array.make 6 0 and universes = Array.make 2 0 in
+  let totals = Array.make 5 0 and universes = Array.make 2 0 in
   List.iter
     (fun r ->
       let ops = Vdg.indirect_memops r.graph in
@@ -486,11 +491,6 @@ let ladder_table results =
          then stay cheap even on the quadratically many pairs *)
       let cs_locs = List.map (Query.locations (Query.cs_view r.ci r.cs)) nodes in
       let ci_locs = List.map (Query.locations (Query.ci_view r.ci)) nodes in
-      (* a fresh demand resolver per benchmark: its lazily resolved
-         answers over the same node universe must reproduce the ci
-         column exactly *)
-      let demand = Demand_solver.create r.graph in
-      let dem_locs = List.map (Query.locations (Query.demand_view demand)) nodes in
       (* the dyck rung: field-sensitive like ci but flow-insensitive, so
          its rate must land between the ci and andersen columns *)
       let dyck = Dyck_solver.create r.graph in
@@ -501,7 +501,6 @@ let ladder_table results =
       in
       let node_pairs, cs_hits = pairs_over cs_locs path_verdict in
       let _, ci_hits = pairs_over ci_locs path_verdict in
-      let _, dem_hits = pairs_over dem_locs path_verdict in
       let _, dy_hits = pairs_over dy_locs path_verdict in
       let line_pairs, and_hits =
         pairs_over (List.map (Andersen.memops_on_line anders) lines) overlap
@@ -511,7 +510,7 @@ let ladder_table results =
       in
       List.iteri
         (fun i h -> totals.(i) <- totals.(i) + h)
-        [ cs_hits; ci_hits; dem_hits; dy_hits; and_hits; st_hits ];
+        [ cs_hits; ci_hits; dy_hits; and_hits; st_hits ];
       universes.(0) <- universes.(0) + node_pairs;
       universes.(1) <- universes.(1) + line_pairs;
       Table.add_row t
@@ -519,7 +518,6 @@ let ladder_table results =
           name_of r; Table.cell_int node_pairs;
           Table.cell_pct (rate cs_hits node_pairs);
           Table.cell_pct (rate ci_hits node_pairs);
-          Table.cell_pct (rate dem_hits node_pairs);
           Table.cell_pct (rate dy_hits node_pairs);
           Table.cell_pct (rate and_hits line_pairs);
           Table.cell_pct (rate st_hits line_pairs);
@@ -532,9 +530,8 @@ let ladder_table results =
       Table.cell_pct (rate totals.(0) universes.(0));
       Table.cell_pct (rate totals.(1) universes.(0));
       Table.cell_pct (rate totals.(2) universes.(0));
-      Table.cell_pct (rate totals.(3) universes.(0));
+      Table.cell_pct (rate totals.(3) universes.(1));
       Table.cell_pct (rate totals.(4) universes.(1));
-      Table.cell_pct (rate totals.(5) universes.(1));
     ];
   t
 

@@ -19,8 +19,8 @@ type bench_result = {
 
 val analyze_benchmark :
   ?cache:Engine.analysis Engine_cache.t -> Suite.entry -> bench_result
-(** Thin wrapper over {!Engine.run} (the CS solve is forced, since every
-    figure needs it). *)
+(** Thin wrapper over {!Engine.analyze} (the CS solve is forced, since
+    every figure needs it). *)
 
 val analyze_suite :
   ?names:string list ->
@@ -75,8 +75,8 @@ val indirect_delta_count : bench_result -> int
 
 val ladder_table : bench_result list -> Table.t
 (** Precision along the degradation ladder: the fraction of
-    indirect-operation pairs judged may-alias per tier (CS, CI, demand,
-    and dyck at VDG nodes; Andersen and Steensgaard line-keyed, as
+    indirect-operation pairs judged may-alias per tier (CS, CI and dyck
+    at VDG nodes; Andersen and Steensgaard line-keyed, as
     served at degraded tiers).  The dyck column sits between ci and
     andersen — field-sensitive but flow-insensitive.  Quantifies what
     each budget-driven descent costs. *)

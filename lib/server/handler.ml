@@ -107,16 +107,23 @@ let deadline_of_params params =
     Protocol.bad_params "parameter \"deadline_ms\" must be positive"
   | Some ms -> Some (float_of_int ms /. 1000.)
 
+(* A tier named on the wire.  "demand" names the lazy tier protocol v3
+   added and this server no longer has; its answers always equaled ci's,
+   so the spelling reads as ci. *)
+let tier_of_wire = function
+  | "demand" -> Some Engine.Ci
+  | s -> Engine.tier_of_string s
+
+let min_tier_of_string s =
+  match tier_of_wire s with
+  | Some tier -> tier
+  | None ->
+    Protocol.bad_params
+      "parameter \"min_tier\" must be one of steensgaard, andersen, dyck, \
+       ci, cs"
+
 let min_tier_of_params params =
-  match Protocol.opt_string_param params "min_tier" with
-  | None -> None
-  | Some s -> (
-    match Engine.tier_of_string s with
-    | Some tier -> Some tier
-    | None ->
-      Protocol.bad_params
-        "parameter \"min_tier\" must be one of steensgaard, andersen, \
-         dyck, demand, ci, cs")
+  Option.map min_tier_of_string (Protocol.opt_string_param params "min_tier")
 
 let budget_of_params params =
   match deadline_of_params params with
@@ -133,21 +140,12 @@ let query_opts_of params =
   | None | Some ("ci" | "cs" | "demand" | "dyck") -> ()
   | Some s ->
     Protocol.bad_params
-      "parameter \"tier\" must be \"ci\", \"cs\", \"demand\" or \"dyck\" \
-       (got %S)" s);
+      "parameter \"tier\" must be \"ci\", \"cs\" or \"dyck\" (got %S)" s);
   (match o.Protocol.qo_deadline_ms with
   | Some ms when ms <= 0 ->
     Protocol.bad_params "parameter \"deadline_ms\" must be positive"
   | _ -> ());
-  (match o.Protocol.qo_min_tier with
-  | None -> ()
-  | Some s -> (
-    match Engine.tier_of_string s with
-    | Some _ -> ()
-    | None ->
-      Protocol.bad_params
-        "parameter \"min_tier\" must be one of steensgaard, andersen, \
-         dyck, demand, ci, cs"));
+  Option.iter (fun s -> ignore (min_tier_of_string s)) o.Protocol.qo_min_tier;
   o
 
 let budget_of_opts (o : Protocol.query_opts) =
@@ -161,11 +159,7 @@ let check_opts_floor (o : Protocol.query_opts) answered =
   match o.Protocol.qo_min_tier with
   | None -> ()
   | Some floor_s -> (
-    let floor =
-      match Engine.tier_of_string floor_s with
-      | Some f -> f
-      | None -> assert false (* validated by query_opts_of *)
-    in
+    let floor = min_tier_of_string floor_s in
     match Engine.tier_of_string answered with
     | Some a when Engine.tier_rank a >= Engine.tier_rank floor -> ()
     | _ ->
@@ -249,20 +243,18 @@ let do_ping _t _params =
           (List.map (fun c -> Ejson.String c) Protocol.capabilities) );
     ]
 
-(* v3: demand-first opens; v4 adds dyck-first.  Absent means exhaustive
-   — the v2 wire behavior — so older clients are unaffected; newer
-   clients opening cold sessions for pointwise queries send "demand" or
-   "dyck". *)
+(* v4: dyck-first opens.  Absent means exhaustive — the v2 wire
+   behavior — so older clients are unaffected; clients opening cold
+   sessions for pointwise queries send "dyck".  The v3 "demand" mode
+   opens an exhaustive session: its answers always equaled ci's. *)
 let mode_of_params params =
   match Protocol.opt_string_param params "mode" with
   | None -> None
-  | Some "demand" -> Some `Demand
   | Some "dyck" -> Some `Dyck
-  | Some "exhaustive" -> Some `Exhaustive
+  | Some ("exhaustive" | "demand") -> Some `Exhaustive
   | Some s ->
     Protocol.bad_params
-      "parameter \"mode\" must be \"demand\", \"dyck\" or \"exhaustive\" \
-       (got %S)" s
+      "parameter \"mode\" must be \"dyck\" or \"exhaustive\" (got %S)" s
 
 (* v6: cold exhaustive opens may shard their CI solve across domains.
    The solution is byte-identical at any width, so "jobs" affects only
@@ -395,21 +387,20 @@ let do_update t conn params =
       | None -> [])
 
 (* The node-tier view a session answers from without forcing anything:
-   the exhaustive CI solution when present, else the lazy resolver.
+   the exhaustive CI solution when present, else the lazy dyck resolver.
    Baseline tiers have neither; callers route them to line_for first. *)
 let session_view (e : Session.entry) =
   let td = e.Session.ses_tiered in
-  match (td.Engine.td_analysis, td.Engine.td_demand, td.Engine.td_dyck) with
-  | Some a, _, _ -> Some (Query.ci_view a.Engine.ci)
-  | None, Some d, _ -> Some (Query.demand_view d)
-  | None, None, Some d -> Some (Query.dyck_view d)
-  | None, None, None -> None
+  match (td.Engine.td_analysis, td.Engine.td_dyck) with
+  | Some a, _ -> Some (Query.ci_view a.Engine.ci)
+  | None, Some d -> Some (Query.dyck_view d)
+  | None, None -> None
 
 (* The two sides of a may_alias question: either VDG node ids ("a"/"b",
    discoverable via the modref method) or source lines ("a_line"/
    "b_line": every indirect operation on that line).  Line resolution
-   reads only the graph — on a demand session it must not force the
-   mod/ref sets, which would drain the whole resolver. *)
+   reads only the graph — on a dyck session it must not force the
+   mod/ref sets, which would need the exhaustive solution. *)
 let nodes_for (graph : Vdg.t) params side =
   match Protocol.opt_int_param params side with
   | Some n ->
@@ -454,16 +445,13 @@ let line_for (e : Session.entry) params side =
   | None -> Protocol.bad_params "missing parameter %S" line_key
 
 (* Tier selection shared by may_alias and points_to (v6 query_opts):
-   pick the view that answers at the requested tier, promoting or
-   running the CS solver as needed. *)
+   pick the view that answers at the requested tier, upgrading a dyck
+   session or running the CS solver as needed. *)
 let view_for t (e : Session.entry) (opts : Protocol.query_opts) natural =
   match opts.Protocol.qo_tier with
-  | None | Some "demand" ->
-    (* the session's natural node tier; an exhaustive session also
-       answers "demand" requests (identical verdicts, finer tier) *)
-    (natural, [])
-  | Some "ci" ->
-    (* an explicit exhaustive request promotes a lazy session *)
+  | None -> (natural, [])  (* the session's natural node tier *)
+  | Some ("ci" | "demand") ->
+    (* an explicit exhaustive request upgrades a dyck session *)
     let a = Session.require_analysis t.h_sessions e in
     (Query.ci_view a.Engine.ci, [])
   | Some "dyck" ->
@@ -739,7 +727,6 @@ let do_stats t _params =
        ("errors", Ejson.Int t.h_errors);
        ("degradations", Ejson.Int degraded);
        ("answers_by_tier", Ejson.Assoc tier_answers);
-       ("demand", Ejson.Assoc (Session.demand_stats_json t.h_sessions));
        ("dyck", Ejson.Assoc (Session.dyck_stats_json t.h_sessions));
        ("sessions", Ejson.Assoc (Session.stats_json t.h_sessions));
        (* hash-consed points-to set universe of the serving domain:
@@ -851,8 +838,6 @@ let engine_error_reply (err : Engine.error) =
   | Engine.Budget_exhausted _ ->
     (Protocol.Budget_exhausted, Engine.error_message err, Some data)
   | Engine.Cancelled -> (Protocol.Cancelled, Engine.error_message err, Some data)
-  | Engine.Cache_corrupt _ ->
-    (Protocol.Internal_error, Engine.error_message err, Some data)
 
 (* Evaluate one request to its un-serialized response object, plus
    whether it was a granted shutdown.  The batch path assembles these
@@ -949,7 +934,7 @@ let handle_line t conn line = handle_envelope t conn (Protocol.envelope_of_line 
 (* Whether a request can do solver-scale work (and so belongs on a
    worker domain rather than inline on the reactor): the solving methods
    themselves, any request that may implicitly open a file, and any
-   query whose opts can promote the session or run the CS solver. *)
+   query whose opts can upgrade the session or run the CS solver. *)
 let heavy_request (rq : Protocol.request) =
   match rq.Protocol.rq_method with
   | "open" | "lint" | "update" -> true
@@ -960,7 +945,7 @@ let heavy_request (rq : Protocol.request) =
       (try Protocol.query_opts_of_params rq.Protocol.rq_params
        with Protocol.Bad_params _ -> Protocol.no_query_opts)
     with
-    | { Protocol.qo_tier = Some ("ci" | "cs"); _ } -> true
+    | { Protocol.qo_tier = Some ("ci" | "cs" | "demand"); _ } -> true
     | { Protocol.qo_deadline_ms = Some _; _ }
     | { Protocol.qo_min_tier = Some _; _ } ->
       true

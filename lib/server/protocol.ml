@@ -11,9 +11,11 @@
 (* The protocol version this server speaks.  Version 1 is the original
    surface (no budgets); version 2 adds deadline_ms/min_tier/tier
    parameters, tier-tagged responses, and the resource-governance error
-   codes; version 3 adds the demand tier: mode=demand|exhaustive on
-   "open", tier=demand on "may_alias", and per-tier answer counts in
-   "stats"; version 4 adds the dyck tier: mode=dyck on "open",
+   codes; version 3 adds mode=demand|exhaustive on "open", tier=demand
+   on "may_alias", and per-tier answer counts in "stats" (the lazy
+   demand tier is gone: "demand" now opens an exhaustive session and
+   answers at ci, whose verdicts it always equaled); version 4 adds the
+   dyck tier: mode=dyck on "open",
    tier=dyck on "may_alias" (answered by a per-session lazy
    Dyck-reachability solver on its single-pair on-demand path), and
    min_tier=dyck; version 5 adds incremental re-analysis: the "update"
@@ -36,8 +38,8 @@ let protocol_version = 6
 
 let capabilities =
   [
-    "budgets"; "deadlines"; "tiers"; "cancellation"; "backpressure"; "demand";
-    "dyck"; "incremental"; "batch"; "parallel";
+    "budgets"; "deadlines"; "tiers"; "cancellation"; "backpressure"; "dyck";
+    "incremental"; "batch"; "parallel";
   ]
 
 (* JSON-RPC reserves -32768..-32000; the server-defined codes sit just
@@ -310,7 +312,7 @@ let string_list_param params name =
    them as flat parameters.  Both spellings are accepted, with the
    nested object winning field-by-field when both are present. *)
 type query_opts = {
-  qo_tier : string option;  (* ci | cs | demand | dyck *)
+  qo_tier : string option;  (* ci | cs | dyck; "demand" reads as ci *)
   qo_deadline_ms : int option;
   qo_min_tier : string option;
 }

@@ -32,16 +32,17 @@ type entry = {
   ses_id : string;  (* the Engine.cache_key digest, exposed to clients *)
   ses_path : string;
   mutable ses_tiered : Engine.tiered;
-      (* the solution, at whatever tier survived; a demand-tier entry is
-         promoted in place (under ses_lock) when a query needs the
+      (* the solution, at whatever tier survived; a dyck-tier entry is
+         upgraded in place (under ses_lock) when a query needs the
          exhaustive solution *)
   mutable ses_modref : Modref.t Lazy.t option;
       (* CI mod/ref sets, built on first query; None below the Ci tier,
-         filled in by promotion *)
+         filled in by the upgrade *)
   mutable ses_dyck : Dyck_solver.t option;
       (* per-session dyck solver for tier="dyck" queries on a node-tier
-         session, built on first use over the session's own VDG;
-         dyck-tier sessions answer from td_dyck instead *)
+         session, built on first use over the session's own VDG or
+         handed on by an upgrade; dyck-tier sessions answer from td_dyck
+         instead *)
   ses_bytes : int;  (* approximate retained size; 0 for store-shared entries *)
   ses_lock : Mutex.t;  (* serializes queries on this session *)
   mutable ses_stamp : int;  (* LRU clock value of the last touch *)
@@ -52,8 +53,8 @@ type entry = {
       (* per-session answer memo for deterministic whole-file methods
          (lint/purity/conflicts/modref): request key -> (result JSON,
          degradation count).  Entries are only valid for the current
-         solution, so the table is reset on promotion; update/open build
-         a fresh entry, which drops it wholesale. *)
+         solution, so the table is reset on an upgrade; update/open
+         build a fresh entry, which drops it wholesale. *)
 }
 
 (* Keep the answer memo bounded for long-lived sessions queried with
@@ -74,8 +75,6 @@ exception Tier_unavailable of string
 let tier e = e.ses_tiered.Engine.td_tier
 
 let analysis e = e.ses_tiered.Engine.td_analysis
-
-let demand e = e.ses_tiered.Engine.td_demand
 
 let dyck e = e.ses_tiered.Engine.td_dyck
 
@@ -185,47 +184,48 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Ensure the entry holds a full >= Ci solution.  A demand-tier entry is
-   promoted in place — the VDG is reused, only the CI fixpoint runs —
-   under the session lock the caller already holds (queries on one
+(* Ensure the entry holds a full >= Ci solution.  A dyck-tier entry is
+   upgraded in place by running the exhaustive pipeline over its own
+   input, under the session lock the caller already holds (queries on one
    session serialize), so racing queries see either tier, never a torn
-   record.  Baseline tiers have nothing to promote from and raise. *)
+   record.  The input is the same text, so node ids carry over.  Baseline
+   tiers are left to a re-open with a larger budget, and raise. *)
 let require_analysis t e =
   match analysis e with
   | Some a -> a
-  | None -> (
-    match (demand e, dyck e) with
-    | Some _, _ | _, Some _ -> (
-      match Engine.promote e.ses_tiered with
-      | Ok td ->
-        e.ses_tiered <- td;
-        (* answers memoized against the pre-promotion solution are stale *)
-        Hashtbl.reset e.ses_memo;
-        e.ses_modref <-
-          Option.map
-            (fun (a : Engine.analysis) -> lazy (Modref.of_ci a.Engine.ci))
-            td.Engine.td_analysis;
-        locked t (fun () -> t.st.st_upgraded <- t.st.st_upgraded + 1);
-        (match td.Engine.td_analysis with
-        | Some a -> a
-        | None -> assert false (* promote on a lazy-tier entry yields Ci *))
-      | Error err -> raise (Engine_error err))
-    | None, None ->
-      raise
-        (Tier_unavailable
-           (Printf.sprintf
-              "session %s holds a %s-tier solution; this query needs at \
-               least the ci tier (re-open with a larger deadline or \
-               min_tier)"
-              e.ses_id
-              (Engine.string_of_tier (tier e)))))
+  | None when dyck e <> None -> (
+    match
+      Engine.analyze ~config:t.config ?cache:t.cache Engine.default_request
+        e.ses_tiered.Engine.td_input
+    with
+    | Ok ({ Engine.td_analysis = Some a; _ } as td) ->
+      (* the resolver keeps serving tier="dyck" queries (and its
+         counters keep counting) after the upgrade *)
+      e.ses_dyck <- dyck e;
+      e.ses_tiered <- td;
+      (* answers memoized against the dyck solution are stale *)
+      Hashtbl.reset e.ses_memo;
+      e.ses_modref <- Some (lazy (Modref.of_ci a.Engine.ci));
+      locked t (fun () -> t.st.st_upgraded <- t.st.st_upgraded + 1);
+      a
+    | Ok _ -> assert false (* an unbudgeted CI run always reaches ci *)
+    | Error err -> raise (Engine_error err))
+  | None ->
+    raise
+      (Tier_unavailable
+         (Printf.sprintf
+            "session %s holds a %s-tier solution; this query needs at \
+             least the ci tier (re-open with a larger deadline or \
+             min_tier)"
+            e.ses_id
+            (Engine.string_of_tier (tier e))))
 
 let require_modref t e =
   match e.ses_modref with
   | Some m -> Lazy.force m
   | None -> (
     let a = require_analysis t e in
-    (* promotion installs the lazy cell; the fallback covers a future
+    (* the upgrade installs the lazy cell; the fallback covers a future
        tier that has an analysis but no prefilled cell *)
     match e.ses_modref with
     | Some m -> Lazy.force m
@@ -243,14 +243,11 @@ let require_dyck t e =
     match e.ses_dyck with
     | Some d -> d
     | None -> (
-      let graph =
-        match analysis e with
-        | Some a -> Some a.Engine.graph
-        | None -> Option.map Demand_solver.graph (demand e)
-      in
-      match graph with
-      | Some g ->
-        let d = Dyck_solver.create ~config:t.config.Engine.ci_config g in
+      match analysis e with
+      | Some a ->
+        let d =
+          Dyck_solver.create ~config:t.config.Engine.ci_config a.Engine.graph
+        in
         e.ses_dyck <- Some d;
         d
       | None ->
@@ -424,24 +421,21 @@ type open_status =
 
 type open_result = { or_entry : entry; or_status : open_status }
 
-let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?jobs t path =
+let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?(jobs = 1) t path =
   let deadline_s =
     match deadline_s with Some _ as d -> d | None -> t.default_deadline_s
   in
   (* Without a deadline nothing can degrade, so an undeadlined open
      demands (and a hit must already have) the tier the mode aims for —
      the full Ci tier for exhaustive opens (also the upgrade path for a
-     previously degraded session), the demand tier for demand opens
-     (which any node tier satisfies). *)
+     previously degraded session), the dyck tier for dyck opens (which
+     any node tier satisfies). *)
+  let aim = match mode with `Dyck -> Engine.Dyck | `Exhaustive -> Engine.Ci in
   let floor =
-    match min_tier with
-    | Some m -> m
-    | None -> (
-      match (deadline_s, mode) with
-      | Some _, _ -> Engine.Steensgaard
-      | None, `Demand -> Engine.Demand
-      | None, `Dyck -> Engine.Dyck
-      | None, `Exhaustive -> Engine.Ci)
+    match (min_tier, deadline_s) with
+    | Some m, _ -> m
+    | None, Some _ -> Engine.Steensgaard
+    | None, None -> aim
   in
   let satisfies e = Engine.tier_rank (tier e) >= Engine.tier_rank floor in
   (* Fast path: the file's stat fingerprint is unchanged since the last
@@ -490,14 +484,13 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?jobs t path =
           touch t e;
           `Hit e
         | Some e
-          when (demand e <> None || dyck e <> None)
+          when dyck e <> None
                && Engine.tier_rank floor <= Engine.tier_rank Engine.Ci ->
-          (* a live demand/dyck session asked for exhaustively: promote
-             in place (outside this lock) instead of re-solving from
-             scratch — the VDG is already built *)
+          (* a live dyck session asked for exhaustively: upgrade it in
+             place (outside this lock), keeping the session identity *)
           t.st.st_session_hits <- t.st.st_session_hits + 1;
           touch t e;
-          `Promote e
+          `Upgrade e
         | Some e ->
           (* live but too coarse: drop and re-solve at a higher tier *)
           drop t e;
@@ -507,7 +500,7 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?jobs t path =
   in
   match live with
   | `Hit e -> { or_entry = e; or_status = `Session_hit }
-  | `Promote e ->
+  | `Upgrade e ->
     Mutex.lock e.ses_lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock e.ses_lock)
@@ -583,20 +576,15 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?jobs t path =
       Fun.protect
         ~finally:(fun () -> unregister_inflight t budget)
         (fun () ->
-          let aim =
-            match mode with
-            | `Demand -> Engine.Demand
-            | `Dyck -> Engine.Dyck
-            | `Exhaustive -> Engine.Ci
-          in
-          let want =
-            (* a floor above the mode's aim (e.g. min_tier=cs) demands
-               that tier outright *)
-            if Engine.tier_rank floor > Engine.tier_rank aim then floor
-            else aim
-          in
-          Engine.run_tiered ~config:t.config ?cache:t.cache ~budget ?jobs
-            ~want ~min_tier:floor input)
+          Engine.analyze ~config:t.config ?cache:t.cache
+            {
+              Engine.want = aim;
+              min_tier = floor;
+              budget = Some budget;
+              prev = None;
+              jobs;
+            }
+            input)
     in
     let td = match solved with Ok td -> td | Error e -> raise (Engine_error e) in
     (* the canonical solution digest keys the shared store and is echoed
@@ -683,7 +671,7 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?jobs t path =
    Raises [Not_found] when no live session exists for [path] (the
    client must open first — there is nothing to splice from), and
    [Tier_unavailable] when the live session is not exhaustive: a
-   baseline or lazy tier has no CI solution to diff against. *)
+   baseline or dyck tier has no CI solution to diff against. *)
 let update ?source t path =
   let input =
     match source with
@@ -713,17 +701,18 @@ let update ?source t path =
                 e.ses_id
                 (Engine.string_of_tier (tier e))))
     in
-    let prev = Engine.incr_snapshot a in
     (* Solve outside the manager lock, like open_path: the old entry
        stays live and queryable until the swap below. *)
-    let solved =
-      Engine.run_incremental_tiered ~config:t.config ?cache:t.cache ~prev
-        input
+    let td, outcome =
+      match
+        Engine.analyze ~config:t.config ?cache:t.cache
+          { Engine.default_request with prev = Some (Engine.incr_snapshot a) }
+          input
+      with
+      | Ok ({ Engine.td_incr = Some outcome; _ } as td) -> (td, outcome)
+      | Ok _ -> assert false (* an unbudgeted incremental run always splices *)
+      | Error err -> raise (Engine_error err)
     in
-    let td =
-      match solved with Ok r -> r | Error err -> raise (Engine_error err)
-    in
-    let td, outcome = td in
     let digest =
       Option.map
         (fun (a : Engine.analysis) -> Solution_digest.ci_digest a)
@@ -770,9 +759,9 @@ let update ?source t path =
     (entry, outcome)
 
 (* The entry's canonical solution digest, memoized.  Computed on first
-   ask for entries that gained their analysis after insertion (a promoted
-   demand/dyck session); lazy tiers stay [None] — the digest never forces
-   a promotion. *)
+   ask for entries that gained their analysis after insertion (an
+   upgraded dyck session); the dyck tier stays [None] — the digest never
+   forces an upgrade. *)
 let solution_digest _t e =
   match e.ses_digest with
   | Some _ as d -> d
@@ -878,43 +867,12 @@ let stats_json t =
 let engine_cache_stats_json t =
   match t.cache with None -> None | Some c -> Some (Engine_cache.stats_json c)
 
-(* Aggregate demand-resolver counters across the live working set: how
-   many sessions hold a lazy resolver, how often queries hit already
+(* Aggregate dyck-resolver counters across the live working set: how
+   many sessions hold a resolver (dyck-tier sessions and the per-session
+   solvers built for tier="dyck" queries), how often queries hit already
    resolved slices, and how much of the node universe was ever
    activated.  Read without the per-session locks — the counters are
    monotone ints and a stats reply tolerates a torn snapshot. *)
-let demand_stats_json t =
-  locked t (fun () ->
-      let sessions = ref 0
-      and queries = ref 0
-      and hits = ref 0
-      and activated = ref 0
-      and total = ref 0 in
-      Hashtbl.iter
-        (fun _ e ->
-          match e.ses_tiered.Engine.td_demand with
-          | Some d ->
-            incr sessions;
-            queries := !queries + Demand_solver.queries d;
-            hits := !hits + Demand_solver.cache_hits d;
-            activated := !activated + Demand_solver.nodes_activated d;
-            total := !total + Demand_solver.nodes_total d
-          | None -> ())
-        t.tbl;
-      [
-        ("sessions", Ejson.Int !sessions);
-        ("queries", Ejson.Int !queries);
-        ("cache_hits", Ejson.Int !hits);
-        ( "cache_hit_rate",
-          Ejson.Float
-            (if !queries = 0 then 0.
-             else float_of_int !hits /. float_of_int !queries) );
-        ("nodes_activated", Ejson.Int !activated);
-        ("nodes_total", Ejson.Int !total);
-      ])
-
-(* Same aggregation for dyck resolvers, counting both dyck-tier sessions
-   and the per-session solvers built for tier="dyck" queries. *)
 let dyck_stats_json t =
   locked t (fun () ->
       let sessions = ref 0

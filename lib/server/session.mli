@@ -32,15 +32,16 @@ type entry = {
   ses_path : string;
   mutable ses_tiered : Engine.tiered;
       (** the solution, at whatever tier survived the budget; a
-          demand-tier entry is promoted in place (under [ses_lock]) when
-          a query needs the exhaustive solution *)
+          dyck-tier entry is upgraded in place (under [ses_lock]) when a
+          query needs the exhaustive solution *)
   mutable ses_modref : Modref.t Lazy.t option;
       (** CI mod/ref sets, built on first query; [None] below [Ci],
-          filled in by promotion *)
+          filled in by the upgrade *)
   mutable ses_dyck : Dyck_solver.t option;
       (** per-session dyck solver for [tier="dyck"] queries on a
-          node-tier session, built lazily by {!require_dyck}; dyck-tier
-          sessions answer from [td_dyck] instead *)
+          node-tier session, built lazily by {!require_dyck} or handed
+          on by an upgrade; dyck-tier sessions answer from [td_dyck]
+          instead *)
   ses_bytes : int;
       (** approximate retained size; 0 for entries rebound from the
           solution store (the heap is accounted to the store slot) *)
@@ -67,23 +68,20 @@ val tier : entry -> Engine.tier
 val analysis : entry -> Engine.analysis option
 (** [Some] iff the entry holds a full [>= Ci] solution. *)
 
-val demand : entry -> Demand_solver.t option
-(** The entry's lazy resolver, when the session was opened demand-first
-    (survives promotion, so its counters stay readable). *)
-
 val dyck : entry -> Dyck_solver.t option
-(** The entry's dyck resolver, when the session was opened dyck-first
-    (survives promotion like the demand resolver). *)
+(** The entry's dyck resolver, while the session sits at the dyck tier
+    (an upgrade hands it on to [ses_dyck]). *)
 
 type t
 
 val require_analysis : t -> entry -> Engine.analysis
-(** Ensure the entry holds a full [>= Ci] solution, promoting a
-    demand-tier entry in place (the VDG is reused, only the CI fixpoint
-    runs; counted under the [upgraded] stat).  Callers must hold the
-    entry's lock ({!with_entry}).
+(** Ensure the entry holds a full [>= Ci] solution, upgrading a dyck-tier
+    entry in place by running {!Engine.analyze} over the entry's own
+    input (same text, so node ids carry over; counted under the
+    [upgraded] stat).  Callers must hold the entry's lock
+    ({!with_entry}).
     @raise Tier_unavailable at the baseline tiers.
-    @raise Engine_error when promotion itself fails. *)
+    @raise Engine_error when the upgrade itself fails. *)
 
 val require_modref : t -> entry -> Modref.t
 (** As {!require_analysis}, then the CI mod/ref sets. *)
@@ -128,7 +126,7 @@ type open_result = { or_entry : entry; or_status : open_status }
 val open_path :
   ?deadline_s:float ->
   ?min_tier:Engine.tier ->
-  ?mode:[ `Demand | `Dyck | `Exhaustive ] ->
+  ?mode:[ `Dyck | `Exhaustive ] ->
   ?jobs:int ->
   t ->
   string ->
@@ -141,24 +139,23 @@ val open_path :
     and will upgrade, a degraded live session.
 
     [mode] (default [`Exhaustive], the v2 wire behavior) picks the
-    pipeline: [`Exhaustive] solves CI before returning; [`Demand]
-    returns after the VDG build with a lazy resolver, so a cold open is
-    cheap and each query pays only for its backward slice; [`Dyck] is
-    the same shape with the flow-insensitive Dyck-reachability
-    resolver.  A demand or dyck open is satisfied by any live
+    pipeline: [`Exhaustive] solves CI before returning; [`Dyck] returns
+    after the VDG build with the lazy flow-insensitive
+    Dyck-reachability resolver, so a cold open is cheap and each query
+    pays only for its slice.  A dyck open is satisfied by any live
     sufficiently-precise session; an exhaustive open landing on a live
-    demand/dyck session promotes it in place (the VDG is reused) and
-    reports a session hit.
+    dyck session upgrades it in place ({!require_analysis}) and reports
+    a session hit.
 
     With [jobs > 1], a cold exhaustive solve without a deadline shards
-    its CI fixpoint across that many domains ({!Par_solver} via
-    [Engine.run_tiered ~jobs]); the solution — and hence the session's
+    its CI fixpoint across that many domains ({!Par_solver} via the
+    request's [jobs]); the solution — and hence the session's
     digest — is byte-identical to a sequential solve, so [jobs] plays
     no part in session or cache identity.  Deadlined opens ignore it
     (the parallel path does not checkpoint budgets).
     @raise Sys_error on an unreadable path.
     @raise Engine_error when the solve returns [Error] (frontend error,
-    floor violation, cancellation, strict-cache corruption). *)
+    floor violation, cancellation). *)
 
 val update : ?source:string -> t -> string -> entry * Incr_engine.outcome
 (** Re-analyze the live session for a path incrementally (protocol v5's
@@ -174,14 +171,14 @@ val update : ?source:string -> t -> string -> entry * Incr_engine.outcome
     @raise Not_found when no live session exists for the path (open it
     first — there is nothing to splice from).
     @raise Tier_unavailable when the live session is not exhaustive: a
-    baseline or lazy tier has no CI solution to diff against.
+    baseline or dyck tier has no CI solution to diff against.
     @raise Engine_error when the incremental solve returns [Error]. *)
 
 val solution_digest : t -> entry -> string option
 (** The entry's canonical solution digest ({!Solution_digest.ci_digest}),
     memoized on the entry; computed on first ask for entries that gained
-    their analysis after insertion (a promoted session).  [None] for
-    lazy and baseline tiers — never forces a promotion. *)
+    their analysis after insertion (an upgraded session).  [None] for
+    the dyck and baseline tiers — never forces an upgrade. *)
 
 val find : t -> string -> entry option
 (** Look up a live session by id; touches its LRU stamp. *)
@@ -219,7 +216,7 @@ val memo_find : entry -> string -> (Ejson.t * int) option
 (** Per-session answer memo for methods that are deterministic functions
     of the solution and their params (lint, purity, conflicts, modref):
     request key -> (result JSON, degradation count).  Invalidated
-    whenever the entry's solution changes (tier promotion in place;
+    whenever the entry's solution changes (tier upgrade in place;
     update/re-open build a fresh entry).  Bounded; both calls must run
     under {!with_entry}/{!try_with_entry}. *)
 
@@ -235,11 +232,9 @@ val stats_json : t -> (string * Ejson.t) list
 val engine_cache_stats_json : t -> (string * Ejson.t) list option
 (** The engine cache's hit/miss/store counters, when a cache is wired. *)
 
-val demand_stats_json : t -> (string * Ejson.t) list
-(** Aggregate demand-resolver counters across the live working set:
-    resolver-holding session count, query and cache-hit totals (with the
-    hit rate), and activated vs total node counts. *)
-
 val dyck_stats_json : t -> (string * Ejson.t) list
-(** Same aggregation for dyck resolvers, counting both dyck-tier
-    sessions and per-session solvers built for [tier="dyck"] queries. *)
+(** Aggregate dyck-resolver counters across the live working set, over
+    both dyck-tier sessions and per-session solvers built for
+    [tier="dyck"] queries: resolver-holding session count, query and
+    cache-hit totals (with the hit rate), and activated vs total node
+    counts. *)

@@ -119,9 +119,13 @@ let test_restart_shares_fate () =
 let starved () =
   Budget.start { Budget.no_limits with Budget.max_transfers = Some 0 }
 
+(* a request under the starved budget *)
+let governed ?(want = Engine.Ci) ?(min_tier = Engine.Steensgaard) budget =
+  { Engine.default_request with want; min_tier; budget = Some budget }
+
 let test_run_governed_error () =
-  (* plain run has no ladder: exhaustion is an error *)
-  match Engine.run ~budget:(starved ()) quickstart with
+  (* a ci floor leaves no ladder: exhaustion is an error *)
+  match Engine.analyze (governed ~min_tier:Engine.Ci (starved ())) quickstart with
   | Error (Engine.Budget_exhausted { be_tier = Engine.Ci; be_reason }) ->
     Alcotest.(check string)
       "reason" "transfer-limit"
@@ -134,7 +138,7 @@ let test_cs_degrades_to_identical_ci () =
      with verdicts identical to a direct CI run — on every example *)
   List.iter
     (fun file ->
-      let a = Engine.run_exn (Engine.load_file file) in
+      let a = Test_util.analysis (Engine.load_file file) in
       (match Engine.cs_tiered ~budget:(starved ()) a with
       | Ok { Engine.co_tier = Engine.Ci; co_cs = None; co_degradation = Some d }
         ->
@@ -165,7 +169,7 @@ let test_cs_degrades_to_identical_ci () =
     (example_files ())
 
 let test_ladder_descends_to_baseline () =
-  match Engine.run_tiered ~budget:(starved ()) quickstart with
+  match Engine.analyze (governed (starved ())) quickstart with
   | Error e -> Alcotest.fail (Engine.error_message e)
   | Ok td ->
     Alcotest.(check bool)
@@ -206,12 +210,12 @@ let test_ladder_descends_to_baseline () =
       (Engine.line_may_alias td l l)
 
 let test_floor_stops_ladder () =
-  (match Engine.run_tiered ~budget:(starved ()) ~min_tier:Engine.Ci quickstart with
+  (match Engine.analyze (governed ~min_tier:Engine.Ci (starved ())) quickstart with
   | Error (Engine.Budget_exhausted { be_tier = Engine.Ci; _ }) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Engine.error_message e)
   | Ok _ -> Alcotest.fail "floor should forbid degrading");
   match
-    Engine.run_tiered ~budget:(starved ()) ~min_tier:Engine.Andersen quickstart
+    Engine.analyze (governed ~min_tier:Engine.Andersen (starved ())) quickstart
   with
   | Error (Engine.Budget_exhausted { be_tier = Engine.Andersen; _ }) -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Engine.error_message e)
@@ -220,12 +224,12 @@ let test_floor_stops_ladder () =
 let test_cancel_never_degrades () =
   let b = Budget.unlimited () in
   Budget.cancel b;
-  (match Engine.run_tiered ~budget:b quickstart with
+  (match Engine.analyze (governed b) quickstart with
   | Error Engine.Cancelled -> ()
   | Error e -> Alcotest.fail ("wrong error: " ^ Engine.error_message e)
   | Ok _ -> Alcotest.fail "cancelled run succeeded");
   (* same through the budget-governed CS force *)
-  let a = Engine.run_exn quickstart in
+  let a = Test_util.analysis quickstart in
   let b = Budget.unlimited () in
   Budget.cancel b;
   match Engine.cs_tiered ~budget:b a with
@@ -234,7 +238,7 @@ let test_cancel_never_degrades () =
   | Ok _ -> Alcotest.fail "cancelled cs force succeeded"
 
 let test_full_tier_unaffected () =
-  match Engine.run_tiered ~want:Engine.Cs quickstart with
+  match Engine.analyze { Engine.default_request with want = Engine.Cs } quickstart with
   | Error e -> Alcotest.fail (Engine.error_message e)
   | Ok td ->
     Alcotest.(check string)
@@ -246,6 +250,31 @@ let test_full_tier_unaffected () =
       "line queries reserved for baselines" true
       (Engine.line_may_alias td 31 31 = None
       && Engine.line_locations td 31 = None)
+
+let test_floor_above_want () =
+  (* with no budget nothing degrades, so a floor above the wanted tier is
+     the tier the answer comes back at *)
+  List.iter
+    (fun (want, min_tier) ->
+      let label =
+        Printf.sprintf "want %s, min_tier %s" (Engine.string_of_tier want)
+          (Engine.string_of_tier min_tier)
+      in
+      match
+        Engine.analyze { Engine.default_request with want; min_tier } quickstart
+      with
+      | Error e -> Alcotest.fail (label ^ ": " ^ Engine.error_message e)
+      | Ok td ->
+        Alcotest.(check string)
+          (label ^ ": answered at the floor")
+          (Engine.string_of_tier min_tier)
+          (Engine.string_of_tier td.Engine.td_tier);
+        Alcotest.(check bool)
+          (label ^ ": full analysis") true (td.Engine.td_analysis <> None);
+        Alcotest.(check int)
+          (label ^ ": no descents") 0
+          (List.length td.Engine.td_degradations))
+    [ (Engine.Ci, Engine.Cs); (Engine.Dyck, Engine.Ci); (Engine.Andersen, Engine.Cs) ]
 
 let test_error_json_shapes () =
   let kinds =
@@ -260,12 +289,11 @@ let test_error_json_shapes () =
         Engine.Budget_exhausted
           { be_tier = Engine.Cs; be_reason = Budget.Deadline };
         Engine.Cancelled;
-        Engine.Cache_corrupt "entry";
       ]
   in
   Alcotest.(check (list string))
     "kinds"
-    [ "frontend-error"; "budget-exhausted"; "cancelled"; "cache-corrupt" ]
+    [ "frontend-error"; "budget-exhausted"; "cancelled" ]
     kinds
 
 let tests =
@@ -288,5 +316,7 @@ let tests =
       test_cancel_never_degrades;
     Alcotest.test_case "ladder: full tiers unaffected" `Quick
       test_full_tier_unaffected;
+    Alcotest.test_case "ladder: a floor above want answers at the floor" `Quick
+      test_floor_above_want;
     Alcotest.test_case "errors: json taxonomy" `Quick test_error_json_shapes;
   ]

@@ -3,7 +3,7 @@
    registry, and the CI-vs-CS verdict comparison. *)
 
 let lint ?checkers ?(compare_cs = false) src =
-  let a = Engine.run_exn (Engine.load_string ~file:"lint.c" src) in
+  let a = Test_util.analysis (Engine.load_string ~file:"lint.c" src) in
   Lint.run ?checkers ~compare_cs a
 
 let fired r =
@@ -265,7 +265,7 @@ let ci_cs_verdicts_agree () =
     ]
 
 let telemetry_records_checkers () =
-  let a = Engine.run_exn (Engine.load_string ~file:"t.c" "int main(void) { return 0; }") in
+  let a = Test_util.analysis (Engine.load_string ~file:"t.c" "int main(void) { return 0; }") in
   let r = Lint.run ~compare_cs:true a in
   ignore r;
   let names = List.map (fun s -> s.Telemetry.ck_checker) a.Engine.telemetry.Telemetry.t_checkers in

@@ -47,7 +47,7 @@ let fresh_cache_dir =
 (* ---- (a) engine results = direct solver invocation ------------------------------- *)
 
 let test_matches_direct () =
-  let a = Engine.run_exn (Engine.load_string ~file:"quickstart.c" quickstart_src) in
+  let a = Test_util.analysis (Engine.load_string ~file:"quickstart.c" quickstart_src) in
   let cs = Engine.cs a in
   (* direct, hand-rolled pipeline *)
   let prog = Norm.compile ~file:"quickstart.c" quickstart_src in
@@ -89,14 +89,14 @@ let test_cache_roundtrip () =
   let dir = fresh_cache_dir () in
   let input = Engine.load_string ~file:"quickstart.c" quickstart_src in
   let cache = Engine_cache.create ~dir () in
-  let cold = Engine.run_exn ~cache input in
+  let cold = Test_util.analysis ~cache input in
   let cold_cs = Engine.cs cold in
   Alcotest.(check bool)
     "first run is a miss"
     true
     (cold.Engine.telemetry.Telemetry.t_cache = Telemetry.Cold);
   (* same cache object: memory hit *)
-  let warm = Engine.run_exn ~cache input in
+  let warm = Test_util.analysis ~cache input in
   Alcotest.(check bool)
     "second run is a memory hit"
     true
@@ -108,7 +108,7 @@ let test_cache_roundtrip () =
   (* fresh cache object over the same directory: disk hit, as a second
      process would see it *)
   let cache2 = Engine_cache.create ~dir () in
-  let disk = Engine.run_exn ~cache:cache2 input in
+  let disk = Test_util.analysis ~cache:cache2 input in
   Alcotest.(check bool)
     "fresh cache over same dir is a disk hit"
     true
@@ -133,7 +133,7 @@ let test_cache_roundtrip () =
         { Ci_solver.default_config with Ci_solver.strong_updates = false };
     }
   in
-  let other = Engine.run_exn ~config:weak ~cache:cache2 input in
+  let other = Test_util.analysis ~config:weak ~cache:cache2 input in
   Alcotest.(check bool)
     "different config misses"
     true
@@ -185,10 +185,10 @@ let test_metrics_json () =
     | Some p -> p
     | None -> Alcotest.fail "missing phases"
   in
-  (* phase presence is tier-dependent ("demand"/"dyck" replace "ci"/"cs"
-     on lazy sessions): any recorded phase must be a well-known name with
-     a non-negative float, and an exhaustive suite run records them all
-     except the lazy tiers *)
+  (* phase presence is path-dependent ("dyck" replaces "ci"/"cs" on lazy
+     sessions, "incr" replaces "ci" on a splice): any recorded phase must
+     be a well-known name with a non-negative float, and an exhaustive
+     suite run records them all except those two *)
   List.iter
     (fun name ->
       match Ejson.member name phases with
@@ -196,7 +196,7 @@ let test_metrics_json () =
         if s < 0. then Alcotest.fail (name ^ ": negative phase time")
       | Some _ -> Alcotest.fail (name ^ ": phase time not a float")
       | None ->
-        if name <> "demand" && name <> "dyck" && name <> "incr" then
+        if name <> "dyck" && name <> "incr" then
           Alcotest.fail ("missing phase " ^ name))
     Telemetry.phase_names;
   (match phases with

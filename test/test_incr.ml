@@ -1,10 +1,12 @@
 (* Incremental re-analysis tests: per-procedure digest locality, the
    dependency condensation, and the differential oracle — after every
-   scripted edit, Engine.run_incremental must yield a solution digest
-   byte-identical to a from-scratch solve of the edited source. *)
+   scripted edit, an incremental Engine.analyze must yield a solution
+   digest byte-identical to a from-scratch solve of the edited source. *)
 
-let analysis_of ?file src =
-  Engine.run_exn (Engine.load_string ?file src)
+let analysis_of ?file src = Test_util.analysis (Engine.load_string ?file src)
+
+(* an incremental request against [prev] *)
+let incremental prev = { Engine.default_request with prev = Some prev }
 
 (* first-occurrence textual replacement — the scripted-edit primitive *)
 let replace ~sub ~by s =
@@ -131,9 +133,11 @@ let replay ?(file = "replay.c") base edits =
   List.map
     (fun src ->
       let input = Engine.load_string ~file src in
-      match Engine.run_incremental ~prev:!prev input with
-      | Error e -> Alcotest.failf "run_incremental: %s" (Engine.error_message e)
-      | Ok (a, outcome) ->
+      match Engine.analyze (incremental !prev) input with
+      | Error e -> Alcotest.failf "incremental run: %s" (Engine.error_message e)
+      | Ok { Engine.td_analysis = None; _ } | Ok { Engine.td_incr = None; _ } ->
+        Alcotest.fail "incremental run: no spliced analysis"
+      | Ok { Engine.td_analysis = Some a; td_incr = Some outcome; _ } ->
         let cold = analysis_of ~file src in
         Alcotest.(check string)
           "incremental digest = cold digest"
@@ -283,37 +287,38 @@ let fresh_cache_dir =
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     dir
 
-let test_demand_entry_never_serves_exhaustive () =
-  (* (cache_key, tier) audit: a Demand-tier run must leave nothing on
+let test_dyck_entry_never_serves_exhaustive () =
+  (* (cache_key, tier) audit: a Dyck-tier run must leave nothing on
      disk, so after a restart an exhaustive request re-solves cold
      rather than being satisfied by a lazy-tier remnant *)
   let dir = fresh_cache_dir () in
   let input = Engine.load_string ~file:"audit.c" crafted_base in
+  let dyck = { Engine.default_request with want = Engine.Dyck } in
   let cache = Engine_cache.create ~dir () in
-  (match Engine.run_tiered ~cache ~want:Engine.Demand input with
+  (match Engine.analyze ~cache dyck input with
   | Ok td ->
     Alcotest.(check bool)
-      "demand tier achieved" true (td.Engine.td_tier = Engine.Demand)
-  | Error e -> Alcotest.failf "demand run: %s" (Engine.error_message e));
+      "dyck tier achieved" true (td.Engine.td_tier = Engine.Dyck)
+  | Error e -> Alcotest.failf "dyck run: %s" (Engine.error_message e));
   Alcotest.(check (list string))
-    "demand run persists no disk entry" []
+    "dyck run persists no disk entry" []
     (Array.to_list (Sys.readdir dir)
     |> List.filter (fun f -> Filename.check_suffix f ".bin"));
   (* restart: fresh cache object over the same directory *)
   let cache2 = Engine_cache.create ~dir () in
-  let a = Engine.run_exn ~cache:cache2 input in
+  let a = Test_util.analysis ~cache:cache2 input in
   Alcotest.(check bool)
     "exhaustive request after restart is a cold solve" true
     (a.Engine.telemetry.Telemetry.t_cache = Telemetry.Cold);
-  (* the exhaustive solution does persist, and a restarted demand
-     request may be upgraded by it — the higher tier is always sound *)
+  (* the exhaustive solution does persist, and a restarted dyck request
+     may be upgraded by it — the higher tier is always sound *)
   let cache3 = Engine_cache.create ~dir () in
-  match Engine.run_tiered ~cache:cache3 ~want:Engine.Demand input with
+  match Engine.analyze ~cache:cache3 dyck input with
   | Ok td ->
     Alcotest.(check bool)
-      "disk full solution outranks a demand request" true
+      "disk full solution outranks a dyck request" true
       (td.Engine.td_tier = Engine.Ci || td.Engine.td_tier = Engine.Cs)
-  | Error e -> Alcotest.failf "demand after restart: %s" (Engine.error_message e)
+  | Error e -> Alcotest.failf "dyck after restart: %s" (Engine.error_message e)
 
 let test_incremental_results_cacheable () =
   (* an incremental run stores under the edited source's own key: a
@@ -322,16 +327,15 @@ let test_incremental_results_cacheable () =
   let cache = Engine_cache.create ~dir () in
   let base_input = Engine.load_string ~file:"cacheable.c" crafted_base in
   let edited = crafted_base ^ "\n/* v2 */\nint extra_g;\n" in
-  let a0 = Engine.run_exn ~cache base_input in
+  let a0 = Test_util.analysis ~cache base_input in
   let prev = Engine.incr_snapshot a0 in
-  (match
-     Engine.run_incremental ~cache ~prev
-       (Engine.load_string ~file:"cacheable.c" edited)
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "run_incremental: %s" (Engine.error_message e));
+  ignore
+    (Test_util.analysis ~cache ~req:(incremental prev)
+       (Engine.load_string ~file:"cacheable.c" edited));
   let cache2 = Engine_cache.create ~dir () in
-  let hit = Engine.run_exn ~cache:cache2 (Engine.load_string ~file:"cacheable.c" edited) in
+  let hit =
+    Test_util.analysis ~cache:cache2 (Engine.load_string ~file:"cacheable.c" edited)
+  in
   Alcotest.(check bool)
     "edited text served from disk" true
     (hit.Engine.telemetry.Telemetry.t_cache = Telemetry.Disk_hit)
@@ -350,8 +354,8 @@ let tests =
     Alcotest.test_case "chain reuse" `Quick test_chain_reuse;
     Alcotest.test_case "examples replay" `Quick test_examples_replay;
     Alcotest.test_case "workload replay" `Slow test_workload_replay;
-    Alcotest.test_case "demand entry never serves exhaustive" `Quick
-      test_demand_entry_never_serves_exhaustive;
+    Alcotest.test_case "dyck entry never serves exhaustive" `Quick
+      test_dyck_entry_never_serves_exhaustive;
     Alcotest.test_case "incremental results cacheable" `Quick
       test_incremental_results_cacheable;
   ]

@@ -26,7 +26,6 @@ let () =
       ("budget", Test_budget.tests);
       ("checkers", Test_checkers.tests);
       ("server", Test_server.tests);
-      ("demand", Test_demand.tests);
       ("incr", Test_incr.tests);
       ("dyck", Test_dyck.tests);
       ("oracle", Test_oracle.tests);

@@ -112,7 +112,7 @@ let test_report_json_shape () =
   (match Ejson.member "violations" j with
   | Some (Ejson.List []) -> ()
   | _ -> Alcotest.fail "violations field");
-  Alcotest.(check int) "six tiers" 6 (List.length Oracle.tier_names)
+  Alcotest.(check int) "five tiers" 5 (List.length Oracle.tier_names)
 
 let test_violation_rendering () =
   let v =

@@ -177,14 +177,17 @@ let test_deque_concurrent () =
 
 let input_of_src ~file src = Engine.load_string ~file src
 
+let analysis_at ~jobs input =
+  Test_util.analysis ~req:{ Engine.default_request with jobs } input
+
 let seq_and_par_digests ~file src =
-  let seq = Engine.run_exn (input_of_src ~file src) in
+  let seq = Test_util.analysis (input_of_src ~file src) in
   let d_seq = Solution_digest.ci_digest seq in
   let widths = [ 2; 8 ] in
   let d_par =
     List.map
       (fun jobs ->
-        (jobs, Solution_digest.ci_digest (Engine.run_exn ~jobs (input_of_src ~file src))))
+        (jobs, Solution_digest.ci_digest (analysis_at ~jobs (input_of_src ~file src))))
       widths
   in
   (d_seq, d_par)
@@ -234,8 +237,8 @@ let test_generated_digest_equality () =
 let test_full_digest_over_parallel_ci () =
   let entry = Option.get (Suite.find "allroots") in
   let src = Suite.source entry in
-  let seq = Engine.run_exn (input_of_src ~file:"allroots.c" src) in
-  let par = Engine.run_exn ~jobs:4 (input_of_src ~file:"allroots.c" src) in
+  let seq = Test_util.analysis (input_of_src ~file:"allroots.c" src) in
+  let par = analysis_at ~jobs:4 (input_of_src ~file:"allroots.c" src) in
   Alcotest.(check string)
     "full digest (CS forced) identical"
     (Solution_digest.digest seq) (Solution_digest.digest par)
@@ -254,19 +257,21 @@ let test_linux_preset_scale () =
    back to the sequential path (no counters) *)
 let test_parallel_telemetry () =
   let src = read_file (List.hd (example_files ())) in
-  let a = Engine.run_exn ~jobs:2 (input_of_src ~file:"t.c" src) in
+  let a = analysis_at ~jobs:2 (input_of_src ~file:"t.c" src) in
   (match a.Engine.telemetry.Telemetry.t_par with
   | Some p ->
     Alcotest.(check int) "jobs recorded" 2 p.Telemetry.pc_jobs;
     Alcotest.(check bool) "components scheduled" true (p.Telemetry.pc_components > 0)
   | None -> Alcotest.fail "expected parallel counters on a --jobs 2 run");
   let budget = Budget.start (Budget.limits_with_deadline 60.) in
-  match Engine.run ~budget ~jobs:2 (input_of_src ~file:"t.c" src) with
-  | Ok a ->
-    Alcotest.(check bool)
-      "budgeted run takes the sequential path" true
-      (a.Engine.telemetry.Telemetry.t_par = None)
-  | Error _ -> Alcotest.fail "budgeted run failed"
+  let a =
+    Test_util.analysis
+      ~req:{ Engine.default_request with budget = Some budget; jobs = 2 }
+      (input_of_src ~file:"t.c" src)
+  in
+  Alcotest.(check bool)
+    "budgeted run takes the sequential path" true
+    (a.Engine.telemetry.Telemetry.t_par = None)
 
 let tests =
   [

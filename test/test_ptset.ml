@@ -149,7 +149,7 @@ let seed_digests =
 let analysis_of name =
   let entry = Option.get (Suite.find name) in
   let input = Engine.load_string ~file:(name ^ ".c") (Suite.source entry) in
-  Result.get_ok (Engine.run input)
+  Test_util.analysis input
 
 let solutions_match_seed () =
   List.iter
@@ -227,7 +227,11 @@ let exact_push_count () =
     (fun (file, src) ->
       List.iter
         (fun jobs ->
-          let a = Engine.run_exn ~jobs (Engine.load_string ~file src) in
+          let a =
+            Test_util.analysis
+              ~req:{ Engine.default_request with jobs }
+              (Engine.load_string ~file src)
+          in
           check_push_count (Printf.sprintf "%s jobs %d" file jobs) a.Engine.ci)
         [ 1; 2 ])
     sources
