@@ -24,9 +24,12 @@
    server degrades down the precision ladder instead of failing.
    Governance-class error responses (budget-exhausted, cancelled,
    overloaded, tier-unavailable) are expected under pressure and are NOT
-   counted as failures; anything else still is.  --assert-degraded makes
-   the run fail unless the server actually reported degradations —
-   the CI workflow uses it to prove the ladder engages under load.
+   counted as failures; anything else still is.  Each client also opens
+   a copy of bc once under the deadline: its cold solve cannot fit in
+   50ms on any machine, so the ladder engages however fast the box is.
+   --assert-degraded makes the run fail unless the server actually
+   reported degradations — the CI workflow uses it to prove the ladder
+   engages under load.
 
    With --differential N, a query-identical mix runs twice on one
    connection after the mixed workload — once request-per-line, once
@@ -52,17 +55,20 @@ let temp_dir () =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   dir
 
-let write_sources dir =
-  List.map
-    (fun name ->
-      let entry = Option.get (Suite.find name) in
-      let path = Filename.concat dir (name ^ ".c") in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc (Suite.source entry));
-      path)
-    benchmark_names
+let write_source ?(governed = false) dir name =
+  let entry = Option.get (Suite.find name) in
+  let path =
+    Filename.concat dir (name ^ if governed then ".governed.c" else ".c")
+  in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc (Suite.source entry);
+      if governed then output_string oc "\n/* governed-budget variant */\n");
+  path
+
+let write_sources dir = List.map (write_source dir) benchmark_names
 
 (* Budget-governed traffic targets separate copies of the sources (the
    session key is a content digest, so a trailing comment gives them
@@ -70,18 +76,7 @@ let write_sources dir =
    must not replace the full-precision session the rest of the mix
    queries by node id. *)
 let write_governed_sources dir =
-  List.map
-    (fun name ->
-      let entry = Option.get (Suite.find name) in
-      let path = Filename.concat dir (name ^ ".governed.c") in
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc (Suite.source entry);
-          output_string oc "\n/* governed-budget variant */\n");
-      path)
-    benchmark_names
+  List.map (write_source ~governed:true dir) benchmark_names
 
 (* ---- one client ----------------------------------------------------------------- *)
 
@@ -217,8 +212,8 @@ let chunks n xs =
    round trips, shallow enough that a reply burst fits kernel buffers. *)
 let pipeline_window = 64
 
-let run_client ~socket ~files ~governed ~deadline_ms ~requests ~batch ~rounds
-    ~seed =
+let run_client ~socket ~files ~governed ~governed_bc ~deadline_ms ~requests
+    ~batch ~rounds ~seed =
   let rng = Srng.of_string seed in
   let client = Client.connect ~retry_for:10. ~timeout:120. socket in
   let samples = ref [] and errors = ref 0 and degraded = ref 0 in
@@ -237,6 +232,15 @@ let run_client ~socket ~files ~governed ~deadline_ms ~requests ~batch ~rounds
     | Error (_, msg) -> failwith (meth ^ ": " ^ msg)
   in
   let sessions = Array.of_list (discover_sessions call files) in
+  (match (governed_bc, deadline_ms) with
+  | Some file, Some ms ->
+    let params =
+      Ejson.Assoc [ ("file", Ejson.String file); ("deadline_ms", Ejson.Int ms) ]
+    in
+    let t0 = Unix.gettimeofday () in
+    let r = Client.call client ~meth:"open" ~params in
+    note "open" (Unix.gettimeofday () -. t0) r
+  | _ -> ());
   let governed_arr = Array.of_list governed in
   let reqs =
     generate_requests ~rng ~sessions ~governed_arr ~deadline_ms ~requests
@@ -490,17 +494,23 @@ let () =
     | None -> ()));
   let dir = temp_dir () in
   let files = write_sources dir in
-  let governed =
+  let governed, governed_bc =
     match !deadline_ms with
-    | Some _ -> write_governed_sources dir
-    | None -> []
+    | Some _ ->
+      (* The mix's programs are small enough to solve inside a 50ms
+         deadline on a fast machine, so each client also opens a copy of
+         the largest suite program once under the deadline: bc's
+         frontend and CI solve alone take hundreds of milliseconds, so
+         that open must descend the ladder on any machine. *)
+      (write_governed_sources dir, Some (write_source ~governed:true dir "bc"))
+    | None -> ([], None)
   in
   let socket, server =
     match !ext_socket with
     | Some path -> (path, None)
     | None ->
       let path = Filename.concat dir "alias.sock" in
-      let sessions = Session.create ~cache:(Engine_cache.create ()) () in
+      let sessions = Session.create () in
       let handler = Handler.create sessions in
       (* The whole bench is one process: reactor + pool + clients are all
          domains sharing the machine.  Oversizing the pool to the client
@@ -527,7 +537,8 @@ let () =
   let results =
     List.init !clients (fun c ->
         Domain.spawn (fun () ->
-            run_client ~socket ~files ~governed ~deadline_ms:!deadline_ms
+            run_client ~socket ~files ~governed ~governed_bc
+              ~deadline_ms:!deadline_ms
               ~requests:!requests ~batch:!batch ~rounds:!rounds
               ~seed:(Printf.sprintf "load-client-%d" c)))
     |> List.map Domain.join
@@ -655,7 +666,7 @@ let () =
   Client.close reporter;
   List.iter
     (fun f -> try Sys.remove f with Sys_error _ -> ())
-    (files @ governed);
+    (files @ governed @ Option.to_list governed_bc);
   (match !json_file with
   | None -> ()
   | Some path ->

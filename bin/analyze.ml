@@ -425,7 +425,7 @@ let run_tables names jobs metrics cache_dir no_cache =
     exit 2);
   let names = match names with [] -> None | l -> Some l in
   let cache =
-    if no_cache then None else Some (Engine_cache.create ~dir:cache_dir ())
+    if no_cache then None else Some (Engine_cache.create cache_dir)
   in
   let results = Figures.analyze_suite ?names ~jobs ?cache () in
   let section title table =
@@ -496,7 +496,7 @@ let run_serve socket stdio jobs cache_dir no_cache max_sessions max_bytes
     | None -> Par_runner.default_jobs ()
   in
   let cache =
-    if no_cache then None else Some (Engine_cache.create ~dir:cache_dir ())
+    if no_cache then None else Some (Engine_cache.create cache_dir)
   in
   let default_deadline_s =
     match default_deadline_ms with

@@ -63,9 +63,9 @@ let dump (a : Engine.analysis) : string =
 
 let digest a = Digest.to_hex (Digest.string (dump a))
 
-(* CI-only variant for identity, not regression pinning: the server's
-   shared solution store keys solved sessions by it on every open, so it
-   must not force the CS solve (which [Engine.cs] would memoize,
+(* CI-only variant for identity, not regression pinning: the server
+   reports it for every exhaustive open and update, so it must not force
+   the CS solve (which [Engine.cs] would memoize,
    silently upgrading later budgeted cs queries to the cached solution)
    nor pay for a lint run. *)
 let ci_dump (a : Engine.analysis) : string =

@@ -19,8 +19,8 @@ val digest : Engine.analysis -> string
 val ci_dump : Engine.analysis -> string
 (** The CI-only canonical dump: per node, sorted CI pairs.  Unlike
     {!dump} it never forces the CS solve or a lint run, so it is cheap
-    enough to compute on every exhaustive open — the server's shared
-    solution store keys solutions by its digest. *)
+    enough to compute on every exhaustive open — the server reports its
+    digest as each session's [solution_digest]. *)
 
 val ci_digest : Engine.analysis -> string
 (** MD5 hex digest of {!ci_dump}. *)

@@ -17,8 +17,8 @@
    the paper's Section 4.2 cost story can be emitted as JSON.
 
    [analyze] optionally consults an Engine_cache.t keyed by a digest of
-   the source text and the configuration fingerprint: in-memory within a
-   process, on disk (Marshal, version-guarded) across processes.
+   the source text and the configuration fingerprint: an on-disk store
+   (Marshal, version-guarded) that lets a later process skip the solve.
 
    Failure is a value, not an exception: [analyze] returns
    ('a, error) result, and a Budget threaded into the solvers powers a
@@ -132,8 +132,7 @@ let budget_fields b =
     (Budget.consumption b)
 
 (* The context-sensitive half is demand-driven: many clients (mod/ref,
-   call graphs, purity) only need CI.  The cell is shared between the
-   original run and any cache-hit copies so the solve happens once. *)
+   call graphs, purity) only need CI.  The cell solves it at most once. *)
 type cs_cell = {
   mutable cc_cs : Cs_solver.t option;
   mutable cc_seconds : float;
@@ -285,7 +284,7 @@ let cs a =
           cell.cc_on_solved cs;
           cs
       in
-      (* reflect the (possibly shared) solve into this record's telemetry *)
+      (* reflect the solve into the analysis' telemetry, once *)
       if Telemetry.phase_seconds a.telemetry "cs" = None then
         Telemetry.record_phase a.telemetry "cs" cell.cc_seconds;
       if a.telemetry.Telemetry.t_cs = None then
@@ -483,11 +482,7 @@ let solve_fresh ?store ~budget ~jobs ~prev config input =
       }
   in
   let a = Lazy.force analysis in
-  (match store with
-  | Some (c, key) ->
-    Engine_cache.add_memory c key a;
-    store_payload c key a
-  | None -> ());
+  Option.iter (fun (c, key) -> store_payload c key a) store;
   (a, incr)
 
 let of_stored ~cache ~key config input (s : stored) =
@@ -516,23 +511,12 @@ let of_stored ~cache ~key config input (s : stored) =
   in
   Lazy.force analysis
 
-(* A solved analysis for [input] from the cache's memory layer (as a view
-   with private telemetry, so the hit can be reported without rewriting
-   the original run's record), else from its disk layer.  A damaged disk
-   entry is purged and reads as a miss. *)
+(* A solved analysis for [input] from the cache's disk snapshot.  A
+   damaged entry is purged and reads as a miss. *)
 let find_cached cache ~key config input =
-  match Engine_cache.find_memory cache key with
-  | Some a ->
-    let telemetry = Telemetry.copy a.telemetry in
-    telemetry.Telemetry.t_cache <- Telemetry.Memory_hit;
-    Some { a with telemetry }
-  | None -> (
-    match (Engine_cache.find_disk cache key : stored option) with
-    | Some s ->
-      let a = of_stored ~cache ~key config input s in
-      Engine_cache.add_memory cache key a;
-      Some a
-    | None -> None)
+  Option.map
+    (of_stored ~cache ~key config input)
+    (Engine_cache.find_disk cache key : stored option)
 
 (* An incremental request splices rather than looking the result up, so
    the result always carries the outcome of the splice. *)

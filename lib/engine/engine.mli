@@ -21,9 +21,9 @@
     into the analysis' {!Telemetry.t}.
 
     {!analyze} optionally consults an {!Engine_cache.t} keyed by a digest
-    of the source text and the configuration fingerprint: in-memory
-    within a process, on disk (Marshal, version-guarded) across
-    processes.
+    of the source text and the configuration fingerprint: an on-disk
+    store (Marshal, version-guarded) that lets a later process skip the
+    solve.
 
     {2 Resource governance}
 
@@ -92,8 +92,8 @@ val error_json : error -> Ejson.t
     ["budget-exhausted"], ["cancelled"]. *)
 
 type cs_cell
-(** The demand-driven context-sensitive half; shared between the original
-    run and any cache-hit copies so the solve happens once. *)
+(** The demand-driven context-sensitive half, solved at most once per
+    analysis. *)
 
 type analysis = {
   a_input : input;
@@ -178,7 +178,7 @@ val default_request : request
 
 val analyze :
   ?config:config ->
-  ?cache:analysis Engine_cache.t ->
+  ?cache:Engine_cache.t ->
   request ->
   input ->
   (tiered, error) result
@@ -189,10 +189,9 @@ val analyze :
     compile, build the VDG and solve CI; with [want = Cs], also force
     the CS solve.  With no budget the run always reaches [want], so
     [td_analysis] is [Some] — callers that need the {!analysis} read it
-    from there.  With [cache], the memory layer, then the disk layer, is
-    consulted before solving, and a fresh solution is stored into both;
-    a hit's analysis carries private telemetry reporting it.  A corrupt
-    disk entry is purged and re-solved.
+    from there.  With [cache], the disk snapshot is consulted before
+    solving, and a fresh solution is stored there; a hit's telemetry
+    reports [Disk_hit].  A corrupt entry is purged and re-solved.
 
     {b Incremental} ([prev = Some p]): the CI solve splices [p] through
     {!Incr_engine.update}: only procedures whose canonical digest

@@ -1,30 +1,22 @@
-(* Content-hash-keyed result cache with two layers:
-
-   - an in-memory table (any value type), shared across the whole process
-     and safe to use from parallel Par_runner workers;
-   - an optional on-disk layer keyed by the same digest, so a later
-     *process* (e.g. a second `alias-analyze tables` run) can skip
-     re-solving unchanged sources.  Disk entries are Marshal payloads
-     guarded by a format-version header; anything unreadable is treated
-     as a miss, never an error.
+(* Content-hash-keyed on-disk result cache, so a later *process* (e.g. a
+   second `alias-analyze tables` run, or a restarted server) can skip
+   re-solving unchanged sources.  Entries are Marshal payloads guarded by
+   a format-version header; anything unreadable is treated as a miss,
+   never an error.  There is no in-memory layer: whoever keeps solved
+   programs alive (the server's session working set) holds them itself.
 
    Keys are digests of (cache format version, source text, config
    fingerprint) — computed by the caller via [key]. *)
 
 type stats = {
-  mutable memory_hits : int;
   mutable disk_hits : int;
   mutable misses : int;
   mutable stores : int;
   mutable purged : int;  (* stale/corrupt entries deleted, + prune victims *)
 }
 
-type 'v t = {
-  dir : string option;
-  mem : (string, 'v) Hashtbl.t;
-  lock : Mutex.t;
-  st : stats;
-}
+(* [lock] guards the counters only: Par_runner workers share one cache *)
+type t = { dir : string; lock : Mutex.t; st : stats }
 
 (* bump when the marshaled payload shape or any solver data structure
    changes; stale files then simply miss *)
@@ -41,14 +33,18 @@ type 'v t = {
 (* /6: Ci_solver's call tables carry resolved call/function metadata and
    its worklist lost the pending-membership table. *)
 (* /7: Telemetry.t lost the demand-tier counter field. *)
-let format_version = "alias-engine-cache/7"
+(* /8: Telemetry.cache_status lost its memory-hit constant, which
+   renumbers the Disk_hit constant a stored telemetry record can carry. *)
+let format_version = "alias-engine-cache/8"
 
-let create ?dir () =
-  (match dir with
-  | Some d when not (Sys.file_exists d) ->
-    (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  | _ -> ());
-  { dir; mem = Hashtbl.create 16; lock = Mutex.create (); st = { memory_hits = 0; disk_hits = 0; misses = 0; stores = 0; purged = 0 } }
+let create dir =
+  (if not (Sys.file_exists dir) then
+     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  {
+    dir;
+    lock = Mutex.create ();
+    st = { disk_hits = 0; misses = 0; stores = 0; purged = 0 };
+  }
 
 let stats t = t.st
 
@@ -59,22 +55,7 @@ let locked t f =
 let key ~source ~fingerprint =
   Digest.to_hex (Digest.string (format_version ^ "\x00" ^ fingerprint ^ "\x00" ^ source))
 
-let entry_path t k =
-  match t.dir with None -> None | Some d -> Some (Filename.concat d (k ^ ".bin"))
-
-(* ---- memory layer ------------------------------------------------------------- *)
-
-let find_memory t k =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.mem k with
-      | Some v ->
-        t.st.memory_hits <- t.st.memory_hits + 1;
-        Some v
-      | None -> None)
-
-let add_memory t k v = locked t (fun () -> Hashtbl.replace t.mem k v)
-
-(* ---- disk layer ---------------------------------------------------------------- *)
+let entry_path t k = Filename.concat t.dir (k ^ ".bin")
 
 (* The payload type is chosen by the caller and must match between store
    and find — the usual Marshal contract.  The version header catches
@@ -82,10 +63,9 @@ let add_memory t k v = locked t (fun () -> Hashtbl.replace t.mem k v)
    A stale entry (another format version) and a damaged one (truncated
    header, failed unmarshal) both read as a miss and are purged. *)
 let find_disk (type d) t k : d option =
-  match entry_path t k with
-  | None -> None
-  | Some path when not (Sys.file_exists path) -> None
-  | Some path -> (
+  let path = entry_path t k in
+  if not (Sys.file_exists path) then None
+  else
     match
       let ic = open_in_bin path in
       Fun.protect
@@ -105,23 +85,21 @@ let find_disk (type d) t k : d option =
          Sys.remove path;
          locked t (fun () -> t.st.purged <- t.st.purged + 1)
        with Sys_error _ -> ());
-      None)
+      None
 
 let store_disk (type d) t k (v : d) =
-  match entry_path t k with
-  | None -> ()
-  | Some path ->
-    (try
-       let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-       let oc = open_out_bin tmp in
-       Fun.protect
-         ~finally:(fun () -> close_out_noerr oc)
-         (fun () ->
-           output_string oc format_version;
-           Marshal.to_channel oc v []);
-       Sys.rename tmp path;
-       locked t (fun () -> t.st.stores <- t.st.stores + 1)
-     with Sys_error _ | Unix.Unix_error _ -> ())
+  let path = entry_path t k in
+  try
+    let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc format_version;
+        Marshal.to_channel oc v []);
+    Sys.rename tmp path;
+    locked t (fun () -> t.st.stores <- t.st.stores + 1)
+  with Sys_error _ | Unix.Unix_error _ -> ()
 
 let record_miss t = locked t (fun () -> t.st.misses <- t.st.misses + 1)
 
@@ -131,18 +109,15 @@ let record_miss t = locked t (fun () -> t.st.misses <- t.st.misses + 1)
    read or validated here; a stale-format entry still shows up until its
    first read purges it. *)
 let keys_on_disk t =
-  match t.dir with
-  | None -> []
-  | Some dir -> (
-    match Sys.readdir dir with
-    | exception Sys_error _ -> []
-    | names ->
-      Array.to_list names
-      |> List.filter_map (fun f ->
-             if Filename.check_suffix f ".bin" then
-               Some (Filename.chop_suffix f ".bin")
-             else None)
-      |> List.sort compare)
+  match Sys.readdir t.dir with
+  | exception Sys_error _ -> []
+  | names ->
+    Array.to_list names
+    |> List.filter_map (fun f ->
+           if Filename.check_suffix f ".bin" then
+             Some (Filename.chop_suffix f ".bin")
+           else None)
+    |> List.sort compare
 
 (* Bound the disk layer: delete entries, least-recently-modified first,
    until the total size of the *.bin files is at or below [max_bytes].
@@ -150,50 +125,46 @@ let keys_on_disk t =
    calls this after each store to keep a long-lived daemon's cache
    directory within its configured budget. *)
 let prune t ~max_bytes =
-  match t.dir with
-  | None -> 0
-  | Some dir -> (
-    match Sys.readdir dir with
-    | exception Sys_error _ -> 0
-    | names ->
-      let entries =
-        Array.to_list names
-        |> List.filter (fun f -> Filename.check_suffix f ".bin")
-        |> List.filter_map (fun f ->
-               let path = Filename.concat dir f in
-               match Unix.stat path with
-               | st -> Some (path, st.Unix.st_mtime, st.Unix.st_size)
-               | exception Unix.Unix_error _ -> None)
+  match Sys.readdir t.dir with
+  | exception Sys_error _ -> 0
+  | names ->
+    let entries =
+      Array.to_list names
+      |> List.filter (fun f -> Filename.check_suffix f ".bin")
+      |> List.filter_map (fun f ->
+             let path = Filename.concat t.dir f in
+             match Unix.stat path with
+             | st -> Some (path, st.Unix.st_mtime, st.Unix.st_size)
+             | exception Unix.Unix_error _ -> None)
+    in
+    let total = List.fold_left (fun acc (_, _, sz) -> acc + sz) 0 entries in
+    if total <= max_bytes then 0
+    else begin
+      let by_age =
+        List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) entries
       in
-      let total = List.fold_left (fun acc (_, _, sz) -> acc + sz) 0 entries in
-      if total <= max_bytes then 0
-      else begin
-        let by_age =
-          List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) entries
-        in
-        let deleted = ref 0 and remaining = ref total in
-        List.iter
-          (fun (path, _, sz) ->
-            if !remaining > max_bytes then
-              match Sys.remove path with
-              | () ->
-                incr deleted;
-                remaining := !remaining - sz
-              | exception Sys_error _ -> ())
-          by_age;
-        if !deleted > 0 then
-          locked t (fun () -> t.st.purged <- t.st.purged + !deleted);
-        !deleted
-      end)
+      let deleted = ref 0 and remaining = ref total in
+      List.iter
+        (fun (path, _, sz) ->
+          if !remaining > max_bytes then
+            match Sys.remove path with
+            | () ->
+              incr deleted;
+              remaining := !remaining - sz
+            | exception Sys_error _ -> ())
+        by_age;
+      if !deleted > 0 then
+        locked t (fun () -> t.st.purged <- t.st.purged + !deleted);
+      !deleted
+    end
 
 let stats_summary t =
   Printf.sprintf
-    "%d memory hit(s), %d disk hit(s), %d miss(es), %d store(s), %d purged"
-    t.st.memory_hits t.st.disk_hits t.st.misses t.st.stores t.st.purged
+    "%d disk hit(s), %d miss(es), %d store(s), %d purged"
+    t.st.disk_hits t.st.misses t.st.stores t.st.purged
 
 let stats_json t =
   [
-    ("cache_stats_memory_hits", Ejson.Int t.st.memory_hits);
     ("cache_stats_disk_hits", Ejson.Int t.st.disk_hits);
     ("cache_stats_misses", Ejson.Int t.st.misses);
     ("cache_stats_stores", Ejson.Int t.st.stores);

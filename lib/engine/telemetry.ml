@@ -4,11 +4,10 @@
    worklist traffic, and result sizes).  A telemetry record is carried by
    every Engine.analysis and serializes to JSON for --metrics. *)
 
-type cache_status = Cold | Memory_hit | Disk_hit
+type cache_status = Cold | Disk_hit
 
 let string_of_cache_status = function
   | Cold -> "miss"
-  | Memory_hit -> "memory-hit"
   | Disk_hit -> "disk-hit"
 
 type solver_counters = {
@@ -383,7 +382,6 @@ let suite_to_json ?(cache_stats = []) ts =
          ("runs", Ejson.Int (List.length ts));
          ("total_seconds", Ejson.Float (sumf total_seconds));
          ("cache_misses", Ejson.Int (count_cache Cold));
-         ("cache_memory_hits", Ejson.Int (count_cache Memory_hit));
          ("cache_disk_hits", Ejson.Int (count_cache Disk_hit));
          ("vdg_nodes", Ejson.Int (sum (fun t -> t.t_vdg_nodes)));
          ("ci_flow_in", Ejson.Int (opt_sum (fun t -> t.t_ci) (fun c -> c.sc_flow_in)));
@@ -398,7 +396,7 @@ let suite_to_json ?(cache_stats = []) ts =
   in
   Ejson.Assoc
     [
-      ("schema", Ejson.String "alias-engine-metrics/1");
+      ("schema", Ejson.String "alias-engine-metrics/2");
       ("benchmarks", Ejson.List (List.map to_json ts));
       ("totals", totals);
     ]

@@ -5,10 +5,10 @@
     carried by every [Engine.analysis] and serializes to JSON for
     [--metrics]. *)
 
-type cache_status = Cold | Memory_hit | Disk_hit
+type cache_status = Cold | Disk_hit
 
 val string_of_cache_status : cache_status -> string
-(** ["miss"], ["memory-hit"], ["disk-hit"]. *)
+(** ["miss"], ["disk-hit"]. *)
 
 type solver_counters = {
   sc_flow_in : int;  (** transfer-function applications *)

@@ -18,14 +18,14 @@ type bench_result = {
 }
 
 val analyze_benchmark :
-  ?cache:Engine.analysis Engine_cache.t -> Suite.entry -> bench_result
+  ?cache:Engine_cache.t -> Suite.entry -> bench_result
 (** Thin wrapper over {!Engine.analyze} (the CS solve is forced, since
     every figure needs it). *)
 
 val analyze_suite :
   ?names:string list ->
   ?jobs:int ->
-  ?cache:Engine.analysis Engine_cache.t ->
+  ?cache:Engine_cache.t ->
   unit ->
   bench_result list
 (** All benchmarks (or the named subset), in the paper's order.

@@ -287,7 +287,6 @@ let do_open t conn params =
          Ejson.String
            (match r.Session.or_status with
            | `Session_hit -> "session-hit"
-           | `Shared -> "solution-hit"
            | `Solved st -> Telemetry.string_of_cache_status st) );
        ("tier", Ejson.String (Engine.string_of_tier td.Engine.td_tier));
        ("degradations", degradations_json td.Engine.td_degradations);

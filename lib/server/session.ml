@@ -6,10 +6,11 @@
    it and lands on the live session (a "session hit" — no re-solve);
    re-opening a file whose content changed produces a new key, solves
    fresh, and drops the stale session for that path.  The working set is
-   bounded by an entry count and an approximate byte budget, evicted LRU;
-   the engine's own cache (when configured) still holds evicted results
-   on disk, so re-opening an evicted session is a disk hit, not a
-   re-solve.
+   bounded by an entry count and an approximate byte budget, evicted LRU,
+   and it is the daemon's only in-memory copy of a solution: once a
+   session is closed, replaced or evicted, its solution is garbage.  The
+   engine's disk cache (when configured) still holds it, so re-opening a
+   dropped session is a disk hit; without a cache it is a cold solve.
 
    Governance: an open may carry a deadline, in which case the solve runs
    under a Budget and may come back at a degraded tier (the entry then
@@ -17,16 +18,7 @@
    session hit is only a hit when the live entry's tier satisfies the
    request's floor; a too-coarse entry is dropped and re-solved — the
    upgrade path.  Budgets of in-flight solves are registered by path so
-   close/shutdown can cancel them mid-solve.
-
-   Shared solution store (protocol v6): every exhaustive solve also
-   registers its solution in a process-wide store keyed by the canonical
-   solution digest, refcounted by the live entries sharing it.  The
-   store retains recently dropped solutions (bounded LRU over zero-ref
-   slots), so closing and re-opening a file — or N clients cycling
-   through the same working set — rebinds the already-solved solution
-   without touching the engine at all: one solved heap serves every
-   client of the same content. *)
+   close/shutdown can cancel them mid-solve. *)
 
 type entry = {
   ses_id : string;  (* the Engine.cache_key digest, exposed to clients *)
@@ -43,7 +35,7 @@ type entry = {
          session, built on first use over the session's own VDG or
          handed on by an upgrade; dyck-tier sessions answer from td_dyck
          instead *)
-  ses_bytes : int;  (* approximate retained size; 0 for store-shared entries *)
+  ses_bytes : int;  (* approximate retained size *)
   ses_lock : Mutex.t;  (* serializes queries on this session *)
   mutable ses_stamp : int;  (* LRU clock value of the last touch *)
   mutable ses_queries : int;
@@ -88,22 +80,6 @@ type stats = {
   mutable st_upgraded : int;  (* re-solves because a hit's tier was too low *)
   mutable st_cancelled : int;  (* in-flight budgets cancelled *)
   mutable st_updated : int;  (* sessions re-analyzed in place (protocol v5) *)
-  mutable st_shared : int;  (* opens rebound from the solution store (v6) *)
-}
-
-(* One retained solution in the process-wide store.  [sl_key] records the
-   content key the solution was solved from: a rebind is only sound for
-   the same key (same source text and config — node ids, line tables and
-   the AST all coincide), so a digest collision across different content
-   never shares. *)
-type slot = {
-  sl_key : string;  (* Engine.cache_key of the solved input *)
-  sl_digest : string;
-  sl_td : Engine.tiered;
-  sl_bytes : int;
-  mutable sl_refs : int;  (* live entries sharing this solution *)
-  mutable sl_stamp : int;  (* LRU clock for zero-ref retention *)
-  mutable sl_hits : int;
 }
 
 (* What must be unchanged for an on-disk file to be assumed identical
@@ -134,12 +110,9 @@ type t = {
   max_entries : int;
   max_bytes : int;
   config : Engine.config;
-  cache : Engine.analysis Engine_cache.t option;
+  cache : Engine_cache.t option;
   disk_budget : int option;  (* Engine_cache.prune target, if any *)
   default_deadline_s : float option;  (* applied when an open names none *)
-  store : (string, slot) Hashtbl.t;  (* by solution digest *)
-  store_by_key : (string, string) Hashtbl.t;  (* content key -> digest *)
-  max_solutions : int;  (* store slot budget (live + retained) *)
   stat_cache : (string, stat_fp * string) Hashtbl.t;
       (* path -> (stat fingerprint, content key) of the last open: lets a
          re-open of an untouched file skip the re-read + re-digest *)
@@ -147,7 +120,7 @@ type t = {
 }
 
 let create ?(max_entries = 16) ?(max_bytes = 1 lsl 30) ?config ?cache
-    ?disk_budget ?default_deadline_s ?(max_solutions = 32) () =
+    ?disk_budget ?default_deadline_s () =
   {
     tbl = Hashtbl.create 16;
     by_path = Hashtbl.create 16;
@@ -161,9 +134,6 @@ let create ?(max_entries = 16) ?(max_bytes = 1 lsl 30) ?config ?cache
     cache;
     disk_budget;
     default_deadline_s;
-    store = Hashtbl.create 16;
-    store_by_key = Hashtbl.create 16;
-    max_solutions = max 1 max_solutions;
     stat_cache = Hashtbl.create 16;
     st =
       {
@@ -176,7 +146,6 @@ let create ?(max_entries = 16) ?(max_bytes = 1 lsl 30) ?config ?cache
         st_upgraded = 0;
         st_cancelled = 0;
         st_updated = 0;
-        st_shared = 0;
       };
   }
 
@@ -264,83 +233,9 @@ let touch t e =
   t.clock <- t.clock + 1;
   e.ses_stamp <- t.clock
 
-(* ---- shared solution store (all helpers run under t.lock) ----------------------- *)
-
-(* Trim zero-ref retained solutions, LRU by last release, down to the
-   slot budget.  Slots still referenced by live entries never go. *)
-let store_evict t =
-  let rec loop () =
-    if Hashtbl.length t.store > t.max_solutions then
-      let victim =
-        Hashtbl.fold
-          (fun _ sl acc ->
-            if sl.sl_refs > 0 then acc
-            else
-              match acc with
-              | Some best when best.sl_stamp <= sl.sl_stamp -> acc
-              | _ -> Some sl)
-          t.store None
-      in
-      match victim with
-      | Some sl ->
-        Hashtbl.remove t.store sl.sl_digest;
-        (* several content keys may have registered the same digest;
-           the store stays small, so a scan is fine *)
-        let keys =
-          Hashtbl.fold
-            (fun k d acc -> if String.equal d sl.sl_digest then k :: acc else acc)
-            t.store_by_key []
-        in
-        List.iter (Hashtbl.remove t.store_by_key) keys;
-        loop ()
-      | None -> ()
-  in
-  loop ()
-
-(* Register a freshly solved exhaustive solution under [digest]; when a
-   racing solve of the same content already registered one, share the
-   first heap instead (the entry's tiered is swapped to the stored one,
-   and the duplicate is dropped on the floor for the GC). *)
-let store_insert t entry digest =
-  match Hashtbl.find_opt t.store digest with
-  | Some sl when String.equal sl.sl_key entry.ses_id ->
-    entry.ses_tiered <- sl.sl_td;
-    sl.sl_refs <- sl.sl_refs + 1
-  | Some _ ->
-    (* same solution digest from different content (say, a comment-only
-       variant): the node ids and line tables differ, so the heaps must
-       not be shared — leave the existing slot alone *)
-    ()
-  | None ->
-    Hashtbl.replace t.store digest
-      {
-        sl_key = entry.ses_id;
-        sl_digest = digest;
-        sl_td = entry.ses_tiered;
-        sl_bytes = entry.ses_bytes;
-        sl_refs = 1;
-        sl_stamp = t.clock;
-        sl_hits = 0;
-      };
-    Hashtbl.replace t.store_by_key entry.ses_id digest;
-    store_evict t
-
-(* A dropped entry releases its slot; the slot is retained (zero-ref)
-   until the budget pushes it out, so a near-future re-open rebinds it. *)
-let store_release t e =
-  match e.ses_digest with
-  | None -> ()
-  | Some d -> (
-    match Hashtbl.find_opt t.store d with
-    | Some sl when String.equal sl.sl_key e.ses_id ->
-      sl.sl_refs <- max 0 (sl.sl_refs - 1);
-      sl.sl_stamp <- t.clock
-    | _ -> ())
-
 let drop t e =
   Hashtbl.remove t.tbl e.ses_id;
   t.live_bytes <- t.live_bytes - e.ses_bytes;
-  store_release t e;
   match Hashtbl.find_opt t.by_path e.ses_path with
   | Some id when id = e.ses_id -> Hashtbl.remove t.by_path e.ses_path
   | _ -> ()
@@ -416,8 +311,7 @@ let cancel_all_inflight t =
 
 (* ---- opening -------------------------------------------------------------------- *)
 
-type open_status =
-  [ `Session_hit | `Shared | `Solved of Telemetry.cache_status ]
+type open_status = [ `Session_hit | `Solved of Telemetry.cache_status ]
 
 type open_result = { or_entry : entry; or_status : open_status }
 
@@ -507,61 +401,6 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?(jobs = 1) t path =
       (fun () -> ignore (require_analysis t e : Engine.analysis));
     { or_entry = e; or_status = `Session_hit }
   | `Miss ->
-    (* The solution store may retain the solved solution for this very
-       content (closed or evicted earlier): rebind it — no engine work at
-       all.  One locked section end to end, so the slot cannot be evicted
-       between lookup and insert. *)
-    let rebound =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.store_by_key key with
-          | None -> None
-          | Some d -> (
-            match Hashtbl.find_opt t.store d with
-            | Some sl
-              when String.equal sl.sl_key key
-                   && Engine.tier_rank sl.sl_td.Engine.td_tier
-                      >= Engine.tier_rank floor
-                   && Hashtbl.find_opt t.tbl key = None ->
-              let entry =
-                {
-                  ses_id = key;
-                  ses_path = path;
-                  ses_tiered = sl.sl_td;
-                  ses_modref =
-                    Option.map
-                      (fun (a : Engine.analysis) ->
-                        lazy (Modref.of_ci a.Engine.ci))
-                      sl.sl_td.Engine.td_analysis;
-                  ses_dyck = None;
-                  ses_bytes = 0;  (* the heap belongs to the slot *)
-                  ses_lock = Mutex.create ();
-                  ses_stamp = 0;
-                  ses_queries = 0;
-                  ses_digest = Some sl.sl_digest;
-                  ses_memo = Hashtbl.create 8;
-                }
-              in
-              (match Hashtbl.find_opt t.by_path path with
-              | Some stale_id when stale_id <> key -> (
-                match Hashtbl.find_opt t.tbl stale_id with
-                | Some stale ->
-                  drop t stale;
-                  t.st.st_invalidated <- t.st.st_invalidated + 1
-                | None -> ())
-              | _ -> ());
-              Hashtbl.replace t.tbl key entry;
-              Hashtbl.replace t.by_path path key;
-              sl.sl_refs <- sl.sl_refs + 1;
-              sl.sl_hits <- sl.sl_hits + 1;
-              t.st.st_shared <- t.st.st_shared + 1;
-              touch t entry;
-              evict_over_budget t ~keep:key;
-              Some entry
-            | _ -> None))
-    in
-    (match rebound with
-    | Some entry -> { or_entry = entry; or_status = `Shared }
-    | None ->
     (* Solve outside the manager lock: other sessions stay responsive
        while this one compiles.  Two racing opens of the same new file
        may both solve; the second insert below defers to the first. *)
@@ -587,9 +426,9 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?(jobs = 1) t path =
             input)
     in
     let td = match solved with Ok td -> td | Error e -> raise (Engine_error e) in
-    (* the canonical solution digest keys the shared store and is echoed
-       to clients; computed outside the manager lock (it walks the whole
-       solution) and only for exhaustive tiers *)
+    (* the canonical solution digest is echoed to clients; computed
+       outside the manager lock (it walks the whole solution) and only
+       for exhaustive tiers *)
     let digest =
       Option.map
         (fun (a : Engine.analysis) -> Solution_digest.ci_digest a)
@@ -641,9 +480,6 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?(jobs = 1) t path =
             t.live_bytes <- t.live_bytes + entry.ses_bytes;
             touch t entry;
             t.st.st_solved <- t.st.st_solved + 1;
-            (match digest with
-            | Some d -> store_insert t entry d
-            | None -> ());
             evict_over_budget t ~keep:key;
             {
               or_entry = entry;
@@ -656,7 +492,7 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?(jobs = 1) t path =
     (match (t.cache, t.disk_budget) with
     | Some c, Some budget -> ignore (Engine_cache.prune c ~max_bytes:budget)
     | _ -> ());
-    result)
+    result
 
 (* ---- in-place update (protocol v5) ---------------------------------------------- *)
 
@@ -754,7 +590,6 @@ let update ?source t path =
         t.live_bytes <- t.live_bytes + entry.ses_bytes;
         touch t entry;
         t.st.st_updated <- t.st.st_updated + 1;
-        (match digest with Some d -> store_insert t entry d | None -> ());
         evict_over_budget t ~keep:key);
     (entry, outcome)
 
@@ -858,10 +693,6 @@ let stats_json t =
         ("upgraded", Ejson.Int t.st.st_upgraded);
         ("cancelled", Ejson.Int t.st.st_cancelled);
         ("updated", Ejson.Int t.st.st_updated);
-        ("solutions", Ejson.Int (Hashtbl.length t.store));
-        ("solution_hits", Ejson.Int t.st.st_shared);
-        ( "solution_bytes",
-          Ejson.Int (Hashtbl.fold (fun _ sl n -> n + sl.sl_bytes) t.store 0) );
       ])
 
 let engine_cache_stats_json t =

@@ -7,9 +7,11 @@
     re-solve); re-opening a file whose content changed produces a new
     key, solves fresh, and drops the stale session for that path.  The
     working set is bounded by an entry count and an approximate byte
-    budget, evicted LRU; the engine's own cache (when configured) still
-    holds evicted results on disk, so re-opening an evicted session is a
-    disk hit, not a re-solve.
+    budget, evicted LRU, and it is the daemon's only in-memory copy of a
+    solution: a closed, replaced or evicted session's solution is
+    garbage.  The engine's disk cache (when configured) still holds it,
+    so re-opening a dropped session is a disk hit; without a cache it is
+    a cold solve.
 
     Governance: an open may carry a deadline, in which case the solve
     runs under a {!Budget.t} and may land at a degraded tier — the entry
@@ -17,15 +19,7 @@
     A session hit requires the live entry's tier to satisfy the
     request's floor; a too-coarse entry is dropped and re-solved (the
     upgrade path).  Budgets of in-flight solves are registered by path
-    so close/shutdown can cancel them mid-solve.
-
-    Shared solution store (protocol v6): every exhaustive solve also
-    registers its solution in a process-wide store keyed by the
-    canonical solution digest ({!Solution_digest.ci_digest}), refcounted by
-    the live entries sharing it and retaining recently dropped solutions
-    under a bounded LRU — so closing and re-opening a file rebinds the
-    already-solved heap without touching the engine, and N clients of
-    the same content share one solved solution. *)
+    so close/shutdown can cancel them mid-solve. *)
 
 type entry = {
   ses_id : string;  (** the {!Engine.cache_key} digest, exposed to clients *)
@@ -42,9 +36,7 @@ type entry = {
           node-tier session, built lazily by {!require_dyck} or handed
           on by an upgrade; dyck-tier sessions answer from [td_dyck]
           instead *)
-  ses_bytes : int;
-      (** approximate retained size; 0 for entries rebound from the
-          solution store (the heap is accounted to the store slot) *)
+  ses_bytes : int;  (** approximate retained size of [ses_tiered] *)
   ses_lock : Mutex.t;  (** serializes queries on this session *)
   mutable ses_stamp : int;  (** LRU clock value of the last touch *)
   mutable ses_queries : int;
@@ -97,29 +89,23 @@ val create :
   ?max_entries:int ->
   ?max_bytes:int ->
   ?config:Engine.config ->
-  ?cache:Engine.analysis Engine_cache.t ->
+  ?cache:Engine_cache.t ->
   ?disk_budget:int ->
   ?default_deadline_s:float ->
-  ?max_solutions:int ->
   unit ->
   t
 (** [max_entries] (default 16, minimum 1) and [max_bytes] (default 1 GiB;
     0 disables the byte budget) bound the in-memory working set.  With
-    [cache], solves go through the engine cache's memory and disk layers;
-    with [disk_budget], {!Engine_cache.prune} runs after each open.
+    [cache], solves go through the engine's disk cache; with
+    [disk_budget], {!Engine_cache.prune} runs after each open.
     [default_deadline_s] is applied to opens that do not name their own
-    deadline — the server-wide budget default.  [max_solutions] (default
-    32, minimum 1) bounds the shared solution store (live plus retained
-    slots). *)
+    deadline — the server-wide budget default. *)
 
 type open_status =
   [ `Session_hit  (** answered by a live session, nothing re-solved *)
-  | `Shared
-    (** rebound from the shared solution store: the content was solved
-        earlier in this process and its solution was still retained *)
   | `Solved of Telemetry.cache_status
     (** went through the engine; the status tells whether the engine
-        cache answered from memory, disk, or solved cold *) ]
+        cache answered from disk or the engine solved cold *) ]
 
 type open_result = { or_entry : entry; or_status : open_status }
 
@@ -226,8 +212,7 @@ val live : t -> int
 
 val stats_json : t -> (string * Ejson.t) list
 (** Includes the governance counters ([inflight], [degradations],
-    [upgraded], [cancelled], [updated]) and the solution-store counters
-    ([solutions], [solution_hits], [solution_bytes]). *)
+    [upgraded], [cancelled], [updated]). *)
 
 val engine_cache_stats_json : t -> (string * Ejson.t) list option
 (** The engine cache's hit/miss/store counters, when a cache is wired. *)

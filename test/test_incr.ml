@@ -294,7 +294,7 @@ let test_dyck_entry_never_serves_exhaustive () =
   let dir = fresh_cache_dir () in
   let input = Engine.load_string ~file:"audit.c" crafted_base in
   let dyck = { Engine.default_request with want = Engine.Dyck } in
-  let cache = Engine_cache.create ~dir () in
+  let cache = Engine_cache.create dir in
   (match Engine.analyze ~cache dyck input with
   | Ok td ->
     Alcotest.(check bool)
@@ -305,14 +305,14 @@ let test_dyck_entry_never_serves_exhaustive () =
     (Array.to_list (Sys.readdir dir)
     |> List.filter (fun f -> Filename.check_suffix f ".bin"));
   (* restart: fresh cache object over the same directory *)
-  let cache2 = Engine_cache.create ~dir () in
+  let cache2 = Engine_cache.create dir in
   let a = Test_util.analysis ~cache:cache2 input in
   Alcotest.(check bool)
     "exhaustive request after restart is a cold solve" true
     (a.Engine.telemetry.Telemetry.t_cache = Telemetry.Cold);
   (* the exhaustive solution does persist, and a restarted dyck request
      may be upgraded by it — the higher tier is always sound *)
-  let cache3 = Engine_cache.create ~dir () in
+  let cache3 = Engine_cache.create dir in
   match Engine.analyze ~cache:cache3 dyck input with
   | Ok td ->
     Alcotest.(check bool)
@@ -324,7 +324,7 @@ let test_incremental_results_cacheable () =
   (* an incremental run stores under the edited source's own key: a
      later cold run of the same text is served from cache *)
   let dir = fresh_cache_dir () in
-  let cache = Engine_cache.create ~dir () in
+  let cache = Engine_cache.create dir in
   let base_input = Engine.load_string ~file:"cacheable.c" crafted_base in
   let edited = crafted_base ^ "\n/* v2 */\nint extra_g;\n" in
   let a0 = Test_util.analysis ~cache base_input in
@@ -332,7 +332,7 @@ let test_incremental_results_cacheable () =
   ignore
     (Test_util.analysis ~cache ~req:(incremental prev)
        (Engine.load_string ~file:"cacheable.c" edited));
-  let cache2 = Engine_cache.create ~dir () in
+  let cache2 = Engine_cache.create dir in
   let hit =
     Test_util.analysis ~cache:cache2 (Engine.load_string ~file:"cacheable.c" edited)
   in

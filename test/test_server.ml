@@ -2,8 +2,9 @@
    dispatch (including every structured error path), session identity
    and invalidation under content change, LRU eviction, verdict
    equivalence with direct Query/Lint invocation, the engine cache's
-   purge/prune maintenance, and a two-client exchange over a real
-   Unix-domain socket with a clean shutdown. *)
+   purge/prune maintenance, a two-client exchange over a real
+   Unix-domain socket with a clean shutdown, and that a dropped session
+   leaves no in-memory copy of its solution behind. *)
 
 let conflict_src =
   {|int shared;
@@ -442,7 +443,7 @@ let bin_files dir =
 
 let test_cache_purges_corrupt_entries () =
   let dir = fresh_dir () in
-  let c1 : string Engine_cache.t = Engine_cache.create ~dir () in
+  let c1 = Engine_cache.create dir in
   let key = Engine_cache.key ~source:"int x;" ~fingerprint:"cfg" in
   Engine_cache.store_disk c1 key "payload";
   Alcotest.(check int) "one entry on disk" 1 (List.length (bin_files dir));
@@ -453,7 +454,7 @@ let test_cache_purges_corrupt_entries () =
   (match bin_files dir with
   | [ f ] -> write_file (Filename.concat dir f) "not a marshal payload"
   | _ -> Alcotest.fail "expected exactly one cache file");
-  let c2 : string Engine_cache.t = Engine_cache.create ~dir () in
+  let c2 = Engine_cache.create dir in
   (match (Engine_cache.find_disk c2 key : string option) with
   | None -> ()
   | Some _ -> Alcotest.fail "a corrupt entry must be a miss");
@@ -463,7 +464,7 @@ let test_cache_purges_corrupt_entries () =
 
 let test_cache_prune () =
   let dir = fresh_dir () in
-  let c : string Engine_cache.t = Engine_cache.create ~dir () in
+  let c = Engine_cache.create dir in
   List.iter
     (fun i ->
       Engine_cache.store_disk c
@@ -473,11 +474,7 @@ let test_cache_prune () =
   Alcotest.(check int) "three entries stored" 3 (List.length (bin_files dir));
   let deleted = Engine_cache.prune c ~max_bytes:0 in
   Alcotest.(check int) "prune deletes everything over the budget" 3 deleted;
-  Alcotest.(check int) "disk is empty" 0 (List.length (bin_files dir));
-  let mem : string Engine_cache.t = Engine_cache.create () in
-  Alcotest.(check int)
-    "memory-only prune is a no-op" 0
-    (Engine_cache.prune mem ~max_bytes:0)
+  Alcotest.(check int) "disk is empty" 0 (List.length (bin_files dir))
 
 let test_latency_summary () =
   Alcotest.(check (float 1e-9))
@@ -1618,31 +1615,6 @@ let test_pipelined_out_of_order_await () =
   Domain.join server;
   Client.close c
 
-let test_solution_store_rebind () =
-  let dir = fresh_dir () in
-  let file = temp_c dir "conflict.c" conflict_src in
-  let sessions = Session.create () in
-  let h = Handler.create sessions in
-  let conn = Handler.new_conn () in
-  let params = Ejson.Assoc [ ("file", Ejson.String file) ] in
-  let first = expect_ok "first open" (rpc h conn "open" params) in
-  let digest1 = string_field "open" "solution_digest" first in
-  let id = string_field "open" "session" first in
-  ignore
-    (expect_ok "close"
-       (rpc h conn "close" (Ejson.Assoc [ ("session", Ejson.String id) ]))
-      : Ejson.t);
-  (* the session is gone but the store still retains its solution:
-     re-opening the unchanged content rebinds without engine work *)
-  let second = expect_ok "re-open" (rpc h conn "open" params) in
-  Alcotest.(check string)
-    "re-open after close rebinds from the store" "solution-hit"
-    (string_field "open" "status" second);
-  Alcotest.(check string)
-    "rebound solution is the identical solution" digest1
-    (string_field "open" "solution_digest" second);
-  Alcotest.(check int) "exactly one solve" 1 (session_stat sessions "solved")
-
 let test_warm_restart_snapshot () =
   let dir = fresh_dir () in
   let cache_dir = Filename.concat dir "cache" in
@@ -1651,9 +1623,7 @@ let test_warm_restart_snapshot () =
   let open_once () =
     (* a fresh cache instance over the same directory each time: only
        the on-disk snapshots survive the "restart" *)
-    let cache : Engine.analysis Engine_cache.t =
-      Engine_cache.create ~dir:cache_dir ()
-    in
+    let cache = Engine_cache.create cache_dir in
     let h = Handler.create (Session.create ~cache ()) in
     expect_ok "open" (rpc h (Handler.new_conn ()) "open" params)
   in
@@ -1669,6 +1639,123 @@ let test_warm_restart_snapshot () =
     "snapshot yields the identical solution"
     (string_field "open" "solution_digest" cold)
     (string_field "open" "solution_digest" warm)
+
+(* ---- (k) one in-memory copy of each solution ------------------------------------ *)
+
+(* Weak pointers to an entry's solution record and its analysis, and
+   nothing else: once the manager drops the entry, both must be
+   garbage.  Opening through a helper keeps the entry itself out of the
+   caller's live locals. *)
+type watched = { w_td : Engine.tiered Weak.t; w_a : Engine.analysis Weak.t }
+
+let[@inline never] open_watched sessions path =
+  let e = (Session.open_path sessions path).Session.or_entry in
+  let w = { w_td = Weak.create 1; w_a = Weak.create 1 } in
+  Weak.set w.w_td 0 (Some e.Session.ses_tiered);
+  Weak.set w.w_a 0 (Session.analysis e);
+  Alcotest.(check bool) "the open solved to an analysis" true (Weak.check w.w_a 0);
+  (w, e.Session.ses_id)
+
+let check_collected what w =
+  Gc.full_major ();
+  Alcotest.(check bool) (what ^ ": solution record collected") false
+    (Weak.check w.w_td 0);
+  Alcotest.(check bool) (what ^ ": analysis collected") false
+    (Weak.check w.w_a 0)
+
+let test_dropped_solutions_collected () =
+  let dir = fresh_dir () in
+  let f1 = temp_c dir "one.c" conflict_src in
+  let f2 = temp_c dir "two.c" disjoint_src in
+  let managers =
+    [
+      ("no cache", fun max_entries -> Session.create ~max_entries ());
+      ( "disk cache",
+        fun max_entries ->
+          Session.create ~max_entries
+            ~cache:(Engine_cache.create (Filename.concat (fresh_dir ()) "cache"))
+            () );
+    ]
+  in
+  List.iter
+    (fun (label, create) ->
+      let sessions = create 16 in
+      let w, id = open_watched sessions f1 in
+      Alcotest.(check bool) (label ^ ": closed") true (Session.close sessions id);
+      check_collected (label ^ ", close") w;
+      let w, _ = open_watched sessions f1 in
+      ignore
+        (Session.update ~source:(conflict_src ^ "\nint extra;\n") sessions f1
+          : Session.entry * Incr_engine.outcome);
+      check_collected (label ^ ", update") w;
+      let sessions = create 1 in
+      let w, _ = open_watched sessions f1 in
+      ignore (Session.open_path sessions f2 : Session.open_result);
+      Alcotest.(check int) (label ^ ": evicted") 1 (session_stat sessions "evicted");
+      check_collected (label ^ ", eviction") w)
+    managers
+
+let test_reopen_after_close () =
+  let dir = fresh_dir () in
+  let file = temp_c dir "conflict.c" conflict_src in
+  let params = Ejson.Assoc [ ("file", Ejson.String file) ] in
+  (* open, close and re-open on one manager instance *)
+  let reopen sessions =
+    let h = Handler.create sessions in
+    let conn = Handler.new_conn () in
+    let first = expect_ok "open" (rpc h conn "open" params) in
+    let id = string_field "open" "session" first in
+    ignore
+      (expect_ok "close"
+         (rpc h conn "close" (Ejson.Assoc [ ("session", Ejson.String id) ]))
+        : Ejson.t);
+    (first, expect_ok "re-open" (rpc h conn "open" params))
+  in
+  let cache = Engine_cache.create (Filename.concat dir "cache") in
+  let cold, warm = reopen (Session.create ~cache ()) in
+  Alcotest.(check string)
+    "first open solves cold" "miss"
+    (string_field "open" "status" cold);
+  Alcotest.(check string)
+    "re-open after close reads the disk cache" "disk-hit"
+    (string_field "open" "status" warm);
+  Alcotest.(check string)
+    "the disk hit is the identical solution"
+    (string_field "open" "solution_digest" cold)
+    (string_field "open" "solution_digest" warm);
+  let sessions = Session.create () in
+  let cold, again = reopen sessions in
+  Alcotest.(check string)
+    "without a cache, re-open after close solves cold" "miss"
+    (string_field "open" "status" again);
+  Alcotest.(check string)
+    "the re-solve is the identical solution"
+    (string_field "open" "solution_digest" cold)
+    (string_field "open" "solution_digest" again);
+  Alcotest.(check int) "two solves" 2 (session_stat sessions "solved")
+
+let test_bytes_ignore_other_solves () =
+  let dir = fresh_dir () in
+  let suite_file name =
+    temp_c dir (name ^ ".c") (Suite.source (Option.get (Suite.find name)))
+  in
+  let part = suite_file "part" and larger = suite_file "simulator" in
+  let bytes sessions path =
+    (Session.open_path sessions path).Session.or_entry.Session.ses_bytes
+  in
+  let alone = bytes (Session.create ()) part in
+  let sessions =
+    Session.create ~cache:(Engine_cache.create (Filename.concat dir "cache")) ()
+  in
+  let larger_bytes = bytes sessions larger in
+  Alcotest.(check bool) "the other program is larger" true (larger_bytes > alone);
+  let after = bytes sessions part in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "part's bytes after another solve (%d) within 2x of a lone open (%d)"
+       after alone)
+    true
+    (after <= 2 * alone && alone <= 2 * after)
 
 let tests =
   [
@@ -1729,8 +1816,12 @@ let tests =
       test_shutdown_latency;
     Alcotest.test_case "v6: pipelined client awaits out of order" `Quick
       test_pipelined_out_of_order_await;
-    Alcotest.test_case "v6: solution store rebinds after close" `Quick
-      test_solution_store_rebind;
     Alcotest.test_case "v6: warm restart answers from disk snapshot" `Quick
       test_warm_restart_snapshot;
+    Alcotest.test_case "session: dropped solutions are collected" `Quick
+      test_dropped_solutions_collected;
+    Alcotest.test_case "session: re-open after close re-solves" `Quick
+      test_reopen_after_close;
+    Alcotest.test_case "session: bytes ignore other programs" `Quick
+      test_bytes_ignore_other_solves;
   ]
