@@ -2,8 +2,8 @@
 
      dune exec bench/solver_micro.exe                      # all benchmarks, JSON to stdout
      dune exec bench/solver_micro.exe -- allroots part     # a subset
-     dune exec bench/solver_micro.exe -- --out BENCH_7.json
-     dune exec bench/solver_micro.exe -- allroots part --check BENCH_7.json
+     dune exec bench/solver_micro.exe -- --out BENCH_10.json
+     dune exec bench/solver_micro.exe -- allroots part --check BENCH_10.json
 
    The "micro" section times set union and subset on sets shaped like the
    solver's (sizes drawn from the measured benchmark distribution, max
@@ -12,11 +12,9 @@
    under two op distributions, repetition-heavy (the solver's pattern,
    where the memo wins) and uniform-random (the memo's worst case, where
    the naive lists win).  The "benchmarks" section times full CI and CS
-   solves and records the deterministic outcome facts — executed meets,
-   pair counts, the canonical solution digest, and the dyck resolver's
-   activation counts for a canonical first query and for the full memop
-   sweep (the activation set depends only on the graph and the query
-   order, both fixed here).
+   solves and records the deterministic outcome facts — executed meets
+   (CI, CS and the one Dyck solve), pair counts, and the canonical
+   solution digest.
 
    --check FILE re-reads a previously written report and fails (exit 1)
    if any deterministic field drifted for a benchmark present in both:
@@ -152,36 +150,9 @@ let benchmark_json name =
     let cs = Engine.solve_cs g ~ci in
     let t2 = Unix.gettimeofday () in
     let cs_stats = Cs_solver.ptset_stats cs in
-    (* The dyck tier's deterministic footprint: a fresh resolver, the
-       first indirect memop as the canonical first query, then the rest.
-       Activation counts depend only on the graph and the query order,
-       both fixed here, so they belong in the drift gate alongside the
-       meet counts and digests. *)
-    let memops = Vdg.indirect_memops g in
-    let dyck = Dyck_solver.create g in
-    (match memops with
-    | ((n : Vdg.node), _) :: _ ->
-      ignore (Dyck_solver.referenced_locations dyck n.Vdg.nid)
-    | [] -> ());
-    let dyck_first_visited = Dyck_solver.nodes_activated dyck in
-    List.iter
-      (fun ((n : Vdg.node), _) ->
-        ignore (Dyck_solver.referenced_locations dyck n.Vdg.nid))
-      memops;
-    let dyck_full_visited = Dyck_solver.nodes_activated dyck in
-    (* the server's tier="dyck" path: each sample is a cold per-session
-       dyck resolver answering the canonical first query *)
-    let dyfl =
-      Telemetry.summarize
-        (match memops with
-        | [] -> [ 0. ]
-        | ((n : Vdg.node), _) :: _ ->
-          List.init 20 (fun _ ->
-              let d = Dyck_solver.create g in
-              let t0 = Unix.gettimeofday () in
-              ignore (Dyck_solver.referenced_locations d n.Vdg.nid);
-              Unix.gettimeofday () -. t0))
-    in
+    (* the Dyck tier's executed meets: one FIFO solve, so the count
+       depends only on the graph *)
+    let dyck_meets = Dyck_solver.flow_out_count (Dyck_solver.solve g) in
     let base_a = analysis_of Engine.default_request input in
     let digest = Solution_digest.digest base_a in
     (* the incremental engine's deterministic footprint: append one probe
@@ -209,10 +180,7 @@ let benchmark_json name =
       [
         ("name", Ejson.String name);
         ("nodes", Ejson.Int (Vdg.n_nodes g));
-        ("dyck_first_visited", Ejson.Int dyck_first_visited);
-        ("dyck_full_visited", Ejson.Int dyck_full_visited);
-        ("dyck_single_pair_p50_seconds", Ejson.Float dyfl.Telemetry.l_p50);
-        ("dyck_single_pair_p95_seconds", Ejson.Float dyfl.Telemetry.l_p95);
+        ("dyck_meets", Ejson.Int dyck_meets);
         ("ci_seconds", Ejson.Float (t1 -. t0));
         ("ci_meets", Ejson.Int (Ci_solver.flow_out_count ci));
         ("cs_seconds", Ejson.Float (t2 -. t1));
@@ -308,7 +276,7 @@ let required_speedup_jobs = 8
    interning deltas) legitimately varies between hosts and run shapes *)
 let deterministic_fields =
   [
-    "nodes"; "dyck_first_visited"; "dyck_full_visited"; "ci_meets"; "cs_meets";
+    "nodes"; "dyck_meets"; "ci_meets"; "cs_meets";
     "cs_pairs"; "digest"; "incr_probe_resolved"; "incr_probe_reused";
     "incr_probe_digest_ok";
   ]

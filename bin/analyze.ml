@@ -71,10 +71,11 @@ let deadline_arg =
         ~doc:
           "Wall-clock budget for the solve.  On exhaustion the analysis \
            degrades down the precision ladder (cs, ci, andersen, \
-           steensgaard) instead of failing; with $(b,--min-tier dyck) an \
-           exhausted ci solve lands on that lazy tier (VDG built, pairs \
-           resolved per query) instead of a baseline.  The output reports \
-           the tier that answered.")
+           steensgaard) instead of failing, and the output reports the \
+           tier that answered.  The descent skips the dyck tier; with \
+           $(b,--min-tier dyck) a ci solve that ran out of time fails at \
+           that tier instead (the deadline has already passed when it \
+           starts).")
 
 let min_tier_arg =
   Arg.(
@@ -178,16 +179,12 @@ let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
         end)
   end
 
-(* The dyck tier materializes pairs per query; its referenced-location
-   sets may be wider than ci's (flow-insensitive, no strong updates). *)
+(* The dyck tier's referenced-location sets may be wider than ci's
+   (flow-insensitive, no strong updates). *)
 let report_dyck (td : Engine.tiered) (d : Dyck_solver.t) =
   print_memop_report td.Engine.td_prog (Dyck_solver.graph d)
-    ~mode:"dyck (flow-insensitive reachability; pairs materialized per query)"
-    (Dyck_solver.referenced_locations d);
-  let c = Engine.dyck_counters d in
-  Printf.printf "dyck: activated %d of %d nodes for %d quer(y/ies)\n"
-    c.Telemetry.dc_nodes_activated c.Telemetry.dc_nodes_total
-    c.Telemetry.dc_queries
+    ~mode:"dyck (flow-insensitive reachability)"
+    (Dyck_solver.referenced_locations d)
 
 (* At a baseline tier there is no VDG: report by source line instead. *)
 let report_baseline (td : Engine.tiered) =
@@ -253,9 +250,7 @@ let run_analyze file dump_sil dump_dot context_sensitive dyck show_pairs
   | None, Some d -> report_dyck td d
   | None, None -> report_baseline td);
   Option.iter
-    (fun path ->
-      Engine.refresh_dyck_telemetry td;
-      write_metrics path (Telemetry.to_json td.Engine.td_telemetry))
+    (fun path -> write_metrics path (Telemetry.to_json td.Engine.td_telemetry))
     metrics
 
 let analyze_cmd =
@@ -274,8 +269,7 @@ let analyze_cmd =
           ~doc:
             "Answer the report through the flow-insensitive Dyck-\
              reachability tier: field-sensitive like ci but with one \
-             global store and no strong updates, resolved lazily per \
-             query.")
+             global store and no strong updates.")
   in
   let pairs =
     Arg.(value & flag & info [ "pairs" ] ~doc:"Dump all points-to pairs.")
@@ -1116,16 +1110,7 @@ let run_edit_replay file bench script edits_n json no_verify min_speedup =
                               Ejson.Float (speedup cold_ci incr_s) );
                             ("digest_match", Ejson.Bool ok);
                           ]
-                         @ Telemetry.incr_json
-                             {
-                               Telemetry.inc_procs_total = s.Incr_engine.st_procs_total;
-                               inc_dirty_initial = s.Incr_engine.st_dirty_initial;
-                               inc_resolved = s.Incr_engine.st_resolved;
-                               inc_reused = s.Incr_engine.st_reused;
-                               inc_summary_hits = s.Incr_engine.st_summary_hits;
-                               inc_rounds = s.Incr_engine.st_rounds;
-                               inc_full_fallback = s.Incr_engine.st_full_fallback;
-                             }))
+                         @ Telemetry.incr_json s))
                      rows) );
             ]))
   else begin

@@ -8,7 +8,7 @@
      operation at the observation's source position and direction, a
      location path that dominates the observed access path
      (the [assert_analysis_covers_interp] rule from the integration
-     battery, extended to the lazy dyck tier);
+     battery, extended to the dyck tier);
    - baseline tiers (Andersen, Steensgaard) are bridged through base
      projection: when the baseline records a dereference at the
      position, the observed path's root base must be in its points-to
@@ -87,7 +87,7 @@ let check ?(fuel = default_fuel) ?seed ~name prog =
   let g = Vdg_build.build prog in
   let ci = Ci_solver.solve g in
   let cs = Cs_solver.solve g ~ci in
-  let dyck = Dyck_solver.create g in
+  let dyck = Dyck_solver.solve g in
   let andersen = Andersen.analyze prog in
   let steensgaard = Steensgaard.analyze prog in
   let res = Interp.run ~fuel prog in

@@ -26,63 +26,51 @@
     [Andersen] baseline.  It slots between the two in the precision
     ladder.
 
-    Both query modes share one saturation engine:
-
-    - {!solve_all} activates every node and runs to fixpoint — the
-      exhaustive all-pairs mode, cheaper than a CI solve because no
-      store chains are threaded.
-    - {!resolve} is the on-demand single-pair mode: it activates only
-      the backward value slice of the queried node (plus, the first time
-      a lookup is demanded, the update sites that feed the global
-      store); a node is never activated before some query needs it.  A
-      [Query.may_alias] on two nodes resolves two slices and compares
-      target sets; no full solve happens.
-
-    Resolved slices persist, so repeated queries amortize toward the
-    exhaustive solution. *)
+    {!solve} is one exhaustive saturation, like {!Ci_solver.solve}: it
+    seeds the base and alloc addresses and the argv store pair, pushes
+    each first insertion of a pair to every consumer of its output, and
+    re-queues every lookup when the global store grows.  With no store
+    chains to thread it is cheaper than a CI solve, and afterwards every
+    query is a lookup. *)
 
 type t
 
-val create : ?config:Ci_solver.config -> ?budget:Budget.t -> Vdg.t -> t
-(** A solver with every node inactive; no solving happens here.  The
-    config contributes only the worklist [schedule] — strong updates do
-    not exist at this tier.  When [budget] is given, transfer and meet
-    applications tick it; a tripped limit raises {!Budget.Exhausted}
-    (the partial state stays monotone and later queries resume it). *)
+val solve : ?config:Ci_solver.config -> ?budget:Budget.t -> Vdg.t -> t
+(** Run to fixpoint.  The config contributes only the worklist
+    [schedule] — strong updates do not exist at this tier.  When
+    [budget] is given, transfer and meet applications tick it; a tripped
+    limit raises {!Budget.Exhausted} and the partial state is discarded
+    by the caller. *)
 
 val graph : t -> Vdg.t
 
-val resolve : t -> Vdg.node_id -> Ptpair.Set.t
-(** Demand the node's points-to set (single-pair on-demand mode):
-    activate its backward slice, saturate, return the pairs.  A superset
-    of [Ci_solver.pairs] on the same graph. *)
+val pairs : t -> Vdg.node_id -> Ptpair.Set.t
+(** Points-to pairs on a value output; store-typed outputs are empty
+    (the global store stands for all of them).  A superset of
+    [Ci_solver.pairs] on the same graph. *)
 
 val referenced_locations : t -> Vdg.node_id -> Apath.t list
 (** As {!Ci_solver.referenced_locations}: the location referents of a
-    lookup/update node's location input, deduplicated, resolving only
-    that input's slice. *)
-
-val solve_all : t -> unit
-(** Exhaustive mode: activate everything and saturate.  Idempotent;
-    afterwards every {!resolve} is a cache hit. *)
+    lookup/update node's location input, deduplicated, in insertion
+    order. *)
 
 val store_pairs : t -> Ptpair.t list
 (** Contents of the global store relation, in insertion order: every
-    [(location, referent)] any update may have written.  Grows as
-    queries activate more update sites. *)
-
-(* ---- counters (Telemetry / server stats) ---- *)
-
-val queries : t -> int
-val cache_hits : t -> int
-(** Demands whose node was already active — answered with no new work. *)
-
-val nodes_activated : t -> int
-val nodes_total : t -> int
-val store_size : t -> int
-(** [List.length (store_pairs t)], O(1). *)
+    [(location, referent)] any update may have written, plus the argv
+    seed. *)
 
 val flow_in_count : t -> int
 val flow_out_count : t -> int
+
 val worklist_pushes : t -> int
+(** Lifetime worklist additions.  A push only follows the first
+    insertion of a pair at its producer, or into the global store, so
+    this is exactly [Σ_o |pairs o| × |consumers o| + |store_pairs| ×
+    |lookups|] (test_ptset checks the equality). *)
+
 val worklist_pops : t -> int
+(** Equals {!worklist_pushes} at fixpoint. *)
+
+val ptset_stats : t -> Ptset.stats
+(** Hash-consing work attributed to this solve, as
+    {!Ci_solver.ptset_stats}. *)

@@ -36,7 +36,7 @@ let dyck_view d =
   {
     nv_tier = "dyck";
     nv_graph = Dyck_solver.graph d;
-    nv_pairs = (fun nid -> Ptpair.Set.elements (Dyck_solver.resolve d nid));
+    nv_pairs = (fun nid -> Ptpair.Set.elements (Dyck_solver.pairs d nid));
     nv_referenced = Dyck_solver.referenced_locations d;
   }
 

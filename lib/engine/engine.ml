@@ -252,6 +252,26 @@ let cs_counters graph cs : Telemetry.solver_counters =
     sc_peak_table_bytes = ps.Ptset.st_peak_bytes;
   }
 
+(* Dyck pairs sit on value outputs and in the one global store. *)
+let dyck_solver_counters graph d : Telemetry.solver_counters =
+  let ps = Dyck_solver.ptset_stats d in
+  {
+    Telemetry.sc_flow_in = Dyck_solver.flow_in_count d;
+    sc_flow_out = Dyck_solver.flow_out_count d;
+    sc_worklist_pushes = Dyck_solver.worklist_pushes d;
+    sc_worklist_pops = Dyck_solver.worklist_pops d;
+    sc_worklist_skips = 0;
+    sc_pairs =
+      (Stats.count_pairs graph (fun nid ->
+           Ptpair.Set.cardinal (Dyck_solver.pairs d nid)))
+        .Stats.pc_total
+      + List.length (Dyck_solver.store_pairs d);
+    sc_meet_cache_hits = ps.Ptset.st_cache_hits;
+    sc_meet_cache_misses = ps.Ptset.st_cache_misses;
+    sc_interned_sets = ps.Ptset.st_sets;
+    sc_peak_table_bytes = ps.Ptset.st_peak_bytes;
+  }
+
 (* ---- the pipeline ----------------------------------------------------------------- *)
 
 let make_cs_cell ?(seconds = 0.) ?counters ?(on_solved = fun _ -> ()) ~solve
@@ -410,17 +430,6 @@ let incr_snapshot a : Incr_engine.prev =
     pv_program_digest = program_digest;
   }
 
-let incr_counters (s : Incr_engine.stats) : Telemetry.incr_counters =
-  {
-    Telemetry.inc_procs_total = s.Incr_engine.st_procs_total;
-    inc_dirty_initial = s.Incr_engine.st_dirty_initial;
-    inc_resolved = s.Incr_engine.st_resolved;
-    inc_reused = s.Incr_engine.st_reused;
-    inc_summary_hits = s.Incr_engine.st_summary_hits;
-    inc_rounds = s.Incr_engine.st_rounds;
-    inc_full_fallback = s.Incr_engine.st_full_fallback;
-  }
-
 (* ---- the exhaustive pipeline --------------------------------------------------------- *)
 
 let new_telemetry input =
@@ -454,7 +463,7 @@ let solve_fresh ?store ~budget ~jobs ~prev config input =
         Telemetry.time telemetry "incr" (fun () ->
             Incr_engine.update ~config:config.ci_config ~budget ~prev prog graph)
       in
-      telemetry.Telemetry.t_incr <- Some (incr_counters outcome.Incr_engine.o_stats);
+      telemetry.Telemetry.t_incr <- Some outcome.Incr_engine.o_stats;
       (outcome.Incr_engine.o_ci, Some outcome)
   in
   populate_shape_counters telemetry prog graph;
@@ -615,12 +624,9 @@ let baseline_descent ~budget ~min_tier ~degradations input =
           (degradations
           @ [ { d_from = Andersen; d_to = Steensgaard; d_reason = r } ]))
 
-(* The dyck-first pipeline: compile and build the VDG under the budget,
-   then hand back the lazy Dyck resolver with no solving done.
-   Single-pair queries activate slices on demand; [Dyck_solver.solve_all]
-   turns the same object into the exhaustive all-pairs mode.  The
-   resolver itself is unbudgeted: the run's deadline governs the run,
-   and must not trip queries issued long after it returned. *)
+(* The dyck rung: compile, build the VDG and run the exhaustive Dyck
+   solve, all under the rung's budget — an exhaustion anywhere takes the
+   floor-or-descend exit below.  Queries afterwards are lookups. *)
 let dyck_fresh ~config ~budget ~min_tier ~degradations input =
   let telemetry = new_telemetry input in
   match
@@ -630,7 +636,11 @@ let dyck_fresh ~config ~budget ~min_tier ~degradations input =
       Telemetry.time telemetry "vdg" (fun () -> build_graph ~config prog)
     in
     Budget.check_now budget;
-    (prog, graph)
+    let dyck =
+      Telemetry.time telemetry "dyck" (fun () ->
+          Dyck_solver.solve ~config:config.ci_config ~budget graph)
+    in
+    (prog, graph, dyck)
   with
   | exception Srcloc.Error (loc, msg) -> frontend_error loc msg
   | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
@@ -642,12 +652,9 @@ let dyck_fresh ~config ~budget ~min_tier ~degradations input =
         ~degradations:
           (degradations @ [ { d_from = Dyck; d_to = Andersen; d_reason = r } ])
         input
-  | prog, graph ->
-    let dyck =
-      Telemetry.time telemetry "dyck" (fun () ->
-          Dyck_solver.create ~config:config.ci_config graph)
-    in
+  | prog, graph, dyck ->
     populate_shape_counters telemetry prog graph;
+    telemetry.Telemetry.t_dyck <- Some (dyck_solver_counters graph dyck);
     Ok (tiered input prog telemetry ~tier:Dyck ~degradations ~budget ~dyck ())
 
 (* ---- the entry point ------------------------------------------------------------------ *)
@@ -694,9 +701,10 @@ let exhaustive ?cache ~config ~budget ~want ~min_tier ~jobs ~prev input =
         ~degradations:[ { d_from = Ci; d_to = Dyck; d_reason = r } ]
         input
     else
-      (* the default descent skips the dyck rung: a batch client that
-         wanted an exhaustive solve gains nothing from a lazy resolver
-         it would immediately have to drain *)
+      (* the default descent skips the dyck rung: a client that wanted
+         the exhaustive CI solution is better served by a baseline that
+         always answers than by a second fixpoint under the same
+         deadline *)
       baseline_descent ~budget ~min_tier
         ~degradations:[ { d_from = Ci; d_to = Andersen; d_reason = r } ]
         input
@@ -714,7 +722,7 @@ let analyze ?(config = default_config) ?cache req input =
     exhaustive ?cache ~config ~budget ~want ~min_tier ~jobs:req.jobs
       ~prev:req.prev input
   else
-    (* A warm full solution outranks the lazy dyck tier; peek the cache
+    (* A warm full solution outranks the dyck tier; peek the cache
        without recording a miss (a dyck run is not a solve the cache
        failed to serve). *)
     match
@@ -746,27 +754,6 @@ let line_may_alias td la lb =
   match (line_locations td la, line_locations td lb) with
   | Some a, Some b -> Some (overlap a b)
   | _ -> None
-
-(* ---- the dyck tier ------------------------------------------------------------------ *)
-
-let dyck_counters (d : Dyck_solver.t) : Telemetry.dyck_counters =
-  {
-    Telemetry.dc_queries = Dyck_solver.queries d;
-    dc_cache_hits = Dyck_solver.cache_hits d;
-    dc_nodes_activated = Dyck_solver.nodes_activated d;
-    dc_nodes_total = Dyck_solver.nodes_total d;
-    dc_flow_in = Dyck_solver.flow_in_count d;
-    dc_flow_out = Dyck_solver.flow_out_count d;
-    dc_worklist_pushes = Dyck_solver.worklist_pushes d;
-    dc_worklist_pops = Dyck_solver.worklist_pops d;
-  }
-
-(* The resolver accumulates work as queries arrive, so its counters are
-   snapshotted into the telemetry at read time, not at build time. *)
-let refresh_dyck_telemetry td =
-  match td.td_dyck with
-  | Some d -> td.td_telemetry.Telemetry.t_dyck <- Some (dyck_counters d)
-  | None -> ()
 
 (* ---- the unified provider ----------------------------------------------------------- *)
 

@@ -145,7 +145,7 @@ type tiered = {
   td_tier : tier;  (** the tier actually achieved *)
   td_analysis : analysis option;  (** present iff [td_tier >= Ci] *)
   td_dyck : Dyck_solver.t option;
-      (** present iff the run landed on the lazy dyck rung *)
+      (** present iff the run landed on the dyck rung; already solved *)
   td_baseline : baseline option;  (** present iff [td_tier < Dyck] *)
   td_prog : Sil.program;
   td_telemetry : Telemetry.t;
@@ -160,9 +160,8 @@ type tiered = {
 (** One pipeline run. *)
 type request = {
   want : tier;
-      (** the tier aimed for; [Dyck] takes the lazy dyck-first
-          pipeline, [Cs] also forces the CS solve, anything else solves
-          CI *)
+      (** the tier aimed for; [Dyck] solves the Dyck tier instead of
+          CI, [Cs] also forces the CS solve, anything else solves CI *)
   min_tier : tier;
       (** the precision floor; a floor above [want] raises [want] to it *)
   budget : Budget.t option;  (** [None]: unbudgeted *)
@@ -199,18 +198,23 @@ val analyze :
     and the result is digest-identical to a cold solve.  The cache is
     written, never read, and [td_incr] reports the splice.
 
-    {b Dyck} ([want = Dyck]): compile and build the VDG under the
-    budget, then return a lazy {!Dyck_solver.t} in [td_dyck] with no
-    solving done (the resolver itself is unbudgeted — a run's deadline
-    must not trip queries issued long after it returned).  A warm cached
-    full solution outranks it: with [cache], a hit answers at [Ci]/[Cs].
+    {b Dyck} ([want = Dyck]): compile, build the VDG and run the one
+    exhaustive {!Dyck_solver.solve}, all under the budget, and return
+    the solution in [td_dyck] (its counters in the telemetry's
+    [t_dyck]).  An exhaustion there takes the same floor-or-descend exit
+    as a frontend or VDG exhaustion: [Budget_exhausted] at [Dyck] when
+    the floor is [Dyck], else the baselines.  A warm cached full
+    solution outranks it: with [cache], a hit answers at [Ci]/[Cs].
 
     {b Degradation}: on budget exhaustion the engine descends
     [Cs -> Ci -> Andersen -> Steensgaard] until a tier completes; ladder
-    steps are reported in [td_degradations].  The default descent skips
-    the dyck rung, but an explicit [min_tier = Dyck] recovers there.
-    The wall-clock deadline is shared across the whole descent;
-    operation ceilings restart per tier.  Steensgaard never exhausts: it
+    steps are reported in [td_degradations].  The wall-clock deadline is
+    shared across the whole descent; operation ceilings restart per
+    tier.  The default descent skips the dyck rung.  An explicit
+    [min_tier = Dyck] sends a CI exhaustion there instead, which
+    recovers only from an operation ceiling: a CI solve stops on the
+    deadline only once it has passed, so the rung's first deadline check
+    fails and the run ends with [Budget_exhausted] at [Dyck].  Steensgaard never exhausts: it
     is near-linear and terminal, so with the default floor the ladder
     always bottoms out on an answer.
 
@@ -259,13 +263,6 @@ val cs_tiered : ?budget:Budget.t -> analysis -> (cs_outcome, error) result
     and the caller answers queries from [a.ci] — identical verdicts to a
     direct CI run, since the CI solution is already complete.  Only
     cancellation surfaces as [Error Cancelled]. *)
-
-val dyck_counters : Dyck_solver.t -> Telemetry.dyck_counters
-
-val refresh_dyck_telemetry : tiered -> unit
-(** Snapshot the live dyck resolver's counters into [td_telemetry] (its
-    [t_dyck]); no-op without one.  Call before serializing telemetry —
-    the resolver accumulates work as queries arrive. *)
 
 val provider_of_tiered : tiered -> Query.provider
 (** The unified query surface for whatever tier the run achieved:

@@ -35,7 +35,9 @@ type t = { dir : string; lock : Mutex.t; st : stats }
 (* /7: Telemetry.t lost the demand-tier counter field. *)
 (* /8: Telemetry.cache_status lost its memory-hit constant, which
    renumbers the Disk_hit constant a stored telemetry record can carry. *)
-let format_version = "alias-engine-cache/8"
+(* /9: Telemetry.t's dyck field became a solver_counters record and its
+   incr field holds Incr_engine.stats. *)
+let format_version = "alias-engine-cache/9"
 
 let create dir =
   (if not (Sys.file_exists dir) then

@@ -33,33 +33,6 @@ type checker_stat = {
   ck_diagnostics : int;
 }
 
-(* Counters of the lazy Dyck resolver: how much of the program a query
-   workload actually touched.  The slice/total ratio is the resolver's
-   whole value proposition, so it travels with every metrics payload. *)
-type dyck_counters = {
-  dc_queries : int;
-  dc_cache_hits : int;        (* queries answered without new activation *)
-  dc_nodes_activated : int;   (* union of all demanded slices *)
-  dc_nodes_total : int;       (* VDG size, the exhaustive denominator *)
-  dc_flow_in : int;
-  dc_flow_out : int;
-  dc_worklist_pushes : int;
-  dc_worklist_pops : int;
-}
-
-(* Counters of an incremental re-solve (Incr_engine): how much of the
-   program the edit actually dirtied.  The reused/total ratio is the
-   incremental engine's whole value proposition. *)
-type incr_counters = {
-  inc_procs_total : int;
-  inc_dirty_initial : int;   (* procedures whose digest changed *)
-  inc_resolved : int;        (* procedures re-solved in the final region *)
-  inc_reused : int;          (* procedures whose facts were spliced *)
-  inc_summary_hits : int;    (* unchanged callee summaries sparing a caller *)
-  inc_rounds : int;          (* region-growth iterations *)
-  inc_full_fallback : bool;  (* program-level context changed: cold solve *)
-}
-
 (* Counters of the sharded parallel CI solve (Par_solver): how wide the
    solve ran and how much cross-shard coordination it cost. *)
 type par_counters = {
@@ -87,8 +60,8 @@ type t = {
   mutable t_alias_outputs : int;
   mutable t_ci : solver_counters option;
   mutable t_cs : solver_counters option;
-  mutable t_dyck : dyck_counters option;     (* refreshed from the live resolver *)
-  mutable t_incr : incr_counters option;     (* set by an incremental Engine.analyze *)
+  mutable t_dyck : solver_counters option;   (* set on the dyck tier *)
+  mutable t_incr : Incr_engine.stats option; (* set by an incremental Engine.analyze *)
   mutable t_par : par_counters option;       (* set when the CI solve was sharded *)
   mutable t_checkers : checker_stat list;    (* in execution order *)
   mutable t_tier : string option;            (* ladder tier actually achieved *)
@@ -98,9 +71,8 @@ type t = {
 
 (* Phases recorded by Engine.analyze, in pipeline order.  "cs" only
    appears once the lazily-forced context-sensitive solve has actually
-   run; "dyck" replaces "ci"/"cs" on the lazy Dyck tier, where solving is
-   folded into the queries themselves, and "incr" replaces "ci" on an
-   incremental re-solve. *)
+   run; "dyck" replaces "ci"/"cs" on the Dyck tier, and "incr" replaces
+   "ci" on an incremental re-solve. *)
 let phase_names = [ "load"; "frontend"; "vdg"; "dyck"; "ci"; "incr"; "cs" ]
 
 let create ~file ~source_bytes =
@@ -274,27 +246,15 @@ let counters_json prefix (c : solver_counters) =
     (prefix ^ "_peak_table_bytes", Ejson.Int c.sc_peak_table_bytes);
   ]
 
-let dyck_json (d : dyck_counters) =
+let incr_json (s : Incr_engine.stats) =
   [
-    ("dyck_queries", Ejson.Int d.dc_queries);
-    ("dyck_cache_hits", Ejson.Int d.dc_cache_hits);
-    ("dyck_nodes_activated", Ejson.Int d.dc_nodes_activated);
-    ("dyck_nodes_total", Ejson.Int d.dc_nodes_total);
-    ("dyck_flow_in", Ejson.Int d.dc_flow_in);
-    ("dyck_flow_out", Ejson.Int d.dc_flow_out);
-    ("dyck_worklist_pushes", Ejson.Int d.dc_worklist_pushes);
-    ("dyck_worklist_pops", Ejson.Int d.dc_worklist_pops);
-  ]
-
-let incr_json (i : incr_counters) =
-  [
-    ("incr_procs_total", Ejson.Int i.inc_procs_total);
-    ("incr_dirty_initial", Ejson.Int i.inc_dirty_initial);
-    ("incr_resolved", Ejson.Int i.inc_resolved);
-    ("incr_reused", Ejson.Int i.inc_reused);
-    ("incr_summary_hits", Ejson.Int i.inc_summary_hits);
-    ("incr_rounds", Ejson.Int i.inc_rounds);
-    ("incr_full_fallback", Ejson.Bool i.inc_full_fallback);
+    ("incr_procs_total", Ejson.Int s.Incr_engine.st_procs_total);
+    ("incr_dirty_initial", Ejson.Int s.Incr_engine.st_dirty_initial);
+    ("incr_resolved", Ejson.Int s.Incr_engine.st_resolved);
+    ("incr_reused", Ejson.Int s.Incr_engine.st_reused);
+    ("incr_summary_hits", Ejson.Int s.Incr_engine.st_summary_hits);
+    ("incr_rounds", Ejson.Int s.Incr_engine.st_rounds);
+    ("incr_full_fallback", Ejson.Bool s.Incr_engine.st_full_fallback);
   ]
 
 let par_json (p : par_counters) =
@@ -317,7 +277,7 @@ let to_json t =
     ]
     @ (match t.t_ci with Some c -> counters_json "ci" c | None -> [])
     @ (match t.t_cs with Some c -> counters_json "cs" c | None -> [])
-    @ (match t.t_dyck with Some d -> dyck_json d | None -> [])
+    @ (match t.t_dyck with Some c -> counters_json "dyck" c | None -> [])
     @ (match t.t_incr with Some i -> incr_json i | None -> [])
     @ (match t.t_par with Some p -> par_json p | None -> [])
   in
@@ -396,7 +356,7 @@ let suite_to_json ?(cache_stats = []) ts =
   in
   Ejson.Assoc
     [
-      ("schema", Ejson.String "alias-engine-metrics/2");
+      ("schema", Ejson.String "alias-engine-metrics/3");
       ("benchmarks", Ejson.List (List.map to_json ts));
       ("totals", totals);
     ]

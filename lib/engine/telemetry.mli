@@ -34,35 +34,6 @@ type checker_stat = {
   ck_diagnostics : int;
 }
 
-(** Counters of the lazy Dyck resolver: how much of the program a query
-    workload actually touched.  The activated/total node ratio is the
-    resolver's whole value proposition, so it travels with every metrics
-    payload. *)
-type dyck_counters = {
-  dc_queries : int;
-  dc_cache_hits : int;  (** queries answered without new activation *)
-  dc_nodes_activated : int;  (** union of all demanded slices *)
-  dc_nodes_total : int;  (** VDG size, the exhaustive denominator *)
-  dc_flow_in : int;
-  dc_flow_out : int;
-  dc_worklist_pushes : int;
-  dc_worklist_pops : int;
-}
-
-(** Counters of an incremental re-solve ([Incr_engine]): how much of the
-    program the edit actually dirtied.  The reused/total procedure ratio
-    is the incremental engine's whole value proposition, so it travels
-    with every metrics payload of an incremental [Engine.analyze]. *)
-type incr_counters = {
-  inc_procs_total : int;
-  inc_dirty_initial : int;  (** procedures whose canonical digest changed *)
-  inc_resolved : int;  (** procedures re-solved in the final region *)
-  inc_reused : int;  (** procedures whose previous facts were spliced *)
-  inc_summary_hits : int;  (** unchanged callee summaries sparing a caller *)
-  inc_rounds : int;  (** region-growth iterations *)
-  inc_full_fallback : bool;  (** program-level context changed: cold solve *)
-}
-
 (** Counters of the sharded parallel CI solve ([Par_solver]): how wide
     the solve ran and how much cross-shard coordination it cost. *)
 type par_counters = {
@@ -91,9 +62,8 @@ type t = {
   mutable t_alias_outputs : int;
   mutable t_ci : solver_counters option;
   mutable t_cs : solver_counters option;
-  mutable t_dyck : dyck_counters option;
-      (** refreshed from the live resolver as queries accumulate *)
-  mutable t_incr : incr_counters option;
+  mutable t_dyck : solver_counters option;  (** set on the dyck tier *)
+  mutable t_incr : Incr_engine.stats option;
       (** set by an incremental [Engine.analyze] *)
   mutable t_par : par_counters option;
       (** set when the CI solve was sharded across domains *)
@@ -160,9 +130,9 @@ val latency_json : latency -> (string * Ejson.t) list
 
 (** {2 JSON} *)
 
-val incr_json : incr_counters -> (string * Ejson.t) list
-(** The ["incr_*"] counter fields, as embedded in {!to_json} and the
-    server's [update] reply. *)
+val incr_json : Incr_engine.stats -> (string * Ejson.t) list
+(** The seven ["incr_*"] counter fields, as embedded in {!to_json}, the
+    server's [update] reply and the edit-replay report. *)
 
 val par_json : par_counters -> (string * Ejson.t) list
 (** The ["par_*"] counter fields, as embedded in {!to_json} and the

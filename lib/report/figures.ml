@@ -493,7 +493,7 @@ let ladder_table results =
       let ci_locs = List.map (Query.locations (Query.ci_view r.ci)) nodes in
       (* the dyck rung: field-sensitive like ci but flow-insensitive, so
          its rate must land between the ci and andersen columns *)
-      let dyck = Dyck_solver.create r.graph in
+      let dyck = Dyck_solver.solve r.graph in
       let dy_locs = List.map (Query.locations (Query.dyck_view dyck)) nodes in
       let path_verdict a b = a <> [] && b <> [] && Query.paths_may_overlap a b in
       let overlap xs ys =

@@ -360,16 +360,7 @@ let do_update t conn params =
          ("file", Ejson.String path);
          ("tier", Ejson.String (Engine.string_of_tier td.Engine.td_tier));
        ]
-      @ Telemetry.incr_json
-          {
-            Telemetry.inc_procs_total = s.Incr_engine.st_procs_total;
-            inc_dirty_initial = s.Incr_engine.st_dirty_initial;
-            inc_resolved = s.Incr_engine.st_resolved;
-            inc_reused = s.Incr_engine.st_reused;
-            inc_summary_hits = s.Incr_engine.st_summary_hits;
-            inc_rounds = s.Incr_engine.st_rounds;
-            inc_full_fallback = s.Incr_engine.st_full_fallback;
-          }
+      @ Telemetry.incr_json s
       @ [
           ( "resolved_procedures",
             Ejson.List
@@ -386,7 +377,7 @@ let do_update t conn params =
       | None -> [])
 
 (* The node-tier view a session answers from without forcing anything:
-   the exhaustive CI solution when present, else the lazy dyck resolver.
+   the exhaustive CI solution when present, else the dyck solution.
    Baseline tiers have neither; callers route them to line_for first. *)
 let session_view (e : Session.entry) =
   let td = e.Session.ses_tiered in
@@ -454,9 +445,8 @@ let view_for t (e : Session.entry) (opts : Protocol.query_opts) natural =
     let a = Session.require_analysis t.h_sessions e in
     (Query.ci_view a.Engine.ci, [])
   | Some "dyck" ->
-    (* answered by the per-session dyck resolver on its single-pair
-       on-demand path — no exhaustive solve, whatever the session's
-       natural tier *)
+    (* answered by the session's dyck solution, solved on first use
+       whatever the session's natural tier — never a CI upgrade *)
     (Query.dyck_view (Session.require_dyck t.h_sessions e), [])
   | Some "cs" -> (
     let a = Session.require_analysis t.h_sessions e in
@@ -726,7 +716,6 @@ let do_stats t _params =
        ("errors", Ejson.Int t.h_errors);
        ("degradations", Ejson.Int degraded);
        ("answers_by_tier", Ejson.Assoc tier_answers);
-       ("dyck", Ejson.Assoc (Session.dyck_stats_json t.h_sessions));
        ("sessions", Ejson.Assoc (Session.stats_json t.h_sessions));
        (* hash-consed points-to set universe of the serving domain:
           interning footprint plus meet-memo effectiveness *)
@@ -933,7 +922,8 @@ let handle_line t conn line = handle_envelope t conn (Protocol.envelope_of_line 
 (* Whether a request can do solver-scale work (and so belongs on a
    worker domain rather than inline on the reactor): the solving methods
    themselves, any request that may implicitly open a file, and any
-   query whose opts can upgrade the session or run the CS solver. *)
+   query whose opts can upgrade the session, run the CS solver or run
+   the session's first Dyck solve. *)
 let heavy_request (rq : Protocol.request) =
   match rq.Protocol.rq_method with
   | "open" | "lint" | "update" -> true
@@ -944,7 +934,7 @@ let heavy_request (rq : Protocol.request) =
       (try Protocol.query_opts_of_params rq.Protocol.rq_params
        with Protocol.Bad_params _ -> Protocol.no_query_opts)
     with
-    | { Protocol.qo_tier = Some ("ci" | "cs" | "demand"); _ } -> true
+    | { Protocol.qo_tier = Some ("ci" | "cs" | "demand" | "dyck"); _ } -> true
     | { Protocol.qo_deadline_ms = Some _; _ }
     | { Protocol.qo_min_tier = Some _; _ } ->
       true

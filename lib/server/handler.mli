@@ -86,8 +86,9 @@ val heavy_request : Protocol.request -> bool
 (** Whether a request can do solver-scale work and so belongs on a
     worker domain rather than inline on the reactor: [open], [lint] and
     [update]; any request that may implicitly open a file (a ["file"]
-    parameter); and any query whose opts can promote the session or run
-    the CS solver ([tier=ci|cs], a deadline, or a floor). *)
+    parameter); and any query whose opts can promote the session, run
+    the CS solver or run the session's first Dyck solve
+    ([tier=ci|cs|dyck], a deadline, or a floor). *)
 
 val heavy_envelope :
   (Protocol.envelope, Protocol.error_code * string) result -> bool

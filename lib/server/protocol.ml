@@ -16,8 +16,8 @@
    demand tier is gone: "demand" now opens an exhaustive session and
    answers at ci, whose verdicts it always equaled); version 4 adds the
    dyck tier: mode=dyck on "open",
-   tier=dyck on "may_alias" (answered by a per-session lazy
-   Dyck-reachability solver on its single-pair on-demand path), and
+   tier=dyck on "may_alias" (answered from a per-session
+   Dyck-reachability solution, solved once on first use), and
    min_tier=dyck; version 5 adds incremental re-analysis: the "update"
    method re-solves a live exhaustive session in place against its
    previous solution (only procedures whose canonical digest changed are

@@ -31,8 +31,8 @@ type entry = {
       (* CI mod/ref sets, built on first query; None below the Ci tier,
          filled in by the upgrade *)
   mutable ses_dyck : Dyck_solver.t option;
-      (* per-session dyck solver for tier="dyck" queries on a node-tier
-         session, built on first use over the session's own VDG or
+      (* per-session dyck solution for tier="dyck" queries on a node-tier
+         session, solved on first use over the session's own VDG or
          handed on by an upgrade; dyck-tier sessions answer from td_dyck
          instead *)
   ses_bytes : int;  (* approximate retained size *)
@@ -168,8 +168,8 @@ let require_analysis t e =
         e.ses_tiered.Engine.td_input
     with
     | Ok ({ Engine.td_analysis = Some a; _ } as td) ->
-      (* the resolver keeps serving tier="dyck" queries (and its
-         counters keep counting) after the upgrade *)
+      (* the dyck solution keeps serving tier="dyck" queries after
+         the upgrade *)
       e.ses_dyck <- dyck e;
       e.ses_tiered <- td;
       (* answers memoized against the dyck solution are stale *)
@@ -200,11 +200,10 @@ let require_modref t e =
     | Some m -> Lazy.force m
     | None -> Modref.of_ci a.Engine.ci)
 
-(* The solver behind tier="dyck" queries.  A dyck-tier session answers
-   from its own resolver; a node-tier session builds one lazily over its
-   already-built VDG (under the session lock the caller holds) — only
-   the demanded single-pair slices are ever solved.  Baseline tiers have
-   no VDG to build over. *)
+(* The solution behind tier="dyck" queries.  A dyck-tier session answers
+   from its own; a node-tier session solves one, once and unbudgeted,
+   over its already-built VDG (under the session lock the caller holds).
+   Baseline tiers have no VDG to solve over. *)
 let require_dyck t e =
   match dyck e with
   | Some d -> d
@@ -215,7 +214,7 @@ let require_dyck t e =
       match analysis e with
       | Some a ->
         let d =
-          Dyck_solver.create ~config:t.config.Engine.ci_config a.Engine.graph
+          Dyck_solver.solve ~config:t.config.Engine.ci_config a.Engine.graph
         in
         e.ses_dyck <- Some d;
         d
@@ -697,44 +696,3 @@ let stats_json t =
 
 let engine_cache_stats_json t =
   match t.cache with None -> None | Some c -> Some (Engine_cache.stats_json c)
-
-(* Aggregate dyck-resolver counters across the live working set: how
-   many sessions hold a resolver (dyck-tier sessions and the per-session
-   solvers built for tier="dyck" queries), how often queries hit already
-   resolved slices, and how much of the node universe was ever
-   activated.  Read without the per-session locks — the counters are
-   monotone ints and a stats reply tolerates a torn snapshot. *)
-let dyck_stats_json t =
-  locked t (fun () ->
-      let sessions = ref 0
-      and queries = ref 0
-      and hits = ref 0
-      and activated = ref 0
-      and total = ref 0 in
-      Hashtbl.iter
-        (fun _ e ->
-          let solver =
-            match e.ses_tiered.Engine.td_dyck with
-            | Some _ as d -> d
-            | None -> e.ses_dyck
-          in
-          match solver with
-          | Some d ->
-            incr sessions;
-            queries := !queries + Dyck_solver.queries d;
-            hits := !hits + Dyck_solver.cache_hits d;
-            activated := !activated + Dyck_solver.nodes_activated d;
-            total := !total + Dyck_solver.nodes_total d
-          | None -> ())
-        t.tbl;
-      [
-        ("sessions", Ejson.Int !sessions);
-        ("queries", Ejson.Int !queries);
-        ("cache_hits", Ejson.Int !hits);
-        ( "cache_hit_rate",
-          Ejson.Float
-            (if !queries = 0 then 0.
-             else float_of_int !hits /. float_of_int !queries) );
-        ("nodes_activated", Ejson.Int !activated);
-        ("nodes_total", Ejson.Int !total);
-      ])

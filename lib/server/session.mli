@@ -32,10 +32,10 @@ type entry = {
       (** CI mod/ref sets, built on first query; [None] below [Ci],
           filled in by the upgrade *)
   mutable ses_dyck : Dyck_solver.t option;
-      (** per-session dyck solver for [tier="dyck"] queries on a
-          node-tier session, built lazily by {!require_dyck} or handed
-          on by an upgrade; dyck-tier sessions answer from [td_dyck]
-          instead *)
+      (** per-session dyck solution for [tier="dyck"] queries on a
+          node-tier session, solved by {!require_dyck} on first use or
+          handed on by an upgrade; dyck-tier sessions answer from
+          [td_dyck] instead *)
   ses_bytes : int;  (** approximate retained size of [ses_tiered] *)
   ses_lock : Mutex.t;  (** serializes queries on this session *)
   mutable ses_stamp : int;  (** LRU clock value of the last touch *)
@@ -61,7 +61,7 @@ val analysis : entry -> Engine.analysis option
 (** [Some] iff the entry holds a full [>= Ci] solution. *)
 
 val dyck : entry -> Dyck_solver.t option
-(** The entry's dyck resolver, while the session sits at the dyck tier
+(** The entry's dyck solution, while the session sits at the dyck tier
     (an upgrade hands it on to [ses_dyck]). *)
 
 type t
@@ -79,10 +79,10 @@ val require_modref : t -> entry -> Modref.t
 (** As {!require_analysis}, then the CI mod/ref sets. *)
 
 val require_dyck : t -> entry -> Dyck_solver.t
-(** The solver behind [tier="dyck"] queries: a dyck-tier entry's own
-    resolver, else one built lazily over a node-tier entry's VDG (only
-    the demanded single-pair slices are ever solved).  Callers must hold
-    the entry's lock ({!with_entry}).
+(** The solution behind [tier="dyck"] queries: a dyck-tier entry's own,
+    else one {!Dyck_solver.solve} over a node-tier entry's VDG, run once
+    per session and unbudgeted, then kept in [ses_dyck].  Callers must
+    hold the entry's lock ({!with_entry}).
     @raise Tier_unavailable at the baseline tiers (no VDG). *)
 
 val create :
@@ -125,10 +125,10 @@ val open_path :
     and will upgrade, a degraded live session.
 
     [mode] (default [`Exhaustive], the v2 wire behavior) picks the
-    pipeline: [`Exhaustive] solves CI before returning; [`Dyck] returns
-    after the VDG build with the lazy flow-insensitive
-    Dyck-reachability resolver, so a cold open is cheap and each query
-    pays only for its slice.  A dyck open is satisfied by any live
+    pipeline: [`Exhaustive] solves CI before returning; [`Dyck] solves
+    the flow-insensitive Dyck-reachability tier instead, which has no
+    store chains to thread and so opens faster; either way every query
+    afterwards is a lookup.  A dyck open is satisfied by any live
     sufficiently-precise session; an exhaustive open landing on a live
     dyck session upgrades it in place ({!require_analysis}) and reports
     a session hit.
@@ -216,10 +216,3 @@ val stats_json : t -> (string * Ejson.t) list
 
 val engine_cache_stats_json : t -> (string * Ejson.t) list option
 (** The engine cache's hit/miss/store counters, when a cache is wired. *)
-
-val dyck_stats_json : t -> (string * Ejson.t) list
-(** Aggregate dyck-resolver counters across the live working set, over
-    both dyck-tier sessions and per-session solvers built for
-    [tier="dyck"] queries: resolver-holding session count, query and
-    cache-hit totals (with the hit rate), and activated vs total node
-    counts. *)

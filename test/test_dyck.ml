@@ -7,9 +7,7 @@
      a memop is a Dyck referenced location.
    - dyck ⊆ andersen at memory operations, bridged through source
      positions and base projections like the CI/baseline ordering test.
-   - on-demand single-pair resolution agrees with the exhaustive solve
-     under any query order and any worklist schedule.
-   - single queries activate a strict slice; repeats are cache hits. *)
+   - the solution is independent of the worklist schedule. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -30,8 +28,6 @@ let build_graph ~file src = Vdg_build.build (Norm.compile ~file src)
 let pair_strings set =
   List.sort compare (List.map Ptpair.to_string (Ptpair.Set.elements set))
 
-let loc_strings locs = List.sort compare (List.map Apath.to_string locs)
-
 let is_store_output (n : Vdg.node) = n.Vdg.ntype = Vdg.Vstore
 
 (* ---- precision sandwich, lower bound: ci ⊆ dyck ----------------------------------- *)
@@ -44,7 +40,7 @@ let assert_ci_subset_dyck label g ci dy =
            them into one global relation, which must cover each *)
         Ptpair.Set.iter
           (fun p ->
-            if not (Ptpair.Set.mem (Dyck_solver.resolve dy n.Vdg.nid) p)
+            if not (Ptpair.Set.mem (Dyck_solver.pairs dy n.Vdg.nid) p)
                && not
                     (List.exists (Ptpair.equal p) (Dyck_solver.store_pairs dy))
             then
@@ -53,7 +49,7 @@ let assert_ci_subset_dyck label g ci dy =
                    label (Ptpair.to_string p) n.Vdg.nid))
           cip
       else begin
-        let dyp = Dyck_solver.resolve dy n.Vdg.nid in
+        let dyp = Dyck_solver.pairs dy n.Vdg.nid in
         Ptpair.Set.iter
           (fun p ->
             if not (Ptpair.Set.mem dyp p) then
@@ -109,8 +105,7 @@ let test_sandwich_examples () =
       let prog = Norm.compile ~file:path src in
       let g = Vdg_build.build prog in
       let ci = Ci_solver.solve g in
-      let dy = Dyck_solver.create g in
-      Dyck_solver.solve_all dy;
+      let dy = Dyck_solver.solve g in
       assert_ci_subset_dyck path g ci dy;
       assert_dyck_subset_andersen path prog g dy)
     (example_files ())
@@ -122,7 +117,7 @@ let test_views_never_refute_ci () =
     (fun path ->
       let g = build_graph ~file:path (read_file path) in
       let ci = Ci_solver.solve g in
-      let dy = Dyck_solver.create g in
+      let dy = Dyck_solver.solve g in
       let civ = Query.ci_view ci and dv = Query.dyck_view dy in
       let nodes =
         List.map (fun ((n : Vdg.node), _) -> n.Vdg.nid) (Vdg.indirect_memops g)
@@ -139,128 +134,30 @@ let test_views_never_refute_ci () =
         nodes)
     (example_files ())
 
-(* ---- on-demand vs exhaustive ------------------------------------------------------- *)
+(* ---- schedule invariance ---------------------------------------------------------- *)
 
 let workload_graph name =
   let entry = Option.get (Suite.find name) in
   build_graph ~file:(name ^ ".c") (Suite.source entry)
 
-let shuffle st arr =
-  let arr = Array.copy arr in
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done;
-  arr
-
-(* resolve every node of a fresh on-demand solver in a random order and
-   compare against the exhaustive solve, node for node *)
-let test_on_demand_vs_exhaustive () =
-  let g = workload_graph "part" in
-  let full = Dyck_solver.create g in
-  Dyck_solver.solve_all full;
-  let all_nodes =
-    let acc = ref [] in
-    Vdg.iter_nodes g (fun n -> acc := n.Vdg.nid :: !acc);
-    Array.of_list !acc
-  in
-  let expected =
-    Array.map
-      (fun nid -> (nid, pair_strings (Dyck_solver.resolve full nid)))
-      all_nodes
-  in
-  List.iter
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let order = shuffle st all_nodes in
-      let d = Dyck_solver.create g in
-      Array.iter (fun nid -> ignore (Dyck_solver.resolve d nid)) order;
-      Array.iter
-        (fun (nid, want) ->
-          Alcotest.(check (list string))
-            (Printf.sprintf "seed %d node %d" seed nid)
-            want
-            (pair_strings (Dyck_solver.resolve d nid)))
-        expected)
-    [ 1; 7; 42; 1995 ]
-
-(* memop-level agreement on every example, querying referenced locations
-   only (the single-pair may_alias path) *)
-let test_on_demand_memops_examples () =
-  List.iter
-    (fun path ->
-      let g = build_graph ~file:path (read_file path) in
-      let full = Dyck_solver.create g in
-      Dyck_solver.solve_all full;
-      let d = Dyck_solver.create g in
-      List.iter
-        (fun ((n : Vdg.node), _) ->
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s memop %d locations" path n.Vdg.nid)
-            (loc_strings (Dyck_solver.referenced_locations full n.Vdg.nid))
-            (loc_strings (Dyck_solver.referenced_locations d n.Vdg.nid)))
-        (Vdg.memops g))
-    (example_files ())
-
 let test_schedule_invariance () =
   let g = workload_graph "anagram" in
-  let reference = Dyck_solver.create g in
-  Dyck_solver.solve_all reference;
+  let reference = Dyck_solver.solve g in
   let memops =
     List.map (fun ((n : Vdg.node), _) -> n.Vdg.nid) (Vdg.indirect_memops g)
   in
   List.iter
     (fun schedule ->
       let config = { Ci_solver.default_config with Ci_solver.schedule } in
-      let d = Dyck_solver.create ~config g in
+      let d = Dyck_solver.solve ~config g in
       List.iter
         (fun nid ->
           Alcotest.(check (list string))
             (Printf.sprintf "node %d" nid)
-            (pair_strings (Dyck_solver.resolve reference nid))
-            (pair_strings (Dyck_solver.resolve d nid)))
+            (pair_strings (Dyck_solver.pairs reference nid))
+            (pair_strings (Dyck_solver.pairs d nid)))
         memops)
     [ Workbag.Fifo; Workbag.Lifo; Workbag.Random_order 3; Workbag.Random_order 99 ]
-
-(* ---- laziness ---------------------------------------------------------------------- *)
-
-let test_single_query_is_a_slice () =
-  let g = workload_graph "part" in
-  let d = Dyck_solver.create g in
-  Alcotest.(check int) "nothing active before a query" 0
-    (Dyck_solver.nodes_activated d);
-  (match Vdg.indirect_memops g with
-  | ((n : Vdg.node), _) :: _ ->
-    ignore (Dyck_solver.referenced_locations d n.Vdg.nid)
-  | [] -> Alcotest.fail "no indirect memops");
-  let activated = Dyck_solver.nodes_activated d in
-  let total = Dyck_solver.nodes_total d in
-  Alcotest.(check bool) "first query activates something" true (activated > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "first slice (%d) strictly under the program (%d)" activated
-       total)
-    true
-    (activated < total)
-
-let test_repeat_query_is_a_cache_hit () =
-  let g = workload_graph "allroots" in
-  let d = Dyck_solver.create g in
-  let nid =
-    match Vdg.indirect_memops g with
-    | ((n : Vdg.node), _) :: _ -> n.Vdg.nid
-    | [] -> Alcotest.fail "no indirect memops"
-  in
-  let first = pair_strings (Dyck_solver.resolve d nid) in
-  let activated = Dyck_solver.nodes_activated d in
-  let hits = Dyck_solver.cache_hits d in
-  let second = pair_strings (Dyck_solver.resolve d nid) in
-  Alcotest.(check (list string)) "same answer" first second;
-  Alcotest.(check int) "no new activation" activated
-    (Dyck_solver.nodes_activated d);
-  Alcotest.(check int) "counted as a cache hit" (hits + 1)
-    (Dyck_solver.cache_hits d)
 
 let tests =
   [
@@ -268,14 +165,6 @@ let tests =
       test_sandwich_examples;
     Alcotest.test_case "Query views: dyck never refutes ci" `Quick
       test_views_never_refute_ci;
-    Alcotest.test_case "on-demand vs exhaustive (randomized order)" `Quick
-      test_on_demand_vs_exhaustive;
-    Alcotest.test_case "on-demand memop agreement on examples" `Quick
-      test_on_demand_memops_examples;
     Alcotest.test_case "schedule invariance (fifo/lifo/random)" `Quick
       test_schedule_invariance;
-    Alcotest.test_case "single query activates a strict slice" `Quick
-      test_single_query_is_a_slice;
-    Alcotest.test_case "repeated query is a cache hit" `Quick
-      test_repeat_query_is_a_cache_hit;
   ]

@@ -179,7 +179,7 @@ let test_metrics_json () =
   (* must survive a print/parse round trip *)
   let parsed = Ejson.of_string (Ejson.to_string json) in
   Alcotest.(check (option string))
-    "schema version" (Some "alias-engine-metrics/2")
+    "schema version" (Some "alias-engine-metrics/3")
     (match Ejson.member "schema" parsed with
     | Some (Ejson.String v) -> Some v
     | _ -> None);
@@ -195,7 +195,7 @@ let test_metrics_json () =
     | Some p -> p
     | None -> Alcotest.fail "missing phases"
   in
-  (* phase presence is path-dependent ("dyck" replaces "ci"/"cs" on lazy
+  (* phase presence is path-dependent ("dyck" replaces "ci"/"cs" on dyck
      sessions, "incr" replaces "ci" on a splice): any recorded phase must
      be a well-known name with a non-negative float, and an exhaustive
      suite run records them all except those two *)

@@ -201,6 +201,24 @@ let check_push_count label ci =
   Alcotest.(check int) (label ^ " pushes = pairs × consumers") (expected_pushes ci)
     (Ci_solver.worklist_pushes ci)
 
+(* Dyck's pushes: the same per-output term over its value outputs, plus
+   one push per lookup for each first insertion into the global store.
+   The equality holds only if no item is ever queued twice, which the
+   solver guarantees without a membership table. *)
+let check_dyck_push_count label g =
+  let d = Dyck_solver.solve g in
+  let value_term = ref 0 and lookups = ref 0 in
+  Vdg.iter_nodes g (fun nd ->
+      let o = nd.Vdg.nid in
+      if nd.Vdg.nkind = Vdg.Nlookup then incr lookups;
+      value_term :=
+        !value_term
+        + (Ptpair.Set.cardinal (Dyck_solver.pairs d o) * List.length (Vdg.consumers g o)));
+  Alcotest.(check int)
+    (label ^ " dyck pushes = pairs × consumers + store × lookups")
+    (!value_term + (List.length (Dyck_solver.store_pairs d) * !lookups))
+    (Dyck_solver.worklist_pushes d)
+
 let solver_stats_populated () =
   let a = analysis_of "allroots" in
   let cs = Engine.cs a in
@@ -233,7 +251,9 @@ let exact_push_count () =
               (Engine.load_string ~file src)
           in
           check_push_count (Printf.sprintf "%s jobs %d" file jobs) a.Engine.ci)
-        [ 1; 2 ])
+        [ 1; 2 ];
+      check_dyck_push_count file
+        (Engine.build_graph (Engine.compile (Engine.load_string ~file src))))
     sources
 
 let tests =

@@ -950,7 +950,7 @@ let test_dyck_mode_session () =
       "dyck capability listed" true
       (List.mem (Ejson.String "dyck") caps)
   | _ -> Alcotest.fail "capabilities must be a list");
-  (* a cold dyck open builds the graph but solves nothing *)
+  (* a cold dyck open solves the dyck tier, not ci *)
   let opened =
     expect_ok "dyck open"
       (rpc h conn "open"
@@ -965,7 +965,7 @@ let test_dyck_mode_session () =
     (string_field "open" "tier" opened);
   let id = string_field "open" "session" opened in
   (* dyck is a sound superset of ci: a ci may-alias verdict is never
-     refuted on the single-pair on-demand path *)
+     refuted *)
   let a = Test_util.analysis (Engine.load_file file) in
   let nodes =
     List.map (fun ((n : Vdg.node), _) -> n.Vdg.nid)
@@ -991,21 +991,13 @@ let test_dyck_mode_session () =
               (bool_field "may_alias" "may_alias" reply))
         nodes)
     nodes;
-  (* stats expose the dyck resolver's economics *)
+  (* stats count the answers the dyck tier gave *)
   let stats = expect_ok "stats" (rpc h conn "stats" Ejson.Null) in
   let by_tier = member_exn "stats" "answers_by_tier" stats in
   Alcotest.(check int)
     "dyck answers counted"
     (List.length nodes * List.length nodes)
     (int_field "answers_by_tier" "dyck" by_tier);
-  let d = member_exn "stats" "dyck" stats in
-  Alcotest.(check int) "one live resolver" 1 (int_field "dyck" "sessions" d);
-  let activated = int_field "dyck" "nodes_activated" d in
-  let total = int_field "dyck" "nodes_total" d in
-  Alcotest.(check bool)
-    (Printf.sprintf "activation bounded by the graph (%d/%d)" activated total)
-    true
-    (activated > 0 && activated <= total);
   (* an exhaustive re-open upgrades the dyck session in place *)
   let reopened =
     expect_ok "exhaustive re-open"
@@ -1021,8 +1013,8 @@ let test_dyck_mode_session () =
     "the upgrade reused the session" "session-hit"
     (string_field "open" "status" reopened)
 
-(* tier="dyck" on an exhaustive session answers through a per-session
-   lazy resolver, without draining or disturbing the ci solution *)
+(* tier="dyck" on an exhaustive session answers from a per-session dyck
+   solution, without disturbing the ci solution *)
 let test_dyck_tier_query_on_exhaustive_session () =
   let dir = fresh_dir () in
   let file = temp_c dir "conflict.c" conflict_src in
@@ -1064,12 +1056,6 @@ let test_dyck_tier_query_on_exhaustive_session () =
               (bool_field "may_alias" "may_alias" reply))
         nodes)
     nodes;
-  (* the per-session solver shows up in the dyck stats *)
-  let stats = expect_ok "stats" (rpc h conn "stats" Ejson.Null) in
-  let d = member_exn "stats" "dyck" stats in
-  Alcotest.(check int)
-    "per-session resolver counted" 1
-    (int_field "dyck" "sessions" d);
   (* the session still answers plain queries at ci *)
   let x = List.hd nodes in
   let plain =
@@ -1498,6 +1484,35 @@ let test_query_opts_codec () =
   | exception Protocol.Bad_params _ -> ()
   | _ -> Alcotest.fail "a mistyped nested knob must raise Bad_params"
 
+(* A tier="dyck" query may run the session's first Dyck solve, so the
+   reactor must hand it to the pool like tier="ci"/"cs"; a plain
+   session-keyed query is a lookup and stays inline. *)
+let test_heavy_request_tiers () =
+  let may_alias params =
+    {
+      Protocol.rq_id = Ejson.Int 1;
+      rq_method = "may_alias";
+      rq_params =
+        Ejson.Assoc
+          ([ ("session", Ejson.String "s"); ("a", Ejson.Int 1); ("b", Ejson.Int 2) ]
+          @ params);
+    }
+  in
+  Alcotest.(check bool)
+    "plain may_alias is light" false
+    (Handler.heavy_request (may_alias []));
+  Alcotest.(check bool)
+    "flat tier=dyck is heavy" true
+    (Handler.heavy_request (may_alias [ ("tier", Ejson.String "dyck") ]));
+  Alcotest.(check bool)
+    "nested opts.tier=dyck is heavy" true
+    (Handler.heavy_request
+       (may_alias
+          [ ("opts", Ejson.Assoc [ ("tier", Ejson.String "dyck") ]) ]));
+  Alcotest.(check bool)
+    "tier=ci stays heavy" true
+    (Handler.heavy_request (may_alias [ ("tier", Ejson.String "ci") ]))
+
 let test_batched_matches_unbatched () =
   let dir = fresh_dir () in
   let file = temp_c dir "conflict.c" conflict_src in
@@ -1810,6 +1825,8 @@ let tests =
       test_batch_dispatch;
     Alcotest.test_case "v6: query opts round-trip and v5 compat" `Quick
       test_query_opts_codec;
+    Alcotest.test_case "reactor: tier=dyck queries run on the pool" `Quick
+      test_heavy_request_tiers;
     Alcotest.test_case "v6: batched payloads match unbatched" `Quick
       test_batched_matches_unbatched;
     Alcotest.test_case "v6: shutdown under 50ms on a live socket" `Quick
