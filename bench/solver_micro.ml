@@ -133,8 +133,9 @@ let micro_json () =
 (* ---- full solves ------------------------------------------------------------------- *)
 
 (* An unbudgeted exhaustive run always carries the analysis. *)
-let analysis_of req input =
-  Option.get (Result.get_ok (Engine.analyze req input)).Engine.td_analysis
+let analysis_of input =
+  Option.get
+    (Result.get_ok (Engine.analyze Engine.default_request input)).Engine.td_analysis
 
 let benchmark_json name =
   match Suite.find name with
@@ -153,7 +154,7 @@ let benchmark_json name =
     (* the Dyck tier's executed meets: one FIFO solve, so the count
        depends only on the graph *)
     let dyck_meets = Dyck_solver.flow_out_count (Dyck_solver.solve g) in
-    let base_a = analysis_of Engine.default_request input in
+    let base_a = analysis_of input in
     let digest = Solution_digest.digest base_a in
     (* the incremental engine's deterministic footprint: append one probe
        procedure (a single-procedure edit) and re-solve against the cold
@@ -174,7 +175,7 @@ let benchmark_json name =
     let incr_digest_ok =
       String.equal
         (Solution_digest.digest (Option.get td_inc.Engine.td_analysis))
-        (Solution_digest.digest (analysis_of Engine.default_request probe_input))
+        (Solution_digest.digest (analysis_of probe_input))
     in
     Ejson.Assoc
       [
@@ -197,79 +198,6 @@ let benchmark_json name =
         ("incr_probe_digest_ok", Ejson.Int (if incr_digest_ok then 1 else 0));
       ]
 
-(* ---- parallel solve sweep ----------------------------------------------------------- *)
-
-(* The sharded-solver gate: solve one linux-scale generated program
-   sequentially and at --jobs 2 and 8, and record the CI-phase wall time
-   of each together with whether every parallel digest matched the
-   sequential one.  Digest equality is machine-independent and always
-   enforced by --check; the speedup ratio is enforced only on hardware
-   that can express it (>= 8 recommended domains) — a single-core CI
-   runner still validates correctness, it just can't measure scaling. *)
-let parallel_jobs_sweep = [ 2; 8 ]
-
-let parallel_json ~lines =
-  let p = Profile.linux ~target_lines:lines in
-  let src = Genc.generate p in
-  let file = p.Profile.name ^ ".c" in
-  let solve jobs =
-    let a =
-      analysis_of { Engine.default_request with jobs } (Engine.load_string ~file src)
-    in
-    let ci_s =
-      Option.value ~default:0. (Telemetry.phase_seconds a.Engine.telemetry "ci")
-    in
-    (ci_s, Solution_digest.ci_digest a, a.Engine.telemetry.Telemetry.t_par)
-  in
-  let seq_s, seq_digest, _ = solve 1 in
-  let widths =
-    List.map
-      (fun jobs ->
-        let s, digest, par = solve jobs in
-        (jobs, s, digest, par))
-      parallel_jobs_sweep
-  in
-  Ejson.Assoc
-    ([
-       ("workload", Ejson.String p.Profile.name);
-       ("lines", Ejson.Int (Genc.line_count src));
-       ("cores", Ejson.Int (Domain.recommended_domain_count ()));
-       ("seq_ci_seconds", Ejson.Float seq_s);
-     ]
-    @ List.concat_map
-        (fun (jobs, s, digest, par) ->
-          [
-            (Printf.sprintf "jobs%d_ci_seconds" jobs, Ejson.Float s);
-            ( Printf.sprintf "jobs%d_speedup" jobs,
-              Ejson.Float (if s > 0. then seq_s /. s else 0.) );
-            ( Printf.sprintf "jobs%d_digest_ok" jobs,
-              Ejson.Int (if String.equal digest seq_digest then 1 else 0) );
-            ( Printf.sprintf "jobs%d_components" jobs,
-              Ejson.Int
-                (match par with
-                | Some pc -> pc.Telemetry.pc_components
-                | None -> 0) );
-          ])
-        widths)
-
-(* Fields of the parallel section that must not drift between runs on
-   any machine.  Timings and steal/message counts are left out: the
-   former vary by host, the latter by scheduling race. *)
-let parallel_deterministic_fields =
-  "workload" :: "lines"
-  :: List.concat_map
-       (fun j ->
-         [
-           Printf.sprintf "jobs%d_digest_ok" j;
-           Printf.sprintf "jobs%d_components" j;
-         ])
-       parallel_jobs_sweep
-
-(* the acceptance bar for the scaling gate, checked at the widest sweep
-   point on hardware wide enough to express it *)
-let required_speedup = 3.0
-let required_speedup_jobs = 8
-
 (* ---- baseline comparison ------------------------------------------------------------ *)
 
 (* machine-independent fields: anything else (timings, cache hits,
@@ -286,67 +214,6 @@ let field_string name j =
   | Some (Ejson.Int i) -> string_of_int i
   | Some (Ejson.String s) -> s
   | _ -> "<missing>"
-
-(* Gate the parallel section: digest equality is absolute (a parallel
-   solve that differs from the sequential one is a bug on any machine),
-   the deterministic shape fields are diffed against the baseline, and
-   the speedup bar applies only where the hardware can express it. *)
-let check_parallel ~baseline current =
-  match current with
-  | None -> ()
-  | Some cur ->
-    let fail = ref false in
-    List.iter
-      (fun j ->
-        let f = Printf.sprintf "jobs%d_digest_ok" j in
-        if field_string f cur <> "1" then begin
-          fail := true;
-          Printf.eprintf
-            "solver_micro: PARALLEL --jobs %d produced a different solution \
-             digest\n"
-            j
-        end)
-      parallel_jobs_sweep;
-    (match Ejson.member "parallel" baseline with
-    | Some b ->
-      List.iter
-        (fun f ->
-          let got = field_string f cur and want = field_string f b in
-          if got <> want then begin
-            fail := true;
-            Printf.eprintf "solver_micro: DRIFT parallel.%s: baseline %s, got %s\n"
-              f want got
-          end)
-        parallel_deterministic_fields
-    | None ->
-      Printf.eprintf
-        "solver_micro: baseline has no parallel section, skipping shape diff\n");
-    let cores = Domain.recommended_domain_count () in
-    if cores >= required_speedup_jobs then begin
-      let f = Printf.sprintf "jobs%d_speedup" required_speedup_jobs in
-      match Ejson.member f cur with
-      | Some (Ejson.Float s) when s >= required_speedup ->
-        Printf.eprintf "solver_micro: parallel speedup %.2fx at %d domains (>= %.1fx)\n"
-          s required_speedup_jobs required_speedup
-      | Some (Ejson.Float s) ->
-        fail := true;
-        Printf.eprintf
-          "solver_micro: PARALLEL speedup %.2fx at %d domains, below the \
-           %.1fx bar\n"
-          s required_speedup_jobs required_speedup
-      | _ ->
-        fail := true;
-        Printf.eprintf "solver_micro: parallel section lacks %s\n" f
-    end
-    else
-      Printf.eprintf
-        "solver_micro: %d recommended domain(s): digest gate enforced, \
-         speedup bar skipped (needs >= %d)\n"
-        cores required_speedup_jobs;
-    if !fail then begin
-      Printf.eprintf "solver_micro: parallel gate failed\n";
-      exit 1
-    end
 
 let check_against ~baseline results =
   let base_list =
@@ -387,7 +254,6 @@ let check_against ~baseline results =
 
 let () =
   let names = ref [] and out = ref None and check = ref None in
-  let parallel = ref None in
   let rec parse = function
     | [] -> ()
     | "--out" :: f :: rest ->
@@ -396,14 +262,6 @@ let () =
     | "--check" :: f :: rest ->
       check := Some f;
       parse rest
-    | "--parallel" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some lines when lines > 0 ->
-        parallel := Some lines;
-        parse rest
-      | _ ->
-        prerr_endline "solver_micro: --parallel needs a positive line count";
-        exit 2)
     | name :: rest ->
       names := name :: !names;
       parse rest
@@ -411,16 +269,8 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let names = if !names = [] then default_benchmarks else List.rev !names in
   let results = List.map benchmark_json names in
-  let parallel_section =
-    Option.map (fun lines -> parallel_json ~lines) !parallel
-  in
   let report =
-    Ejson.Assoc
-      ([ ("micro", micro_json ()); ("benchmarks", Ejson.List results) ]
-      @
-      match parallel_section with
-      | Some p -> [ ("parallel", p) ]
-      | None -> [])
+    Ejson.Assoc [ ("micro", micro_json ()); ("benchmarks", Ejson.List results) ]
   in
   (match !out with
   | Some f ->
@@ -439,5 +289,4 @@ let () =
         (fun () -> really_input_string ic (in_channel_length ic))
     in
     let baseline = Ejson.of_string content in
-    check_against ~baseline results;
-    check_parallel ~baseline parallel_section
+    check_against ~baseline results

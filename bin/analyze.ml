@@ -11,11 +11,15 @@
      lint <file.c>      run the checker suite (text/json/SARIF output)
      serve              run the persistent alias-query daemon
      query              script a JSON-RPC session against a running daemon
+     fuzz               differential soundness fuzzing against the interpreter
+     edit-replay        time incremental re-solves of scripted edits
 
    All analysis goes through the Engine facade: phases are timed, solver
-   counters captured, and `--metrics FILE` dumps them as JSON.  `tables`
+   counters captured, and `--metrics FILE` dumps them as JSON.  Each
+   program's CI solve is the one sequential fixpoint.  `tables`
    additionally caches results (keyed by source hash + config) and can
-   fan the suite out over multiple domains with `--jobs N`. *)
+   spread whole benchmarks over multiple domains with `--jobs N`, and
+   `serve --jobs N` sizes the daemon's worker pool. *)
 
 open Cmdliner
 
@@ -214,17 +218,12 @@ let report_baseline (td : Engine.tiered) =
   Table.print t
 
 let run_analyze file dump_sil dump_dot context_sensitive dyck show_pairs
-    deadline_ms min_tier metrics jobs =
+    deadline_ms min_tier metrics =
   with_frontend_errors @@ fun () ->
   if context_sensitive && dyck then begin
     prerr_endline "alias-analyze: --dyck and --context-sensitive conflict";
     exit 2
   end;
-  (match jobs with
-  | Some n when n < 1 ->
-    prerr_endline "alias-analyze: --jobs must be at least 1";
-    exit 2
-  | _ -> ());
   let input = Engine.load_file file in
   let req =
     {
@@ -235,7 +234,6 @@ let run_analyze file dump_sil dump_dot context_sensitive dyck show_pairs
       min_tier = Option.value ~default:Engine.Steensgaard min_tier;
       budget = budget_of_deadline deadline_ms;
       prev = None;
-      jobs = Option.value ~default:1 jobs;
     }
   in
   let td = engine_errors (Engine.analyze req input) in
@@ -277,23 +275,11 @@ let analyze_cmd =
   let dot =
     Arg.(value & flag & info [ "dot" ] ~doc:"Print the VDG in GraphViz format.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Shard the CI solve across $(docv) OCaml domains (call-graph \
-             components scheduled bottom-up over the SCC condensation).  \
-             The solution is byte-identical to a sequential solve at any \
-             width.  Ignored under --deadline-ms, which takes the \
-             budget-governed sequential path.")
-  in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run the points-to analysis on a C file")
     Term.(
       const run_analyze $ file $ dump_sil $ dot $ cs $ dyck $ pairs
-      $ deadline_arg $ min_tier_arg $ metrics_arg $ jobs)
+      $ deadline_arg $ min_tier_arg $ metrics_arg)
 
 (* ---- conflicts ----------------------------------------------------------------- *)
 
@@ -603,9 +589,11 @@ let serve_cmd =
       & opt (some int) None
       & info [ "max-backlog" ] ~docv:"N"
           ~doc:
-            "Refuse new connections (one 'overloaded' error line, then \
-             close) once more than $(docv) are queued behind busy workers \
-             (default: 2 * jobs).")
+            "Refuse heavy requests (open, update, lint, implicit opens, \
+             tier-changing queries) with an 'overloaded' error once more \
+             than $(docv) of them are in flight on the worker pool; the \
+             connection stays open and cheap queries are still answered \
+             (default: max 8 (2 * pool size)).")
   in
   Cmd.v
     (Cmd.info "serve"

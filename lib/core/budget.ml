@@ -1,4 +1,4 @@
-type reason = Deadline | Transfer_limit | Meet_limit | Memory_limit | Cancelled
+type reason = Deadline | Transfer_limit | Meet_limit | Cancelled
 
 exception Exhausted of reason
 
@@ -6,14 +6,12 @@ let string_of_reason = function
   | Deadline -> "deadline"
   | Transfer_limit -> "transfer-limit"
   | Meet_limit -> "meet-limit"
-  | Memory_limit -> "memory-limit"
   | Cancelled -> "cancelled"
 
 let reason_of_string = function
   | "deadline" -> Some Deadline
   | "transfer-limit" -> Some Transfer_limit
   | "meet-limit" -> Some Meet_limit
-  | "memory-limit" -> Some Memory_limit
   | "cancelled" -> Some Cancelled
   | _ -> None
 
@@ -21,11 +19,9 @@ type limits = {
   deadline_s : float option;
   max_transfers : int option;
   max_meets : int option;
-  max_heap_words : int option;
 }
 
-let no_limits =
-  { deadline_s = None; max_transfers = None; max_meets = None; max_heap_words = None }
+let no_limits = { deadline_s = None; max_transfers = None; max_meets = None }
 
 let limits_with_deadline s = { no_limits with deadline_s = Some s }
 
@@ -34,16 +30,15 @@ type t = {
   deadline : float option;  (* absolute, Unix.gettimeofday scale *)
   max_transfers : int;  (* max_int = unlimited *)
   max_meets : int;
-  max_heap_words : int;
   cancelled : bool Atomic.t;  (* shared across [restart]ed tiers *)
   mutable n_transfers : int;
   mutable n_meets : int;
-  mutable until_slow_check : int;  (* countdown to the next clock/heap sample *)
+  mutable until_slow_check : int;  (* countdown to the next clock sample *)
 }
 
-(* Wall-clock and heap sampling cadence.  A transfer function costs at
-   least a few hundred nanoseconds, so ~1k ticks between gettimeofday
-   calls keeps checkpoint overhead well under 1% while bounding deadline
+(* Wall-clock sampling cadence.  A transfer function costs at least a
+   few hundred nanoseconds, so ~1k ticks between gettimeofday calls
+   keeps checkpoint overhead well under 1% while bounding deadline
    overshoot to a few milliseconds on realistic inputs. *)
 let check_interval = 1024
 
@@ -54,7 +49,6 @@ let start limits =
     deadline = Option.map (fun s -> now +. s) limits.deadline_s;
     max_transfers = Option.value ~default:max_int limits.max_transfers;
     max_meets = Option.value ~default:max_int limits.max_meets;
-    max_heap_words = Option.value ~default:max_int limits.max_heap_words;
     cancelled = Atomic.make false;
     n_transfers = 0;
     n_meets = 0;
@@ -71,7 +65,6 @@ let restart t =
     deadline = t.deadline;
     max_transfers = t.max_transfers;
     max_meets = t.max_meets;
-    max_heap_words = t.max_heap_words;
     cancelled = t.cancelled;
     n_transfers = 0;
     n_meets = 0;
@@ -81,25 +74,13 @@ let restart t =
 let cancel t = Atomic.set t.cancelled true
 let is_cancelled t = Atomic.get t.cancelled
 
-let is_unbounded t =
-  t.deadline = None
-  && t.max_transfers = max_int
-  && t.max_meets = max_int
-  && t.max_heap_words = max_int
-  && not (Atomic.get t.cancelled)
-
 let slow_check_poll t =
   t.until_slow_check <- check_interval;
   if Atomic.get t.cancelled then Some Cancelled
   else
     match t.deadline with
     | Some d when Unix.gettimeofday () > d -> Some Deadline
-    | _ ->
-      if
-        t.max_heap_words <> max_int
-        && (Gc.quick_stat ()).Gc.heap_words > t.max_heap_words
-      then Some Memory_limit
-      else None
+    | _ -> None
 
 let exhausted t =
   if t.n_transfers > t.max_transfers then Some Transfer_limit

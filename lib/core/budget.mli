@@ -1,22 +1,21 @@
 (** Resource budgets for cooperative solver cancellation.
 
-    A budget bounds one solve along four axes — wall-clock deadline,
-    transfer-function applications, meet (flow-out) applications, and a
-    major-heap watermark — and additionally carries a cancellation flag
-    that another domain may set at any time.  Solvers call {!tick_transfer}
-    / {!tick_meet} from their hot loops; when a limit trips, the tick
-    raises {!Exhausted} and the caller (normally the Engine's degradation
-    ladder) decides what coarser tier to fall back to.
+    A budget bounds one solve along three axes — wall-clock deadline,
+    transfer-function applications and meet (flow-out) applications —
+    and additionally carries a cancellation flag that another domain may
+    set at any time.  Solvers call {!tick_transfer} / {!tick_meet} from
+    their hot loops; when a limit trips, the tick raises {!Exhausted} and
+    the caller (normally the Engine's degradation ladder) decides what
+    coarser tier to fall back to.
 
-    Ticks are cheap: operation ceilings and cancellation are checked on
-    every tick, while the wall clock and the heap watermark are sampled
-    once every [check_interval] ticks. *)
+    Ticks are cheap: operation ceilings are checked on every tick, while
+    the wall clock and the cancellation flag are sampled once every
+    [check_interval] ticks. *)
 
 type reason =
   | Deadline      (** wall-clock deadline passed *)
   | Transfer_limit  (** transfer-function ceiling reached *)
   | Meet_limit    (** meet/flow-out ceiling reached *)
-  | Memory_limit  (** major-heap watermark exceeded *)
   | Cancelled     (** {!cancel} was called (e.g. client went away) *)
 
 exception Exhausted of reason
@@ -29,7 +28,6 @@ type limits = {
   deadline_s : float option;  (** seconds from {!start} *)
   max_transfers : int option;
   max_meets : int option;
-  max_heap_words : int option;
 }
 
 val no_limits : limits
@@ -55,19 +53,13 @@ val cancel : t -> unit
 
 val is_cancelled : t -> bool
 
-(** [is_unbounded t] is true iff no axis can ever trip: no deadline, no
-    operation or heap limits, and no cancellation requested so far.  The
-    engine uses this to decide whether a solve may run on the parallel
-    path, which does not checkpoint budgets. *)
-val is_unbounded : t -> bool
-
 (** Checkpoints, called from solver hot loops.  Raise {!Exhausted} when a
     limit has tripped. *)
 
 val tick_transfer : t -> unit
 val tick_meet : t -> unit
 
-(** Force a full check (wall clock, heap, cancellation) right now. *)
+(** Force a full check (ceilings, wall clock, cancellation) right now. *)
 val check_now : t -> unit
 
 (** Like {!check_now} but polls instead of raising. *)

@@ -99,8 +99,9 @@ val referenced_locations : t -> Vdg.node_id -> Apath.t list
 
 (** {2 Parallel-solver internals}
 
-    Everything below exists for {!Par_solver} and the tests; ordinary
-    clients never need it.  A sharded solve runs one solver state per
+    Everything below exists for {!Par_solver}, which only the
+    benchmark's [par.*] metrics and the tests run; ordinary clients
+    never need it.  A sharded solve runs one solver state per
     domain over a {e shared} [pts] array: a slot is mutated only by the
     shard whose [owns] predicate claims its node, and flows that land on
     foreign nodes are emitted as {!remote_event}s for the owning shard

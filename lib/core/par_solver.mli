@@ -13,12 +13,13 @@
     domain's Ptset universe and is byte-identical in
     {!Solution_digest} terms to a sequential {!Ci_solver.solve} — the
     fixpoint is unique and the digest order-canonical, which the test
-    suite checks across [--jobs 1/2/8].
+    suite checks at widths 2, 4 and 8.
 
-    The parallel path runs on unlimited budgets only; the engine falls
-    back to the sequential solver whenever a real budget governs the
-    solve (cooperative cancellation across shards is not worth the
-    complexity while budgets accompany interactive, small solves). *)
+    Nothing in the product calls this module: the engine, the CLI and
+    the server solve CI with {!Ci_solver.solve} only, because the
+    sharded solve never cleared its speedup bar.  It remains for the
+    benchmark's [par.*] layer metrics and their tests, and it ticks no
+    budget. *)
 
 type stats = {
   par_jobs : int;  (** domains actually used *)

@@ -65,49 +65,6 @@ let alias v a b = paths_may_overlap (locations v a) (locations v b)
 let locations_denoted ci nid = locations (ci_view ci) nid
 let may_alias ci a b = alias (ci_view ci) a b
 
-(* ---- the provider --------------------------------------------------------------- *)
-
-type provider = {
-  pv_tier : string;
-  pv_nodes : node_view option;
-  pv_line_locations : int -> string list option;
-  pv_line_may_alias : int -> int -> bool option;
-}
-
-(* Indirect memory operations anchored on a source line — the line-keyed
-   question baselines answer natively, answered here from a node view so
-   every tier exposes the same surface. *)
-let memops_on_line v line =
-  List.filter_map
-    (fun (n, _rw) ->
-      match Vdg.loc_of v.nv_graph n.Vdg.nid with
-      | Some loc when loc.Srcloc.line = line -> Some n.Vdg.nid
-      | _ -> None)
-    (Vdg.indirect_memops v.nv_graph)
-
-let node_provider v =
-  let line_locations line =
-    match memops_on_line v line with
-    | [] -> None
-    | nodes ->
-      Some
-        (List.concat_map (locations v) nodes
-        |> List.sort_uniq Apath.compare
-        |> List.map Apath.to_string)
-  in
-  let line_may_alias la lb =
-    match (memops_on_line v la, memops_on_line v lb) with
-    | [], _ | _, [] -> None
-    | ns_a, ns_b ->
-      Some (List.exists (fun a -> List.exists (alias v a) ns_b) ns_a)
-  in
-  {
-    pv_tier = v.nv_tier;
-    pv_nodes = Some v;
-    pv_line_locations = line_locations;
-    pv_line_may_alias = line_may_alias;
-  }
-
 type conflict = {
   cf_a : Modref.op;
   cf_b : Modref.op;

@@ -50,26 +50,7 @@ val locations_denoted : Ci_solver.t -> Vdg.node_id -> Apath.t list
 val may_alias : Ci_solver.t -> Vdg.node_id -> Vdg.node_id -> bool
 (** [alias (ci_view ci)] — shorthand for the default tier. *)
 
-(** {1 The provider}
-
-    The full query surface one resolved program exposes, uniform across
-    all five tiers.  Node-keyed questions are available when [pv_nodes]
-    is [Some] (ci, cs, dyck); line-keyed questions are total — node
-    tiers derive them from the VDG here, baseline tiers (which have no
-    VDG) implement them over their own representations.  [None] from a
-    line closure means no indirect memory operation anchors on that
-    line. *)
-
-type provider = {
-  pv_tier : string;
-  pv_nodes : node_view option;
-  pv_line_locations : int -> string list option;
-  pv_line_may_alias : int -> int -> bool option;
-}
-
-val node_provider : node_view -> provider
-(** Wrap a node view as a provider, deriving the line-keyed closures
-    from the graph's indirect memory operations. *)
+(** {1 Conflicts and purity} *)
 
 type conflict = {
   cf_a : Modref.op;

@@ -396,28 +396,6 @@ let store_payload cache key a =
       s_program_digest = program_digest;
     }
 
-(* The sharded parallel path replaces the sequential CI solve when the
-   caller asked for width and nothing needs budget checkpoints: the
-   shards do not tick budgets, so any real limit (or a cancellable
-   budget that has already been cancelled) forces the sequential
-   solver.  [jobs] never enters the cache fingerprint — the parallel
-   solution is byte-identical to the sequential one, so a cache entry
-   produced at any width serves every width. *)
-let solve_ci_wide ~config ~budget ~jobs ~telemetry graph =
-  if jobs > 1 && Budget.is_unbounded budget then begin
-    let ci, pstats = Par_solver.solve ~config:config.ci_config ~jobs graph in
-    telemetry.Telemetry.t_par <-
-      Some
-        {
-          Telemetry.pc_jobs = pstats.Par_solver.par_jobs;
-          pc_components = pstats.Par_solver.par_components;
-          pc_steals = pstats.Par_solver.par_steals;
-          pc_messages = pstats.Par_solver.par_messages;
-        };
-    ci
-  end
-  else solve_ci ~config ~budget graph
-
 (* ---- incremental re-analysis ------------------------------------------------------- *)
 
 let incr_snapshot a : Incr_engine.prev =
@@ -447,7 +425,7 @@ let new_telemetry input =
    Either way the result is an ordinary analysis with a lazy CS half,
    stored under [store]'s key into its cache when given (again once the
    CS half is solved).  Raises Srcloc.Error and Budget.Exhausted. *)
-let solve_fresh ?store ~budget ~jobs ~prev config input =
+let solve_fresh ?store ~budget ~prev config input =
   let telemetry = new_telemetry input in
   let prog = Telemetry.time telemetry "frontend" (fun () -> compile input) in
   Budget.check_now budget;
@@ -455,9 +433,7 @@ let solve_fresh ?store ~budget ~jobs ~prev config input =
   let ci, incr =
     match prev with
     | None ->
-      ( Telemetry.time telemetry "ci" (fun () ->
-            solve_ci_wide ~config ~budget ~jobs ~telemetry graph),
-        None )
+      (Telemetry.time telemetry "ci" (fun () -> solve_ci ~config ~budget graph), None)
     | Some prev ->
       let outcome =
         Telemetry.time telemetry "incr" (fun () ->
@@ -529,19 +505,18 @@ let find_cached cache ~key config input =
 
 (* An incremental request splices rather than looking the result up, so
    the result always carries the outcome of the splice. *)
-let solve_exhaustive ?cache ~budget ~jobs ~prev config input =
+let solve_exhaustive ?cache ~budget ~prev config input =
   match (cache, prev) with
-  | None, _ -> solve_fresh ~budget ~jobs ~prev config input
+  | None, _ -> solve_fresh ~budget ~prev config input
   | Some c, Some _ ->
-    solve_fresh ~store:(c, cache_key config input) ~budget ~jobs ~prev config
-      input
+    solve_fresh ~store:(c, cache_key config input) ~budget ~prev config input
   | Some c, None -> (
     let key = cache_key config input in
     match find_cached c ~key config input with
     | Some a -> (a, None)
     | None ->
       Engine_cache.record_miss c;
-      solve_fresh ~store:(c, key) ~budget ~jobs ~prev config input)
+      solve_fresh ~store:(c, key) ~budget ~prev config input)
 
 (* ---- the degradation ladder -------------------------------------------------------- *)
 
@@ -664,16 +639,15 @@ type request = {
   min_tier : tier;
   budget : Budget.t option;
   prev : Incr_engine.prev option;
-  jobs : int;
 }
 
 let default_request =
-  { want = Ci; min_tier = Steensgaard; budget = None; prev = None; jobs = 1 }
+  { want = Ci; min_tier = Steensgaard; budget = None; prev = None }
 
 (* The exhaustive pipeline under the ladder: solve (or splice, or find
    cached) CI, force CS when wanted, and descend on exhaustion. *)
-let exhaustive ?cache ~config ~budget ~want ~min_tier ~jobs ~prev input =
-  match solve_exhaustive ?cache ~budget ~jobs ~prev config input with
+let exhaustive ?cache ~config ~budget ~want ~min_tier ~prev input =
+  match solve_exhaustive ?cache ~budget ~prev config input with
   | a, incr -> (
     let finish tier degradations =
       Ok (of_analysis ?incr a ~tier ~degradations ~budget)
@@ -719,8 +693,7 @@ let analyze ?(config = default_config) ?cache req input =
     match req.budget with Some b -> b | None -> Budget.unlimited ()
   in
   if want <> Dyck then
-    exhaustive ?cache ~config ~budget ~want ~min_tier ~jobs:req.jobs
-      ~prev:req.prev input
+    exhaustive ?cache ~config ~budget ~want ~min_tier ~prev:req.prev input
   else
     (* A warm full solution outranks the dyck tier; peek the cache
        without recording a miss (a dyck run is not a solve the cache
@@ -754,39 +727,3 @@ let line_may_alias td la lb =
   match (line_locations td la, line_locations td lb) with
   | Some a, Some b -> Some (overlap a b)
   | _ -> None
-
-(* ---- the unified provider ----------------------------------------------------------- *)
-
-(* One query surface per tiered result.  Node tiers derive line-keyed
-   answers from the VDG inside Query; the baselines (no VDG) answer from
-   their own line-keyed representations here — Query cannot see them,
-   the baseline library sits above the core one. *)
-let provider_of_tiered td =
-  match (td.td_analysis, td.td_dyck) with
-  | Some a, _ ->
-    let view =
-      if cs_forced a then Query.cs_view a.ci (cs a) else Query.ci_view a.ci
-    in
-    Query.node_provider view
-  | None, Some d -> Query.node_provider (Query.dyck_view d)
-  | None, None ->
-    let locs line =
-      match line_locations td line with
-      | Some (_ :: _ as ls) -> Some ls
-      | _ -> None
-    in
-    {
-      Query.pv_tier = string_of_tier td.td_tier;
-      pv_nodes = None;
-      pv_line_locations =
-        (fun line ->
-          Option.map
-            (fun ls ->
-              List.sort_uniq compare (List.map Absloc.to_string ls))
-            (locs line));
-      pv_line_may_alias =
-        (fun la lb ->
-          match (locs la, locs lb) with
-          | Some a, Some b -> Some (overlap a b)
-          | _ -> None);
-    }

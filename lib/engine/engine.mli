@@ -18,7 +18,9 @@
 
     Phases: load -> frontend (preproc/parse/sema/SIL) -> vdg (SSA) ->
     ci (Figure 1) -> cs (Figure 5, lazily forced).  Each phase is timed
-    into the analysis' {!Telemetry.t}.
+    into the analysis' {!Telemetry.t}.  The ci phase is always the one
+    sequential worklist fixpoint, {!Ci_solver.solve} (or its incremental
+    splice, {!Incr_engine.update}); the engine never shards a solve.
 
     {!analyze} optionally consults an {!Engine_cache.t} keyed by a digest
     of the source text and the configuration fingerprint: an on-disk
@@ -168,12 +170,11 @@ type request = {
   prev : Incr_engine.prev option;
       (** a previous snapshot ({!incr_snapshot}) to splice the CI solve
           from instead of solving cold *)
-  jobs : int;  (** CI solve width when unbudgeted *)
 }
 
 val default_request : request
-(** [{want = Ci; min_tier = Steensgaard; budget = None; prev = None;
-    jobs = 1}]: an unbudgeted, sequential, cold CI solve. *)
+(** [{want = Ci; min_tier = Steensgaard; budget = None; prev = None}]:
+    an unbudgeted, cold CI solve. *)
 
 val analyze :
   ?config:config ->
@@ -218,13 +219,6 @@ val analyze :
     is near-linear and terminal, so with the default floor the ladder
     always bottoms out on an answer.
 
-    With [jobs > 1] and no effective budget ({!Budget.is_unbounded}),
-    the CI solve is sharded across that many domains by {!Par_solver};
-    the solution is byte-identical to the sequential one, so [jobs]
-    does not enter the cache fingerprint.  Any real budget forces the
-    sequential path, since the parallel solver does not checkpoint
-    budgets.
-
     Errors: [Frontend_error]; [Budget_exhausted] when the floor forbids
     descending past the tier that trips; [Cancelled] on cancellation
     (never degraded). *)
@@ -263,11 +257,6 @@ val cs_tiered : ?budget:Budget.t -> analysis -> (cs_outcome, error) result
     and the caller answers queries from [a.ci] — identical verdicts to a
     direct CI run, since the CI solution is already complete.  Only
     cancellation surfaces as [Error Cancelled]. *)
-
-val provider_of_tiered : tiered -> Query.provider
-(** The unified query surface for whatever tier the run achieved:
-    node-keyed views for [ci]/[cs]/[dyck], line-keyed closures for every
-    tier (the baselines answer from their own representations). *)
 
 (** {2 Queries at degraded tiers}
 

@@ -37,7 +37,8 @@ type t = { dir : string; lock : Mutex.t; st : stats }
    renumbers the Disk_hit constant a stored telemetry record can carry. *)
 (* /9: Telemetry.t's dyck field became a solver_counters record and its
    incr field holds Incr_engine.stats. *)
-let format_version = "alias-engine-cache/9"
+(* /10: Telemetry.t lost its sharded-solve counter field. *)
+let format_version = "alias-engine-cache/10"
 
 let create dir =
   (if not (Sys.file_exists dir) then

@@ -33,15 +33,6 @@ type checker_stat = {
   ck_diagnostics : int;
 }
 
-(* Counters of the sharded parallel CI solve (Par_solver): how wide the
-   solve ran and how much cross-shard coordination it cost. *)
-type par_counters = {
-  pc_jobs : int;       (* domains used *)
-  pc_components : int; (* scheduled call-graph components *)
-  pc_steals : int;     (* successful deque steals *)
-  pc_messages : int;   (* cross-shard events posted *)
-}
-
 (* One step down the precision ladder: which tier was abandoned, which
    tier answered instead, and which budget axis tripped. *)
 type degradation_event = {
@@ -62,7 +53,6 @@ type t = {
   mutable t_cs : solver_counters option;
   mutable t_dyck : solver_counters option;   (* set on the dyck tier *)
   mutable t_incr : Incr_engine.stats option; (* set by an incremental Engine.analyze *)
-  mutable t_par : par_counters option;       (* set when the CI solve was sharded *)
   mutable t_checkers : checker_stat list;    (* in execution order *)
   mutable t_tier : string option;            (* ladder tier actually achieved *)
   mutable t_degradations : degradation_event list;  (* in occurrence order *)
@@ -88,7 +78,6 @@ let create ~file ~source_bytes =
     t_cs = None;
     t_dyck = None;
     t_incr = None;
-    t_par = None;
     t_checkers = [];
     t_tier = None;
     t_degradations = [];
@@ -223,7 +212,6 @@ let copy t =
     t_cs = t.t_cs;
     t_dyck = t.t_dyck;
     t_incr = t.t_incr;
-    t_par = t.t_par;
     t_checkers = t.t_checkers;
     t_tier = t.t_tier;
     t_degradations = t.t_degradations;
@@ -257,14 +245,6 @@ let incr_json (s : Incr_engine.stats) =
     ("incr_full_fallback", Ejson.Bool s.Incr_engine.st_full_fallback);
   ]
 
-let par_json (p : par_counters) =
-  [
-    ("par_jobs", Ejson.Int p.pc_jobs);
-    ("par_components", Ejson.Int p.pc_components);
-    ("par_steals", Ejson.Int p.pc_steals);
-    ("par_messages", Ejson.Int p.pc_messages);
-  ]
-
 let to_json t =
   let phases =
     Ejson.Assoc (List.map (fun (name, s) -> (name, Ejson.Float s)) t.t_phases)
@@ -279,7 +259,6 @@ let to_json t =
     @ (match t.t_cs with Some c -> counters_json "cs" c | None -> [])
     @ (match t.t_dyck with Some c -> counters_json "dyck" c | None -> [])
     @ (match t.t_incr with Some i -> incr_json i | None -> [])
-    @ (match t.t_par with Some p -> par_json p | None -> [])
   in
   let checkers =
     match t.t_checkers with
@@ -356,7 +335,7 @@ let suite_to_json ?(cache_stats = []) ts =
   in
   Ejson.Assoc
     [
-      ("schema", Ejson.String "alias-engine-metrics/3");
+      ("schema", Ejson.String "alias-engine-metrics/4");
       ("benchmarks", Ejson.List (List.map to_json ts));
       ("totals", totals);
     ]

@@ -34,15 +34,6 @@ type checker_stat = {
   ck_diagnostics : int;
 }
 
-(** Counters of the sharded parallel CI solve ([Par_solver]): how wide
-    the solve ran and how much cross-shard coordination it cost. *)
-type par_counters = {
-  pc_jobs : int;  (** domains used *)
-  pc_components : int;  (** scheduled call-graph components *)
-  pc_steals : int;  (** successful deque steals *)
-  pc_messages : int;  (** cross-shard events posted *)
-}
-
 (** One step down the precision ladder: which tier was abandoned, which
     tier answered instead, and which budget axis tripped (a
     {!Budget.reason} rendered as a string). *)
@@ -65,8 +56,6 @@ type t = {
   mutable t_dyck : solver_counters option;  (** set on the dyck tier *)
   mutable t_incr : Incr_engine.stats option;
       (** set by an incremental [Engine.analyze] *)
-  mutable t_par : par_counters option;
-      (** set when the CI solve was sharded across domains *)
   mutable t_checkers : checker_stat list;  (** in execution order *)
   mutable t_tier : string option;  (** ladder tier actually achieved *)
   mutable t_degradations : degradation_event list;  (** in occurrence order *)
@@ -133,10 +122,6 @@ val latency_json : latency -> (string * Ejson.t) list
 val incr_json : Incr_engine.stats -> (string * Ejson.t) list
 (** The seven ["incr_*"] counter fields, as embedded in {!to_json}, the
     server's [update] reply and the edit-replay report. *)
-
-val par_json : par_counters -> (string * Ejson.t) list
-(** The ["par_*"] counter fields, as embedded in {!to_json} and the
-    server's [stats] reply. *)
 
 val to_json : t -> Ejson.t
 

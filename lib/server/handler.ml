@@ -256,24 +256,14 @@ let mode_of_params params =
     Protocol.bad_params
       "parameter \"mode\" must be \"dyck\" or \"exhaustive\" (got %S)" s
 
-(* v6: cold exhaustive opens may shard their CI solve across domains.
-   The solution is byte-identical at any width, so "jobs" affects only
-   the open's latency, never the session produced. *)
-let jobs_of_params params =
-  match Protocol.opt_int_param params "jobs" with
-  | None -> None
-  | Some n when n >= 1 -> Some n
-  | Some n -> Protocol.bad_params "parameter \"jobs\" must be >= 1 (got %d)" n
-
 let do_open t conn params =
   let path = Protocol.string_param params "file" in
   let deadline_s = deadline_of_params params in
   let min_tier = min_tier_of_params params in
   let mode = mode_of_params params in
-  let jobs = jobs_of_params params in
-  let r =
-    Session.open_path ?deadline_s ?min_tier ?mode ?jobs t.h_sessions path
-  in
+  (* a v6 "jobs" parameter is accepted and ignored: the CI solve is
+     always sequential, so it never changed the session produced *)
+  let r = Session.open_path ?deadline_s ?min_tier ?mode t.h_sessions path in
   let e = r.Session.or_entry in
   conn.cn_session <- Some e.Session.ses_id;
   let td = e.Session.ses_tiered in
@@ -296,9 +286,6 @@ let do_open t conn params =
        ("bytes", Ejson.Int e.Session.ses_bytes);
        ("pipeline_seconds", Ejson.Float (Telemetry.total_seconds tele));
      ]
-    @ (match tele.Telemetry.t_par with
-      | Some p -> [ ("parallel", Ejson.Assoc (Telemetry.par_json p)) ]
-      | None -> [])
     @
     match Session.solution_digest t.h_sessions e with
     | Some d -> [ ("solution_digest", Ejson.String d) ]
@@ -761,31 +748,38 @@ let method_names =
     "purity"; "conflicts"; "lint"; "stats"; "shutdown";
   ]
 
+(* Methods answered from the exhaustive solution whatever their params.
+   On a session that holds only a dyck solution, the first of them
+   upgrades it: the whole exhaustive pipeline. *)
+let needs_analysis = function
+  | "modref" | "purity" | "conflicts" | "lint" -> true
+  | _ -> false
+
 (* Methods that read a solved session run under the session lock.  The
    non-blocking variant (the reactor's inline path) raises
    {!Session.Busy} instead of parking the event loop behind a lock a
-   worker job is holding. *)
-let with_session ~blocking t conn params f =
+   worker job is holding, or behind a dyck session's upgrade. *)
+let with_session ~blocking t conn meth params f =
   let e = resolve t conn params in
   if blocking then Session.with_entry e (fun () -> f e)
+  else if
+    needs_analysis meth && Session.analysis e = None && Session.dyck e <> None
+  then raise Session.Busy
   else Session.try_with_entry e (fun () -> f e)
 
 let dispatch ~blocking t conn meth params =
-  let with_session = with_session ~blocking in
+  let with_session = with_session ~blocking t conn meth params in
   match meth with
   | "ping" -> do_ping t params
   | "open" -> do_open t conn params
   | "close" -> do_close t conn params
   | "update" -> do_update t conn params
-  | "may_alias" ->
-    with_session t conn params (fun e -> do_may_alias t e params)
-  | "points_to" ->
-    with_session t conn params (fun e -> do_points_to t e params)
-  | "modref" -> with_session t conn params (fun e -> do_modref t e params)
-  | "purity" -> with_session t conn params (fun e -> do_purity t e params)
-  | "conflicts" ->
-    with_session t conn params (fun e -> do_conflicts t e params)
-  | "lint" -> with_session t conn params (fun e -> do_lint t e params)
+  | "may_alias" -> with_session (fun e -> do_may_alias t e params)
+  | "points_to" -> with_session (fun e -> do_points_to t e params)
+  | "modref" -> with_session (fun e -> do_modref t e params)
+  | "purity" -> with_session (fun e -> do_purity t e params)
+  | "conflicts" -> with_session (fun e -> do_conflicts t e params)
+  | "lint" -> with_session (fun e -> do_lint t e params)
   | "stats" -> do_stats t params
   | "shutdown" ->
     (* stop burning cycles on solves nobody will wait for *)
@@ -923,7 +917,9 @@ let handle_line t conn line = handle_envelope t conn (Protocol.envelope_of_line 
    worker domain rather than inline on the reactor): the solving methods
    themselves, any request that may implicitly open a file, and any
    query whose opts can upgrade the session, run the CS solver or run
-   the session's first Dyck solve. *)
+   the session's first Dyck solve.  This reads the request only; a
+   light modref/purity/conflicts that finds a dyck session punts from
+   [with_session] instead. *)
 let heavy_request (rq : Protocol.request) =
   match rq.Protocol.rq_method with
   | "open" | "lint" | "update" -> true

@@ -52,10 +52,13 @@ type outcome =
       (** the response to write before the transport shuts down *)
 
 val handle : ?blocking:bool -> t -> conn -> Protocol.request -> outcome
-(** With [~blocking:false] (the reactor's inline path), session-lock
-    acquisition raises {!Session.Busy} instead of waiting — nothing is
-    recorded for the punted attempt; the caller retries on a worker with
-    the default blocking mode. *)
+(** With [~blocking:false] (the reactor's inline path), a request raises
+    {!Session.Busy} instead of waiting on a session lock, and instead of
+    upgrading a dyck session: [modref], [purity], [conflicts] and [lint]
+    need the exhaustive solution, which a session opened with
+    [mode="dyck"] solves on first use.  Nothing is recorded for the
+    punted attempt; the caller retries on a worker with the default
+    blocking mode. *)
 
 val handle_item :
   ?blocking:bool ->
@@ -88,7 +91,10 @@ val heavy_request : Protocol.request -> bool
     [update]; any request that may implicitly open a file (a ["file"]
     parameter); and any query whose opts can promote the session, run
     the CS solver or run the session's first Dyck solve
-    ([tier=ci|cs|dyck], a deadline, or a floor). *)
+    ([tier=ci|cs|dyck], a deadline, or a floor).  The class reads only
+    the request, not the session: a light [modref], [purity] or
+    [conflicts] that lands on a dyck session punts from the inline path
+    ({!handle}). *)
 
 val heavy_envelope :
   (Protocol.envelope, Protocol.error_code * string) result -> bool

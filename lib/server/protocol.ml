@@ -26,10 +26,9 @@
    request objects, answered by one line carrying the array of responses
    in the same order) and the nested "opts" query-options object shared
    by may_alias/points_to/modref (the v5 flat tier/deadline_ms/min_tier
-   parameters remain accepted); a v6 "open" may also carry "jobs" to
-   shard a cold undeadlined exhaustive solve across that many domains
-   (the solution is byte-identical at any width, so the parameter
-   affects only latency and plays no part in session identity).
+   parameters remain accepted).  A v6 "open" may carry "jobs", which
+   once sharded the CI solve across domains; the solve is always
+   sequential now, and the parameter is accepted and ignored.
    Requests may carry a "protocol" param: absent and 1..6 are accepted
    (older clients never send the newer parameters, so each version's
    behavior is a strict superset); anything else is rejected with
@@ -39,7 +38,7 @@ let protocol_version = 6
 let capabilities =
   [
     "budgets"; "deadlines"; "tiers"; "cancellation"; "backpressure"; "dyck";
-    "incremental"; "batch"; "parallel";
+    "incremental"; "batch";
   ]
 
 (* JSON-RPC reserves -32768..-32000; the server-defined codes sit just
@@ -56,7 +55,7 @@ type error_code =
   | Unsupported_version  (* -32004: a "protocol" value we don't speak *)
   | Budget_exhausted  (* -32005: deadline/ceiling tripped above the floor *)
   | Cancelled  (* -32006: the in-flight solve was cancelled *)
-  | Overloaded  (* -32007: accept-time backpressure, try again later *)
+  | Overloaded  (* -32007: the pool backlog is full, retry this request later *)
   | Tier_unavailable  (* -32008: query needs a tier the session lacks *)
 
 let int_of_error_code = function

@@ -14,12 +14,12 @@ val protocol_version : int
     carry a ["protocol"] parameter: absent and every version up to
     [protocol_version] are accepted — each version's parameters are a
     strict superset of the previous surface — anything newer is rejected
-    with {!Unsupported_version}. *)
+    with {!Unsupported_version}.  A v6 [open] may still carry ["jobs"],
+    which once sharded its CI solve; it is accepted and ignored. *)
 
 val capabilities : string list
 (** Feature tags advertised by [ping]: ["budgets"; "deadlines"; "tiers";
-    "cancellation"; "backpressure"; "dyck"; "incremental"; "batch";
-    "parallel"]. *)
+    "cancellation"; "backpressure"; "dyck"; "incremental"; "batch"]. *)
 
 type error_code =
   | Parse_error  (** -32700: the line is not JSON *)

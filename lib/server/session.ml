@@ -314,7 +314,7 @@ type open_status = [ `Session_hit | `Solved of Telemetry.cache_status ]
 
 type open_result = { or_entry : entry; or_status : open_status }
 
-let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?(jobs = 1) t path =
+let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) t path =
   let deadline_s =
     match deadline_s with Some _ as d -> d | None -> t.default_deadline_s
   in
@@ -420,7 +420,6 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) ?(jobs = 1) t path =
               min_tier = floor;
               budget = Some budget;
               prev = None;
-              jobs;
             }
             input)
     in

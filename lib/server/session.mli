@@ -19,7 +19,14 @@
     A session hit requires the live entry's tier to satisfy the
     request's floor; a too-coarse entry is dropped and re-solved (the
     upgrade path).  Budgets of in-flight solves are registered by path
-    so close/shutdown can cancel them mid-solve. *)
+    so close/shutdown can cancel them mid-solve.
+
+    A session opened in dyck mode holds only the Dyck-tier solution.
+    The first query that needs the exhaustive one upgrades the entry in
+    place ({!require_analysis}), which runs the whole exhaustive
+    pipeline; the server's reactor therefore hands such a query to a
+    worker ({!Handler.handle}).  Every CI solve here is the sequential
+    {!Ci_solver} fixpoint, through {!Engine.analyze}. *)
 
 type entry = {
   ses_id : string;  (** the {!Engine.cache_key} digest, exposed to clients *)
@@ -113,7 +120,6 @@ val open_path :
   ?deadline_s:float ->
   ?min_tier:Engine.tier ->
   ?mode:[ `Dyck | `Exhaustive ] ->
-  ?jobs:int ->
   t ->
   string ->
   open_result
@@ -127,18 +133,14 @@ val open_path :
     [mode] (default [`Exhaustive], the v2 wire behavior) picks the
     pipeline: [`Exhaustive] solves CI before returning; [`Dyck] solves
     the flow-insensitive Dyck-reachability tier instead, which has no
-    store chains to thread and so opens faster; either way every query
-    afterwards is a lookup.  A dyck open is satisfied by any live
+    store chains to thread and so opens faster; either way a query at
+    the session's own tier is a lookup, while one that needs the
+    exhaustive solution upgrades a dyck session ({!require_analysis}).
+    A dyck open is satisfied by any live
     sufficiently-precise session; an exhaustive open landing on a live
     dyck session upgrades it in place ({!require_analysis}) and reports
     a session hit.
 
-    With [jobs > 1], a cold exhaustive solve without a deadline shards
-    its CI fixpoint across that many domains ({!Par_solver} via the
-    request's [jobs]); the solution — and hence the session's
-    digest — is byte-identical to a sequential solve, so [jobs] plays
-    no part in session or cache identity.  Deadlined opens ignore it
-    (the parallel path does not checkpoint budgets).
     @raise Sys_error on an unreadable path.
     @raise Engine_error when the solve returns [Error] (frontend error,
     floor violation, cancellation). *)

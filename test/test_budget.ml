@@ -52,7 +52,7 @@ let test_reason_round_trip () =
         (Budget.reason_of_string (Budget.string_of_reason r) = Some r))
     [
       Budget.Deadline; Budget.Transfer_limit; Budget.Meet_limit;
-      Budget.Memory_limit; Budget.Cancelled;
+      Budget.Cancelled;
     ];
   Alcotest.(check bool) "unknown" true (Budget.reason_of_string "bogus" = None)
 

@@ -179,7 +179,7 @@ let test_metrics_json () =
   (* must survive a print/parse round trip *)
   let parsed = Ejson.of_string (Ejson.to_string json) in
   Alcotest.(check (option string))
-    "schema version" (Some "alias-engine-metrics/3")
+    "schema version" (Some "alias-engine-metrics/4")
     (match Ejson.member "schema" parsed with
     | Some (Ejson.String v) -> Some v
     | _ -> None);
@@ -222,6 +222,15 @@ let test_metrics_json () =
     | Some c -> c
     | None -> Alcotest.fail "missing counters"
   in
+  (* /4: the sharded solve's par_* counters are gone *)
+  (match counters with
+  | Ejson.Assoc fields ->
+    List.iter
+      (fun (key, _) ->
+        if String.length key >= 4 && String.sub key 0 4 = "par_" then
+          Alcotest.fail ("unexpected counter " ^ key))
+      fields
+  | _ -> Alcotest.fail "counters must be an object");
   List.iter
     (fun key ->
       match Ejson.member key counters with

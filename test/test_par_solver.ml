@@ -1,5 +1,5 @@
-(* Parallel-solver tests: the sharded solve must be *byte-identical* to
-   the sequential one — same solution digest at every width — on every
+(* Parallel-solver tests: the sharded solve must reach the sequential
+   fixpoint — the same pairs at every node, at every width — on every
    example program and on a battery of fixed-seed generated programs.
    Plus unit tests for the hoisted SCC condensation and the
    steal-capable deque the scheduler runs on. *)
@@ -175,35 +175,35 @@ let test_deque_concurrent () =
 
 (* ---- digest equality: parallel == sequential ------------------------------------ *)
 
-let input_of_src ~file src = Engine.load_string ~file src
+(* The sharded solver has no product caller, so these tests call it
+   directly, each solve on a freshly built graph (the pipeline is
+   deterministic, so node ids line up). *)
+let graph_of ~file src =
+  Engine.build_graph (Engine.compile (Engine.load_string ~file src))
 
-let analysis_at ~jobs input =
-  Test_util.analysis ~req:{ Engine.default_request with jobs } input
+(* Every node's CI pairs in canonical order: the sharded fixpoint must
+   equal the sequential one node by node. *)
+let ci_node_pairs g ci =
+  List.init (Vdg.n_nodes g) (fun nid ->
+      Ptpair.Set.fold (fun p acc -> Ptpair.to_string p :: acc)
+        (Ci_solver.pairs ci nid) []
+      |> List.sort compare)
 
-let seq_and_par_digests ~file src =
-  let seq = Test_util.analysis (input_of_src ~file src) in
-  let d_seq = Solution_digest.ci_digest seq in
-  let widths = [ 2; 8 ] in
-  let d_par =
-    List.map
-      (fun jobs ->
-        (jobs, Solution_digest.ci_digest (analysis_at ~jobs (input_of_src ~file src))))
-      widths
-  in
-  (d_seq, d_par)
-
-let assert_digest_equal label (d_seq, d_par) =
+let assert_par_equals_seq label ~file src =
+  let g = graph_of ~file src in
+  let seq = ci_node_pairs g (Ci_solver.solve g) in
   List.iter
-    (fun (jobs, d) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s: --jobs %d == sequential" label jobs)
-        d_seq d)
-    d_par
+    (fun jobs ->
+      let g = graph_of ~file src in
+      let par, _ = Par_solver.solve ~jobs g in
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "%s: %d domains == sequential" label jobs)
+        seq (ci_node_pairs g par))
+    [ 2; 8 ]
 
 let test_examples_digest_equality () =
   List.iter
-    (fun path ->
-      assert_digest_equal path (seq_and_par_digests ~file:path (read_file path)))
+    (fun path -> assert_par_equals_seq path ~file:path (read_file path))
     (example_files ())
 
 (* 50 fixed-seed generated programs across the generator's shape space;
@@ -227,21 +227,41 @@ let test_generated_digest_equality () =
   List.iter
     (fun profile ->
       let label = profile.Profile.name in
-      let src = Genc.generate profile in
-      assert_digest_equal label (seq_and_par_digests ~file:(label ^ ".c") src))
+      assert_par_equals_seq label ~file:(label ^ ".c") (Genc.generate profile))
     battery_profiles
 
-(* the full solution digest (which forces the CS solve on top of the
-   merged CI solution) must agree too: merged state is a complete,
-   ordinary Ci_solver.t *)
+(* the CS solve run over the merged CI solution must agree too: merged
+   state is a complete, ordinary Ci_solver.t *)
+let cs_node_quals g cs =
+  let actx = Cs_solver.assumption_ctx cs in
+  let aset_string aset =
+    List.map
+      (fun aid ->
+        let node, pair = Assumption.describe actx aid in
+        Printf.sprintf "(n%d %s)" node (Ptpair.to_string pair))
+      (Assumption.elements aset)
+    |> List.sort compare |> String.concat ","
+  in
+  List.init (Vdg.n_nodes g) (fun nid ->
+      List.map
+        (fun (p, chains) ->
+          Ptpair.to_string p ^ " :: "
+          ^ String.concat " | " (List.sort compare (List.map aset_string chains)))
+        (Cs_solver.qualified cs nid)
+      |> List.sort compare)
+
 let test_full_digest_over_parallel_ci () =
-  let entry = Option.get (Suite.find "allroots") in
-  let src = Suite.source entry in
-  let seq = Test_util.analysis (input_of_src ~file:"allroots.c" src) in
-  let par = analysis_at ~jobs:4 (input_of_src ~file:"allroots.c" src) in
-  Alcotest.(check string)
-    "full digest (CS forced) identical"
-    (Solution_digest.digest seq) (Solution_digest.digest par)
+  let src = Suite.source (Option.get (Suite.find "allroots")) in
+  let g_seq = graph_of ~file:"allroots.c" src in
+  let ci_seq = Ci_solver.solve g_seq in
+  let g_par = graph_of ~file:"allroots.c" src in
+  let ci_par, _ = Par_solver.solve ~jobs:4 g_par in
+  Alcotest.(check (list (list string)))
+    "ci pairs identical" (ci_node_pairs g_seq ci_seq) (ci_node_pairs g_par ci_par);
+  Alcotest.(check (list (list string)))
+    "cs over the merged ci identical"
+    (cs_node_quals g_seq (Cs_solver.solve g_seq ~ci:ci_seq))
+    (cs_node_quals g_par (Cs_solver.solve g_par ~ci:ci_par))
 
 (* the linux preset must actually hit the advertised scale *)
 let test_linux_preset_scale () =
@@ -252,26 +272,6 @@ let test_linux_preset_scale () =
     (Genc.line_count src >= 100_000);
   (* generation is deterministic *)
   Alcotest.(check string) "deterministic" src (Genc.generate p)
-
-(* telemetry carries the parallel counters, and a budgeted run falls
-   back to the sequential path (no counters) *)
-let test_parallel_telemetry () =
-  let src = read_file (List.hd (example_files ())) in
-  let a = analysis_at ~jobs:2 (input_of_src ~file:"t.c" src) in
-  (match a.Engine.telemetry.Telemetry.t_par with
-  | Some p ->
-    Alcotest.(check int) "jobs recorded" 2 p.Telemetry.pc_jobs;
-    Alcotest.(check bool) "components scheduled" true (p.Telemetry.pc_components > 0)
-  | None -> Alcotest.fail "expected parallel counters on a --jobs 2 run");
-  let budget = Budget.start (Budget.limits_with_deadline 60.) in
-  let a =
-    Test_util.analysis
-      ~req:{ Engine.default_request with budget = Some budget; jobs = 2 }
-      (input_of_src ~file:"t.c" src)
-  in
-  Alcotest.(check bool)
-    "budgeted run takes the sequential path" true
-    (a.Engine.telemetry.Telemetry.t_par = None)
 
 let tests =
   [
@@ -286,5 +286,4 @@ let tests =
     Alcotest.test_case "full digest over parallel ci" `Quick
       test_full_digest_over_parallel_ci;
     Alcotest.test_case "linux preset scale" `Slow test_linux_preset_scale;
-    Alcotest.test_case "parallel telemetry" `Quick test_parallel_telemetry;
   ]

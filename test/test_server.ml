@@ -266,7 +266,27 @@ let test_session_hit_and_stats () =
     "requests counted" true
     (int_field "stats" "requests" stats >= 2);
   let opens = member_exn "stats" "open" (member_exn "stats" "methods" stats) in
-  Alcotest.(check int) "open latency samples" 2 (int_field "stats" "count" opens)
+  Alcotest.(check int) "open latency samples" 2 (int_field "stats" "count" opens);
+  (* a v6 client's "jobs" is accepted and ignored: a cold open on a fresh
+     daemon yields the same session and solution as the plain open *)
+  let h' = Handler.create (Session.create ()) in
+  let wide =
+    expect_ok "open with jobs"
+      (rpc h' (Handler.new_conn ()) "open"
+         (Ejson.Assoc [ ("file", Ejson.String file); ("jobs", Ejson.Int 8) ]))
+  in
+  Alcotest.(check string) "jobs open solves" "miss" (string_field "open" "status" wide);
+  Alcotest.(check string)
+    "jobs open: same session"
+    (string_field "open" "session" first)
+    (string_field "open" "session" wide);
+  Alcotest.(check string)
+    "jobs open: same solution digest"
+    (string_field "open" "solution_digest" first)
+    (string_field "open" "solution_digest" wide);
+  Alcotest.(check bool)
+    "no parallel block" true
+    (Ejson.member "parallel" wide = None)
 
 let test_invalidation_on_change () =
   let dir = fresh_dir () in
@@ -559,7 +579,11 @@ let test_protocol_versioning () =
   | Ejson.List caps ->
     Alcotest.(check bool)
       "budgets capability listed" true
-      (List.mem (Ejson.String "budgets") caps)
+      (List.mem (Ejson.String "budgets") caps);
+    (* the CI solve is always sequential: nothing to advertise *)
+    Alcotest.(check bool)
+      "parallel capability no longer listed" false
+      (List.mem (Ejson.String "parallel") caps)
   | _ -> Alcotest.fail "capabilities must be a list");
   (* explicit v1 and v2 are both accepted *)
   List.iter
@@ -1513,6 +1537,76 @@ let test_heavy_request_tiers () =
     "tier=ci stays heavy" true
     (Handler.heavy_request (may_alias [ ("tier", Ejson.String "ci") ]))
 
+(* A dyck session holds no exhaustive solution, so its first modref,
+   purity or conflicts upgrades it by running the whole exhaustive
+   pipeline.  The three are classed light, so the reactor's inline path
+   must punt them to a worker (Session.Busy) rather than solve on the
+   event loop; the worker's blocking retry answers and upgrades once.
+   An exhaustive session answers the same requests inline. *)
+let test_dyck_session_punts_upgrades () =
+  let dir = fresh_dir () in
+  let dyck_file = temp_c dir "conflict.c" conflict_src in
+  let ci_file = temp_c dir "disjoint.c" disjoint_src in
+  let sessions = Session.create () in
+  let h = Handler.create sessions in
+  let conn = Handler.new_conn () in
+  let open_session params =
+    string_field "open" "session" (expect_ok "open" (rpc h conn "open" params))
+  in
+  let dyck_id =
+    open_session
+      (Ejson.Assoc
+         [ ("file", Ejson.String dyck_file); ("mode", Ejson.String "dyck") ])
+  in
+  let ci_id = open_session (Ejson.Assoc [ ("file", Ejson.String ci_file) ]) in
+  let request id meth =
+    {
+      Protocol.rq_id = Ejson.Int 1;
+      rq_method = meth;
+      rq_params = Ejson.Assoc [ ("session", Ejson.String id) ];
+    }
+  in
+  let answer what = function
+    | Handler.Reply r | Handler.Reply_shutdown r -> (
+      match Protocol.response_of_line r with
+      | Ok rs -> ignore (expect_ok what rs.Protocol.rs_result : Ejson.t)
+      | Error msg -> Alcotest.failf "%s: unparsable response: %s" what msg)
+  in
+  let inline id meth =
+    match Handler.handle ~blocking:false h conn (request id meth) with
+    | exception Session.Busy -> `Punted
+    | outcome ->
+      answer meth outcome;
+      `Answered
+  in
+  let methods = [ "modref"; "purity"; "conflicts" ] in
+  List.iter
+    (fun meth ->
+      Alcotest.(check bool)
+        (meth ^ " is classed light") false
+        (Handler.heavy_request (request dyck_id meth));
+      Alcotest.(check bool)
+        (meth ^ " on a dyck session punts") true
+        (inline dyck_id meth = `Punted))
+    methods;
+  Alcotest.(check int) "nothing upgraded inline" 0
+    (session_stat sessions "upgraded");
+  List.iter
+    (fun meth -> answer meth (Handler.handle h conn (request dyck_id meth)))
+    methods;
+  Alcotest.(check int) "the blocking path upgrades once" 1
+    (session_stat sessions "upgraded");
+  List.iter
+    (fun id ->
+      List.iter
+        (fun meth ->
+          Alcotest.(check bool)
+            (meth ^ " on an exhaustive session answers inline") true
+            (inline id meth = `Answered))
+        methods)
+    [ ci_id; dyck_id ];
+  Alcotest.(check int) "no further upgrade" 1 (session_stat sessions "upgraded")
+
 let test_batched_matches_unbatched () =
   let dir = fresh_dir () in
   let file = temp_c dir "conflict.c" conflict_src in
@@ -1827,6 +1921,8 @@ let tests =
       test_query_opts_codec;
     Alcotest.test_case "reactor: tier=dyck queries run on the pool" `Quick
       test_heavy_request_tiers;
+    Alcotest.test_case "reactor: dyck-session upgrades run on the pool" `Quick
+      test_dyck_session_punts_upgrades;
     Alcotest.test_case "v6: batched payloads match unbatched" `Quick
       test_batched_matches_unbatched;
     Alcotest.test_case "v6: shutdown under 50ms on a live socket" `Quick
