@@ -177,9 +177,10 @@ let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
         if Ptpair.Set.cardinal set > 0 && Vdg.is_alias_related n.Vdg.ntype then begin
           Printf.printf "  node %d (%s, in %s):\n" n.Vdg.nid
             (Vdg.string_of_kind n.Vdg.nkind) n.Vdg.nfun;
-          Ptpair.Set.iter
-            (fun p -> Printf.printf "    %s\n" (Ptpair.to_string p))
-            set
+          (* print-form order: set order follows interning, not the program *)
+          Ptpair.Set.fold g.Vdg.tbl (fun p acc -> Ptpair.to_string p :: acc) set []
+          |> List.sort String.compare
+          |> List.iter (Printf.printf "    %s\n")
         end)
   end
 

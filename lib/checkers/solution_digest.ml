@@ -14,10 +14,33 @@ let verdict_string = function
   | Lint.Ci_only -> "ci-only"
   | Lint.Cs_only -> "cs-only"
 
+(* A node's "ci" lines, rendered and sorted once per distinct set: a
+   solution has far fewer distinct sets than nodes, and equal sets share
+   one hash-consed version, whose id keys the memo (ids are unique within
+   one solution's universe). *)
+let ci_lines (ci : Ci_solver.t) : Vdg.node_id -> string =
+  let tbl = (Ci_solver.graph ci).Vdg.tbl in
+  let memo = Hashtbl.create 1024 in
+  fun nid ->
+    let s = Ci_solver.pairs ci nid in
+    if Ptset.is_empty s then ""
+    else
+      match Hashtbl.find_opt memo (Ptset.id s) with
+      | Some lines -> lines
+      | None ->
+        let lines =
+          Ptpair.Set.fold tbl (fun p acc -> Ptpair.to_string p :: acc) s []
+          |> List.sort compare
+          |> List.map (fun p -> "ci " ^ p ^ "\n")
+          |> String.concat ""
+        in
+        Hashtbl.add memo (Ptset.id s) lines;
+        lines
+
 let dump (a : Engine.analysis) : string =
   let buf = Buffer.create (1 lsl 20) in
   let g = a.Engine.graph in
-  let ci = a.Engine.ci in
+  let ci_lines = ci_lines a.Engine.ci in
   let cs = Engine.cs a in
   let actx = Cs_solver.assumption_ctx cs in
   let aset_string aset =
@@ -33,11 +56,7 @@ let dump (a : Engine.analysis) : string =
   in
   Vdg.iter_nodes g (fun n ->
       let nid = n.Vdg.nid in
-      let ci_pairs =
-        Ptpair.Set.fold (fun p acc -> Ptpair.to_string p :: acc)
-          (Ci_solver.pairs ci nid) []
-        |> List.sort compare
-      in
+      let ci_block = ci_lines nid in
       let cs_quals =
         List.map
           (fun (p, chains) ->
@@ -46,9 +65,9 @@ let dump (a : Engine.analysis) : string =
           (Cs_solver.qualified cs nid)
         |> List.sort compare
       in
-      if ci_pairs <> [] || cs_quals <> [] then begin
+      if ci_block <> "" || cs_quals <> [] then begin
         Buffer.add_string buf (Printf.sprintf "node %d\n" nid);
-        List.iter (fun s -> Buffer.add_string buf ("ci " ^ s ^ "\n")) ci_pairs;
+        Buffer.add_string buf ci_block;
         List.iter (fun s -> Buffer.add_string buf ("cs " ^ s ^ "\n")) cs_quals
       end);
   let report = Lint.run ~compare_cs:true a in
@@ -70,17 +89,12 @@ let digest a = Digest.to_hex (Digest.string (dump a))
    nor pay for a lint run. *)
 let ci_dump (a : Engine.analysis) : string =
   let buf = Buffer.create (1 lsl 16) in
-  let ci = a.Engine.ci in
+  let ci_lines = ci_lines a.Engine.ci in
   Vdg.iter_nodes a.Engine.graph (fun n ->
-      let nid = n.Vdg.nid in
-      let ci_pairs =
-        Ptpair.Set.fold (fun p acc -> Ptpair.to_string p :: acc)
-          (Ci_solver.pairs ci nid) []
-        |> List.sort compare
-      in
-      if ci_pairs <> [] then begin
-        Buffer.add_string buf (Printf.sprintf "node %d\n" nid);
-        List.iter (fun s -> Buffer.add_string buf ("ci " ^ s ^ "\n")) ci_pairs
+      let block = ci_lines n.Vdg.nid in
+      if block <> "" then begin
+        Buffer.add_string buf (Printf.sprintf "node %d\n" n.Vdg.nid);
+        Buffer.add_string buf block
       end);
   Buffer.contents buf
 

@@ -90,20 +90,23 @@ let exhausted t =
 let check_now t =
   match exhausted t with Some r -> raise (Exhausted r) | None -> ()
 
-let tick t =
-  t.until_slow_check <- t.until_slow_check - 1;
+let tick t n =
+  t.until_slow_check <- t.until_slow_check - n;
   if t.until_slow_check <= 0 then
     match slow_check_poll t with Some r -> raise (Exhausted r) | None -> ()
 
-let tick_transfer t =
-  t.n_transfers <- t.n_transfers + 1;
+let tick_transfers t n =
+  t.n_transfers <- t.n_transfers + n;
   if t.n_transfers > t.max_transfers then raise (Exhausted Transfer_limit);
-  tick t
+  tick t n
 
-let tick_meet t =
-  t.n_meets <- t.n_meets + 1;
+let tick_meets t n =
+  t.n_meets <- t.n_meets + n;
   if t.n_meets > t.max_meets then raise (Exhausted Meet_limit);
-  tick t
+  tick t n
+
+let tick_transfer t = tick_transfers t 1
+let tick_meet t = tick_meets t 1
 
 let transfers t = t.n_transfers
 let meets t = t.n_meets

@@ -59,6 +59,12 @@ val is_cancelled : t -> bool
 val tick_transfer : t -> unit
 val tick_meet : t -> unit
 
+val tick_transfers : t -> int -> unit
+val tick_meets : t -> int -> unit
+(** [n] units at once, for a solver that applies a transfer or a meet
+    to a whole set: the ceilings trip at the same count, and the clock
+    is still sampled once every [check_interval] units. *)
+
 (** Force a full check (ceilings, wall clock, cancellation) right now. *)
 val check_now : t -> unit
 

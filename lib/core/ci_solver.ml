@@ -18,60 +18,30 @@ type callee_edge = {
 
 let edge_name e = e.ce_meta.Vdg.fm_name
 
-(* Work the sharded parallel solver must hand to another shard: a fact
-   for a foreign output, a worklist notification for a foreign consumer,
-   or a caller registration at a foreign callee.  The sequential solver
-   owns every node and never emits one of these. *)
-type remote_event =
-  | Rflow_out of Vdg.node_id * Ptpair.t
-  | Rflow_in of Vdg.node_id * int * Ptpair.t
-  | Rnew_caller of string * Vdg.node_id
-
-type sharding =
-  | Sequential
-  | Sharded of { sh_owns : Vdg.node_id -> bool; sh_emit : remote_event -> unit }
-
+(* A solution: each node's pair set as its hash-consed version, the
+   discovered call graph, and the solve's counters.  The worklist state
+   lives in [state] below and is dropped at fixpoint. *)
 type t = {
   g : Vdg.t;
-  config : config;
-  budget : Budget.t;
-  pts : Ptpair.Set.t array;
-  (* (consumer, input index, pair).  No membership guard: a push only
-     follows the first [Ptpair.Set.add] of a pair at its producer, and
-     each (consumer, input) has exactly one producer, so an item is never
-     queued twice (test_ptset checks the exact push count). *)
-  worklist : (Vdg.node_id * int * Ptpair.t) Workbag.t;
+  pts : Ptset.t array;  (* per node: Ptpair keys *)
   mutable flow_in_count : int;
   mutable flow_out_count : int;
-  mutable ptset_stats : Ptset.stats option;  (* per-solve delta, set at fixpoint *)
+  mutable pushes : int;
+  mutable pops : int;
+  mutable ptset_stats : Ptset.stats;  (* per-solve delta, set at fixpoint *)
   call_callees : (Vdg.node_id, callee_edge list ref) Hashtbl.t;
   (* each caller's call metadata, resolved once at registration *)
   fun_callers : (string, Vdg.call_meta list ref) Hashtbl.t;
   ext_callees : (Vdg.node_id, string list ref) Hashtbl.t;
-  (* sharding hooks (Par_solver): [owns] says whether this state is
-     responsible for a node's output; flows destined for un-owned nodes
-     go through [emit] to the owning shard instead of being applied
-     here.  Kept as a variant rather than function fields so sequential
-     solutions stay Marshal-safe for the disk cache — only live shard
-     states (never marshaled) carry closures. *)
-  sharding : sharding;
-  (* counter offsets so a solution assembled from parallel shards can
-     report their summed worklist traffic through a fresh workbag *)
-  mutable push_base : int;
-  mutable pop_base : int;
 }
 
 let graph t = t.g
 let pairs t nid = t.pts.(nid)
 let flow_in_count t = t.flow_in_count
 let flow_out_count t = t.flow_out_count
-let worklist_pushes t = t.push_base + Workbag.pushed t.worklist
-let worklist_pops t = t.pop_base + Workbag.popped t.worklist
-
-let ptset_stats t =
-  match t.ptset_stats with
-  | Some s -> s
-  | None -> Ptset.delta ~before:(Ptset.stats ()) ~after:(Ptset.stats ())
+let worklist_pushes t = t.pushes
+let worklist_pops t = t.pops
+let ptset_stats t = t.ptset_stats
 
 let callees t call =
   match Hashtbl.find_opt t.call_callees call with
@@ -91,40 +61,89 @@ let callee_edges t call =
 let extern_callees t call =
   match Hashtbl.find_opt t.ext_callees call with Some cell -> !cell | None -> []
 
-(* ---- flow-out: add a pair to an output, notify consumers ------------------- *)
+(* ---- solver state -------------------------------------------------------------- *)
 
-let owns t nid =
-  match t.sharding with Sequential -> true | Sharded s -> s.sh_owns nid
+(* A slot is one (consumer, input index) edge of the graph; node [n]'s
+   inputs are slots [first_slot.(n)] to [first_slot.(n + 1) - 1].  A slot
+   is queued at most once; when popped it handles only the pairs its
+   producer gained since the version it last processed ([seen]). *)
+type state = {
+  t : t;
+  tbl : Apath.table;
+  strong_updates : bool;
+  budget : Budget.t;
+  first_slot : int array;
+  slot_node : int array;  (* slot -> consumer *)
+  slot_src : int array;  (* slot -> producer *)
+  seen : Ptset.t array;
+  queued : Bytes.t;
+  worklist : int Workbag.t;
+  mutable buf : int array;  (* keys derived by the transfer in progress *)
+  mutable nbuf : int;
+}
 
-let emit t ev =
-  match t.sharding with
-  | Sequential -> assert false (* unreachable: sequential owns every node *)
-  | Sharded s -> s.sh_emit ev
-
-let rec flow_out t output pair =
-  if not (owns t output) then emit t (Rflow_out (output, pair))
-  else begin
-  t.flow_out_count <- t.flow_out_count + 1;
-  Budget.tick_meet t.budget;
-  if Ptpair.Set.add t.pts.(output) pair then begin
-    List.iter
-      (fun (consumer, idx) ->
-        if owns t consumer then Workbag.add t.worklist (consumer, idx, pair)
-        else emit t (Rflow_in (consumer, idx, pair)))
-      (Vdg.consumers t.g output);
-    (* return values/stores flow to every discovered call site *)
-    match (Vdg.node t.g output).Vdg.nkind with
-    | Vdg.Nret_value fname ->
-      List.iter
-        (fun cm ->
-          match cm.Vdg.cm_result with
-          | Some res -> flow_out t res pair
-          | None -> ())
-        (caller_metas t fname)
-    | Vdg.Nret_store fname ->
-      List.iter (fun cm -> flow_out t cm.Vdg.cm_cstore pair) (caller_metas t fname)
-    | _ -> ()
+let push st slot =
+  if Bytes.unsafe_get st.queued slot = '\000' then begin
+    Bytes.unsafe_set st.queued slot '\001';
+    Workbag.add st.worklist slot
   end
+
+let path st k = Ptpair.path_of_key st.tbl k
+let referent st k = Ptpair.referent_of_key st.tbl k
+
+(* ---- flow-out: grow an output, notify consumers -------------------------------- *)
+
+(* [ci_flow_out] counts logical per-pair meets: a whole-set meet counts
+   the pairs it carries, so the figure matches a solver that meets one
+   pair at a time. *)
+let rec grow st nid v =
+  let t = st.t in
+  let old = t.pts.(nid) in
+  t.pts.(nid) <- v;
+  List.iter (fun (c, i) -> push st (st.first_slot.(c) + i)) (Vdg.consumers t.g nid);
+  (* return values/stores flow to every discovered call site *)
+  match (Vdg.node t.g nid).Vdg.nkind with
+  | Vdg.Nret_value fname ->
+    let n = Ptset.cardinal v - Ptset.cardinal old in
+    List.iter
+      (fun cm ->
+        match cm.Vdg.cm_result with Some res -> flow_set st res v n | None -> ())
+      (caller_metas t fname)
+  | Vdg.Nret_store fname ->
+    let n = Ptset.cardinal v - Ptset.cardinal old in
+    List.iter (fun cm -> flow_set st cm.Vdg.cm_cstore v n) (caller_metas t fname)
+  | _ -> ()
+
+(* meet the set [s] into [out], counted as [n] per-pair meets *)
+and flow_set st out s n =
+  st.t.flow_out_count <- st.t.flow_out_count + n;
+  Budget.tick_meets st.budget n;
+  let cur = st.t.pts.(out) in
+  let v = Ptset.union cur s in
+  if not (Ptset.equal v cur) then grow st out v
+
+let flow_all st out s = flow_set st out s (Ptset.cardinal s)
+let flow_key st out k = flow_set st out (Ptset.singleton k) 1
+
+(* derived pairs are collected per transfer and met in one batch *)
+let emit st k =
+  if st.nbuf = Array.length st.buf then begin
+    let grown = Array.make (2 * st.nbuf) 0 in
+    Array.blit st.buf 0 grown 0 st.nbuf;
+    st.buf <- grown
+  end;
+  Array.unsafe_set st.buf st.nbuf k;
+  st.nbuf <- st.nbuf + 1
+
+let commit st out =
+  let n = st.nbuf in
+  if n > 0 then begin
+    st.nbuf <- 0;
+    st.t.flow_out_count <- st.t.flow_out_count + n;
+    Budget.tick_meets st.budget n;
+    let cur = st.t.pts.(out) in
+    let v = Ptset.add_many cur st.buf n in
+    if not (Ptset.equal v cur) then grow st out v
   end
 
 (* ---- call-edge discovery ----------------------------------------------------- *)
@@ -156,25 +175,20 @@ let add_caller t fname (cm : Vdg.call_meta) =
     true
   end
 
-(* the callee's existing return facts flow back to the call site *)
-let back_flow t (cm : Vdg.call_meta) (meta : Vdg.fun_meta) =
-  (match cm.Vdg.cm_result, meta.Vdg.fm_ret_value with
-  | Some res, Some rv -> Ptpair.Set.iter (fun p -> flow_out t res p) t.pts.(rv)
-  | _ -> ());
-  Ptpair.Set.iter (fun p -> flow_out t cm.Vdg.cm_cstore p) t.pts.(meta.Vdg.fm_ret_store)
+(* the call site's facts flow into the callee: actuals to formals, the
+   store to the formal store *)
+let inject st (cm : Vdg.call_meta) argmap (meta : Vdg.fun_meta) =
+  let pts = st.t.pts in
+  Array.iteri
+    (fun formal_idx formal_out ->
+      match actual_for cm argmap formal_idx with
+      | Some actual -> flow_all st formal_out pts.(actual)
+      | None -> ())
+    meta.Vdg.fm_formals;
+  flow_all st meta.Vdg.fm_formal_store pts.(cm.Vdg.cm_store)
 
-(* Record [call] as a caller of [fname] and back-flow the callee's
-   existing return facts to the call site.  In the sequential solver
-   this is inlined in {!add_defined_callee}; in the parallel solver it
-   also runs at the callee's owning shard on receipt of [Rnew_caller]
-   (the callee's pair sets may only be trusted at their owner — any
-   stale remote read would miss facts the owner has not yet published,
-   so the owner performs the authoritative back-flow). *)
-let register_caller t fname call =
-  let cm = Hashtbl.find t.g.Vdg.call_meta call in
-  if add_caller t fname cm then back_flow t cm (Hashtbl.find t.g.Vdg.funs fname)
-
-let add_defined_callee t call edge =
+let add_defined_callee st call edge =
+  let t = st.t in
   let cell =
     match Hashtbl.find_opt t.call_callees call with
     | Some cell -> cell
@@ -192,25 +206,16 @@ let add_defined_callee t call edge =
        updates the call graph and performs appropriate repropagation") *)
     let cm = Hashtbl.find t.g.Vdg.call_meta call in
     let meta = edge.ce_meta in
-    let callee_owned = owns t meta.Vdg.fm_formal_store in
-    (* caller registration only; the per-edge back-flow below keeps the
-       sequential flow order byte-for-byte *)
-    if callee_owned then ignore (add_caller t name cm)
-    else emit t (Rnew_caller (name, call));
-    Array.iteri
-      (fun formal_idx formal_out ->
-        match actual_for cm edge.ce_argmap formal_idx with
-        | Some actual ->
-          Ptpair.Set.iter (fun p -> flow_out t formal_out p) t.pts.(actual)
-        | None -> ())
-      meta.Vdg.fm_formals;
-    Ptpair.Set.iter
-      (fun p -> flow_out t meta.Vdg.fm_formal_store p)
-      t.pts.(cm.Vdg.cm_store);
-    if callee_owned then back_flow t cm meta
+    ignore (add_caller t name cm);
+    inject st cm edge.ce_argmap meta;
+    (match cm.Vdg.cm_result, meta.Vdg.fm_ret_value with
+    | Some res, Some rv -> flow_all st res t.pts.(rv)
+    | _ -> ());
+    flow_all st cm.Vdg.cm_cstore t.pts.(meta.Vdg.fm_ret_store)
   end
 
-let rec add_extern_callee t call name =
+let rec add_extern_callee st call name =
+  let t = st.t in
   let cell =
     match Hashtbl.find_opt t.ext_callees call with
     | Some cell -> cell
@@ -225,44 +230,68 @@ let rec add_extern_callee t call name =
     let fs = Hashtbl.find_opt t.g.Vdg.externs name in
     let summary = Extern_summary.lookup name fs in
     (* store identity *)
-    Ptpair.Set.iter (fun p -> flow_out t cm.Vdg.cm_cstore p) t.pts.(cm.Vdg.cm_store);
+    flow_all st cm.Vdg.cm_cstore t.pts.(cm.Vdg.cm_store);
     (* result summary *)
     (match cm.Vdg.cm_result, summary.Extern_summary.sum_returns with
     | Some res, Extern_summary.Ret_arg k when k < Array.length cm.Vdg.cm_args ->
-      Ptpair.Set.iter (fun p -> flow_out t res p) t.pts.(cm.Vdg.cm_args.(k))
+      flow_all st res t.pts.(cm.Vdg.cm_args.(k))
     | Some res, Extern_summary.Ret_external ext ->
-      let base = Apath.mk_base t.g.Vdg.tbl (Apath.Bext ext) ~singular:false in
-      flow_out t res
-        (Ptpair.make (Apath.empty_offset t.g.Vdg.tbl) (Apath.of_base t.g.Vdg.tbl base))
+      let base = Apath.mk_base st.tbl (Apath.Bext ext) ~singular:false in
+      flow_key st res (Ptpair.pack (Apath.empty_offset st.tbl) (Apath.of_base st.tbl base))
     | _ -> ());
     (* higher-order arguments: existing function values on those arguments *)
     List.iter
       (fun (arg_idx, formal_map) ->
         if arg_idx < Array.length cm.Vdg.cm_args then
-          Ptpair.Set.iter
-            (fun p -> handle_function_value t call (Some (arg_idx, formal_map)) p)
+          Ptset.iter
+            (fun k -> handle_function_value st call (Some (arg_idx, formal_map)) (referent st k))
             t.pts.(cm.Vdg.cm_args.(arg_idx)))
       summary.Extern_summary.sum_calls
   end
 
 (* a function value arrived at a call: either on the fn input (via = None)
    or on a higher-order summary argument (via = Some (arg_idx, map)) *)
-and handle_function_value t call via (pair : Ptpair.t) =
-  match pair.Ptpair.referent.Apath.proot with
+and handle_function_value st call via (r : Apath.t) =
+  match r.Apath.proot with
   | Some { Apath.bkind = Apath.Bfun name; _ } -> (
-    match Hashtbl.find_opt t.g.Vdg.funs name with
-    | Some meta -> add_defined_callee t call { ce_meta = meta; ce_argmap = Option.map snd via }
-    | None -> if via = None then add_extern_callee t call name)
+    match Hashtbl.find_opt st.t.g.Vdg.funs name with
+    | Some meta ->
+      add_defined_callee st call { ce_meta = meta; ce_argmap = Option.map snd via }
+    | None -> if via = None then add_extern_callee st call name)
   | _ -> ()
 
 (* ---- transfer functions ------------------------------------------------------- *)
 
-let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
-  t.flow_in_count <- t.flow_in_count + 1;
-  Budget.tick_transfer t.budget;
+(* the referents of a location input's pairs that are locations, one per
+   pair (duplicates kept: each pair is one logical meet source) *)
+let locations st s =
+  Ptset.fold
+    (fun k acc ->
+      let r = referent st k in
+      if Apath.is_location r then r :: acc else acc)
+    s []
+
+(* lookup matching: the stored pair [sk] is read through location [rl] *)
+let match_store st rl sk =
+  let sp = path st sk in
+  if Apath.dom rl sp then
+    let off =
+      match Apath.subtract st.tbl sp rl with
+      | Some off -> off
+      | None -> Apath.empty_offset st.tbl  (* rl covers sp via truncation *)
+    in
+    emit st (Ptpair.pack off (referent st sk))
+
+(* Apply node [nid]'s transfer function for input [idx], whose producer
+   grew from [seen] to [cur] ([nd] new pairs).  Identity-like inputs meet
+   the producer's whole current set in one memoized union; the rest
+   iterate only the new pairs. *)
+let transfer st nid idx cur seen nd =
+  let t = st.t in
+  let tbl = st.tbl in
   let n = Vdg.node t.g nid in
-  let tbl = t.g.Vdg.tbl in
-  let input k = List.nth n.Vdg.ninputs k in
+  let input k = st.slot_src.(st.first_slot.(nid) + k) in
+  let each_new f = Ptset.iter_diff f cur seen in
   match n.Vdg.nkind with
   | Vdg.Nconst _ | Vdg.Nbase _ | Vdg.Nundef -> ()
   | Vdg.Nalloc _ -> ()  (* size input carries no pairs of interest *)
@@ -270,123 +299,129 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
     (* inputs: [loc; store] *)
     (match idx with
     | 0 ->
-      let rl = pair.Ptpair.referent in
-      if Apath.is_location rl then
-        Ptpair.Set.iter
-          (fun (sp : Ptpair.t) ->
-            if Apath.dom rl sp.Ptpair.path then
-              match Apath.subtract tbl sp.Ptpair.path rl with
-              | Some off -> flow_out t nid (Ptpair.make off sp.Ptpair.referent)
-              | None ->
-                (* rl covers sp.path via truncation: unknown remainder *)
-                flow_out t nid
-                  (Ptpair.make (Apath.empty_offset tbl) sp.Ptpair.referent))
-          t.pts.(input 1)
+      let store = t.pts.(input 1) in
+      each_new (fun lk ->
+          let rl = referent st lk in
+          if Apath.is_location rl then Ptset.iter (fun sk -> match_store st rl sk) store);
+      commit st nid
     | 1 ->
-      Ptpair.Set.iter
-        (fun (lp : Ptpair.t) ->
-          let rl = lp.Ptpair.referent in
-          if Apath.is_location rl && Apath.dom rl pair.Ptpair.path then
-            match Apath.subtract tbl pair.Ptpair.path rl with
-            | Some off -> flow_out t nid (Ptpair.make off pair.Ptpair.referent)
-            | None ->
-              flow_out t nid
-                (Ptpair.make (Apath.empty_offset tbl) pair.Ptpair.referent))
-        t.pts.(input 0)
+      (match locations st t.pts.(input 0) with
+      | [] -> ()
+      | locs ->
+        each_new (fun sk -> List.iter (fun rl -> match_store st rl sk) locs);
+        commit st nid)
     | _ -> ())
   | Vdg.Nupdate ->
-    (* inputs: [loc; store; value]; output = new store *)
-    let strong rl sp = t.config.strong_updates && Apath.strong_dom rl sp in
+    (* inputs: [loc; store; value]; output = new store.  A location that
+       cannot be strongly updated kills nothing, so the whole store
+       passes through it. *)
+    let weak rl = not (st.strong_updates && Apath.strongly_updateable rl) in
     (match idx with
     | 0 ->
-      let rl = pair.Ptpair.referent in
-      if Apath.is_location rl then begin
-        Ptpair.Set.iter
-          (fun (vp : Ptpair.t) ->
-            if Apath.is_offset vp.Ptpair.path then
-              flow_out t nid
-                (Ptpair.make (Apath.append tbl rl vp.Ptpair.path) vp.Ptpair.referent))
-          t.pts.(input 2);
-        Ptpair.Set.iter
-          (fun (sp : Ptpair.t) ->
-            if not (strong rl sp.Ptpair.path) then flow_out t nid sp)
-          t.pts.(input 1)
-      end
+      let store = t.pts.(input 1) and value = t.pts.(input 2) in
+      each_new (fun lk ->
+          let rl = referent st lk in
+          if Apath.is_location rl then begin
+            Ptset.iter
+              (fun vk ->
+                let vpath = path st vk in
+                if Apath.is_offset vpath then
+                  emit st (Ptpair.pack (Apath.append tbl rl vpath) (referent st vk)))
+              value;
+            if weak rl then flow_all st nid store
+            else
+              Ptset.iter
+                (fun sk -> if not (Apath.strong_dom rl (path st sk)) then emit st sk)
+                store
+          end);
+      commit st nid
     | 1 ->
-      (* new store pair: propagated if at least one location does not
-         strongly update it; blocked while no location pair has arrived *)
-      let survives =
-        Ptpair.Set.fold
-          (fun (lp : Ptpair.t) acc ->
-            acc
-            || (Apath.is_location lp.Ptpair.referent
-                && not (strong lp.Ptpair.referent pair.Ptpair.path)))
-          t.pts.(input 0) false
-      in
-      if survives then flow_out t nid pair
+      (* new store pairs: propagated if at least one location does not
+         strongly update them; blocked while no location pair has arrived *)
+      (match locations st t.pts.(input 0) with
+      | [] -> ()
+      | locs when List.exists weak locs -> flow_set st nid cur nd
+      | locs ->
+        each_new (fun sk ->
+            let sp = path st sk in
+            if List.exists (fun rl -> not (Apath.strong_dom rl sp)) locs then emit st sk);
+        commit st nid)
     | 2 ->
-      if Apath.is_offset pair.Ptpair.path then
-        Ptpair.Set.iter
-          (fun (lp : Ptpair.t) ->
-            let rl = lp.Ptpair.referent in
-            if Apath.is_location rl then
-              flow_out t nid
-                (Ptpair.make (Apath.append tbl rl pair.Ptpair.path) pair.Ptpair.referent))
-          t.pts.(input 0)
+      (match locations st t.pts.(input 0) with
+      | [] -> ()
+      | locs ->
+        each_new (fun vk ->
+            let vpath = path st vk in
+            if Apath.is_offset vpath then begin
+              let r = referent st vk in
+              List.iter (fun rl -> emit st (Ptpair.pack (Apath.append tbl rl vpath) r)) locs
+            end);
+        commit st nid)
     | _ -> ())
   | Vdg.Nfield_addr acc ->
     (* address arithmetic: referent path is extended by the accessor *)
-    if idx = 0 && Apath.is_location pair.Ptpair.referent then
-      flow_out t nid
-        (Ptpair.make pair.Ptpair.path (Apath.extend tbl pair.Ptpair.referent acc))
+    if idx = 0 then begin
+      each_new (fun k ->
+          let r = referent st k in
+          if Apath.is_location r then emit st (Ptpair.pack (path st k) (Apath.extend tbl r acc)));
+      commit st nid
+    end
   | Vdg.Noffset_read acc ->
     if idx = 0 then begin
       let acc_path = Apath.extend tbl (Apath.empty_offset tbl) acc in
-      if Apath.dom acc_path pair.Ptpair.path then
-        match Apath.subtract tbl pair.Ptpair.path acc_path with
-        | Some off -> flow_out t nid (Ptpair.make off pair.Ptpair.referent)
-        | None ->
-          flow_out t nid (Ptpair.make (Apath.empty_offset tbl) pair.Ptpair.referent)
+      each_new (fun k ->
+          let p = path st k in
+          if Apath.dom acc_path p then
+            let off =
+              match Apath.subtract tbl p acc_path with
+              | Some off -> off
+              | None -> Apath.empty_offset tbl
+            in
+            emit st (Ptpair.pack off (referent st k)));
+      commit st nid
     end
   | Vdg.Noffset_write acc ->
     (* inputs: [agg; value] — a value-level member update *)
-    let acc_path = Apath.extend tbl (Apath.empty_offset tbl) acc in
     (match idx with
     | 0 ->
       (* a member write definitely replaces that member of the value,
          except through an array accessor *)
-      let killed =
-        t.config.strong_updates && acc <> Apath.Index
-        && Apath.dom acc_path pair.Ptpair.path
-      in
-      if not killed then flow_out t nid pair
+      if st.strong_updates && acc <> Apath.Index then begin
+        let acc_path = Apath.extend tbl (Apath.empty_offset tbl) acc in
+        each_new (fun k -> if not (Apath.dom acc_path (path st k)) then emit st k);
+        commit st nid
+      end
+      else flow_set st nid cur nd
     | 1 ->
-      if Apath.is_offset pair.Ptpair.path then
-        flow_out t nid
-          (Ptpair.make (Apath.append tbl acc_path pair.Ptpair.path) pair.Ptpair.referent)
+      let acc_path = Apath.extend tbl (Apath.empty_offset tbl) acc in
+      each_new (fun k ->
+          let p = path st k in
+          if Apath.is_offset p then
+            emit st (Ptpair.pack (Apath.append tbl acc_path p) (referent st k)));
+      commit st nid
     | _ -> ())
-  | Vdg.Ngamma -> flow_out t nid pair
-  | Vdg.Nprimop Vdg.Ptr_arith -> if idx = 0 then flow_out t nid pair
+  | Vdg.Ngamma -> flow_set st nid cur nd
+  | Vdg.Nprimop Vdg.Ptr_arith -> if idx = 0 then flow_set st nid cur nd
   | Vdg.Nprimop (Vdg.Scalar_op _) -> ()
   | Vdg.Nformal _ | Vdg.Nformal_store _ ->
     (* inputs only exist for root wiring; interprocedural pairs arrive via
-       direct flow_out from call sites *)
-    flow_out t nid pair
-  | Vdg.Nret_value _ | Vdg.Nret_store _ -> flow_out t nid pair
+       direct meets from call sites *)
+    flow_set st nid cur nd
+  | Vdg.Nret_value _ | Vdg.Nret_store _ -> flow_set st nid cur nd
   | Vdg.Ncall ->
     (match idx with
-    | 0 -> handle_function_value t nid None pair
+    | 0 -> each_new (fun k -> handle_function_value st nid None (referent st k))
     | 1 ->
       (* store input: forward to defined callees' formal stores and along
          extern identity summaries *)
       (match Hashtbl.find_opt t.call_callees nid with
       | Some cell ->
-        List.iter (fun edge -> flow_out t edge.ce_meta.Vdg.fm_formal_store pair) !cell
+        List.iter (fun edge -> flow_set st edge.ce_meta.Vdg.fm_formal_store cur nd) !cell
       | None -> ());
       (match Hashtbl.find_opt t.ext_callees nid with
       | Some cell ->
         let cm = Hashtbl.find t.g.Vdg.call_meta nid in
-        List.iter (fun _name -> flow_out t cm.Vdg.cm_cstore pair) !cell
+        List.iter (fun _name -> flow_set st cm.Vdg.cm_cstore cur nd) !cell
       | None -> ())
     | k ->
       let arg_idx = k - 2 in
@@ -403,7 +438,7 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
                   | Some map ->
                     formal_idx < Array.length map && map.(formal_idx) = arg_idx
                 in
-                if maps_here then flow_out t formal_out pair)
+                if maps_here then flow_set st formal_out cur nd)
               edge.ce_meta.Vdg.fm_formals)
           !cell
       | None -> ());
@@ -417,12 +452,14 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
             let summary = Extern_summary.lookup name fs in
             (match cm.Vdg.cm_result, summary.Extern_summary.sum_returns with
             | Some res, Extern_summary.Ret_arg k' when k' = arg_idx ->
-              flow_out t res pair
+              flow_set st res cur nd
             | _ -> ());
             List.iter
               (fun (ho_idx, formal_map) ->
                 if ho_idx = arg_idx then
-                  handle_function_value t nid (Some (ho_idx, formal_map)) pair)
+                  each_new (fun k ->
+                      handle_function_value st nid (Some (ho_idx, formal_map))
+                        (referent st k)))
               summary.Extern_summary.sum_calls)
           !cell
       | None -> ()))
@@ -433,115 +470,131 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
 
 (* ---- driver ---------------------------------------------------------------------- *)
 
-let seed_node t (n : Vdg.node) =
-  let tbl = t.g.Vdg.tbl in
-  match n.Vdg.nkind with
-  | Vdg.Nbase b | Vdg.Nalloc b ->
-    flow_out t n.Vdg.nid (Ptpair.make (Apath.empty_offset tbl) (Apath.of_base tbl b))
-  | _ -> ()
+let mk_state (config : config) budget (g : Vdg.t) =
+  let n = Vdg.n_nodes g in
+  let first_slot = Array.make (n + 1) 0 in
+  for nid = 0 to n - 1 do
+    first_slot.(nid + 1) <- first_slot.(nid) + List.length (Vdg.node g nid).Vdg.ninputs
+  done;
+  let nslots = first_slot.(n) in
+  let slot_node = Array.make nslots 0 and slot_src = Array.make nslots 0 in
+  Vdg.iter_nodes g (fun nd ->
+      List.iteri
+        (fun i src ->
+          let s = first_slot.(nd.Vdg.nid) + i in
+          slot_node.(s) <- nd.Vdg.nid;
+          slot_src.(s) <- src)
+        nd.Vdg.ninputs);
+  let before = Ptset.stats () in
+  let t =
+    {
+      g;
+      pts = Array.make n Ptset.empty;
+      flow_in_count = 0;
+      flow_out_count = 0;
+      pushes = 0;
+      pops = 0;
+      ptset_stats = Ptset.delta ~before ~after:before;
+      call_callees = Hashtbl.create 64;
+      fun_callers = Hashtbl.create 64;
+      ext_callees = Hashtbl.create 64;
+    }
+  in
+  {
+    t;
+    tbl = g.Vdg.tbl;
+    strong_updates = config.strong_updates;
+    budget = (match budget with Some b -> b | None -> Budget.unlimited ());
+    first_slot;
+    slot_node;
+    slot_src;
+    seen = Array.make nslots Ptset.empty;
+    queued = Bytes.make nslots '\000';
+    worklist = Workbag.create ~dummy:(-1) config.schedule;
+    buf = Array.make 64 0;
+    nbuf = 0;
+  }
 
-(* seed the initial store with argv's contents: argv[i] points to
-   external string storage *)
-let seed_entry t =
-  let tbl = t.g.Vdg.tbl in
-  if t.g.Vdg.entry_store >= 0 then begin
+(* [preset nid]: the node's set is installed already, seed included *)
+let seed ?(preset = fun _ -> false) st =
+  let tbl = st.tbl in
+  Vdg.iter_nodes st.t.g (fun n ->
+      match n.Vdg.nkind with
+      | (Vdg.Nbase b | Vdg.Nalloc b) when not (preset n.Vdg.nid) ->
+        flow_key st n.Vdg.nid (Ptpair.pack (Apath.empty_offset tbl) (Apath.of_base tbl b))
+      | _ -> ());
+  (* seed the initial store with argv's contents: argv[i] points to
+     external string storage *)
+  if st.t.g.Vdg.entry_store >= 0 then begin
     let argv_arr = Apath.mk_base tbl (Apath.Bext "argv") ~singular:false in
     let argv_str = Apath.mk_base tbl (Apath.Bext "argv_strings") ~singular:false in
     let slot = Apath.extend tbl (Apath.of_base tbl argv_arr) Apath.Index in
-    flow_out t t.g.Vdg.entry_store (Ptpair.make slot (Apath.of_base tbl argv_str))
+    flow_key st st.t.g.Vdg.entry_store (Ptpair.pack slot (Apath.of_base tbl argv_str))
   end
 
-let seed t =
-  Vdg.iter_nodes t.g (fun n -> seed_node t n);
-  seed_entry t
-
-let mk_state ?(config = default_config) ?budget ?pts ?(sharding = Sequential)
-    (g : Vdg.t) : t =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  let pts =
-    match pts with
-    | Some a -> a
-    | None -> Array.init (Vdg.n_nodes g) (fun _ -> Ptpair.Set.create ())
-  in
-  {
-    g;
-    config;
-    budget;
-    pts;
-    worklist = Workbag.create ~dummy:(-1, -1, Ptpair.dummy) config.schedule;
-    flow_in_count = 0;
-    flow_out_count = 0;
-    ptset_stats = None;
-    call_callees = Hashtbl.create 64;
-    fun_callers = Hashtbl.create 64;
-    ext_callees = Hashtbl.create 64;
-    sharding;
-    push_base = 0;
-    pop_base = 0;
-  }
-
-(* one worklist item: pop and apply the transfer function; [false] when
-   the worklist is empty *)
-let step t =
-  if Workbag.is_empty t.worklist then false
-  else begin
-    let nid, idx, pair = Workbag.pop t.worklist in
-    flow_in t nid idx pair;
-    true
-  end
+(* Pop slots until the worklist is empty; [ci_flow_in] counts each
+   popped slot's new pairs, so at fixpoint it is
+   Σ_o |pairs o| × |consumers o|. *)
+let run st =
+  let t = st.t in
+  while not (Workbag.is_empty st.worklist) do
+    let slot = Workbag.pop st.worklist in
+    Bytes.unsafe_set st.queued slot '\000';
+    let cur = t.pts.(st.slot_src.(slot)) in
+    let seen = st.seen.(slot) in
+    st.seen.(slot) <- cur;
+    let nd = Ptset.cardinal cur - Ptset.cardinal seen in
+    if nd > 0 then begin
+      t.flow_in_count <- t.flow_in_count + nd;
+      Budget.tick_transfers st.budget nd;
+      let c = st.slot_node.(slot) in
+      transfer st c (slot - st.first_slot.(c)) cur seen nd
+    end
+  done;
+  t.pushes <- Workbag.pushed st.worklist;
+  t.pops <- Workbag.popped st.worklist
 
 let solve ?(config = default_config) ?budget (g : Vdg.t) : t =
   let before = Ptset.stats () in
-  let t = mk_state ~config ?budget g in
-  seed t;
-  while step t do
-    ()
-  done;
-  t.ptset_stats <- Some (Ptset.delta ~before ~after:(Ptset.stats ()));
-  t
+  let st = mk_state config budget g in
+  seed st;
+  run st;
+  st.t.ptset_stats <- Ptset.delta ~before ~after:(Ptset.stats ());
+  st.t
 
 (* ---- warm (region-restricted) solve ------------------------------------------ *)
 
 (* Re-solve only a region of the graph, with everything outside it frozen
-   at a previous solution.  Frozen nodes get their pairs preset without
+   at a previous solution.  Frozen nodes get their sets preset without
    notifying consumers (the old fixpoint is already closed under the
    transfer functions inside the frozen region); frozen call sites get
    their discovered call edges preset without repropagation.  Work enters
    the region in three ways:
 
    - the normal seeding of the region's base/alloc nodes;
-   - frozen->region consumer edges (root wiring): every preset pair of a
-     frozen producer is enqueued at its region consumers;
+   - frozen->region consumer edges (root wiring): such a slot starts
+     with an empty [seen], so the frozen set enters as one delta;
    - frozen caller -> region callee call edges: the caller's preset
-     actuals/store are injected into the callee's formal nodes, mirroring
+     actuals/store are met into the callee's formal nodes, mirroring
      [add_defined_callee]'s repropagation.
 
    Region -> frozen flow happens through the ordinary mechanisms
-   (discovery, return propagation); a frozen node that would have to
-   *grow* marks the splice invalid — the caller re-runs with the node's
+   (discovery, return propagation); a frozen node whose set would have to
+   change marks the splice invalid — the caller re-runs with the node's
    procedure dirtied.  Shrinkage cannot be observed here (sets only
    grow); callers must compare interface summaries against the previous
    solution to detect it. *)
 
-let enqueue t consumer idx pair = Workbag.add t.worklist (consumer, idx, pair)
-
 let solve_warm ?(config = default_config) ?budget (g : Vdg.t)
     ~(frozen : bool array)
-    ~(preset : (Vdg.node_id * Ptpair.t list) list)
+    ~(preset : (Vdg.node_id * Ptset.t) list)
     ~(calls : (Vdg.node_id * (string * int array option) list) list)
     ~(ext_calls : (Vdg.node_id * string list) list) : t * Vdg.node_id list =
   let before = Ptset.stats () in
-  let t = mk_state ~config ?budget g in
+  let st = mk_state config budget g in
+  let t = st.t in
   (* install frozen facts silently *)
-  List.iter
-    (fun (nid, pairs) ->
-      List.iter (fun p -> ignore (Ptpair.Set.add t.pts.(nid) p)) pairs)
-    preset;
-  let baseline = Array.make (Vdg.n_nodes g) 0 in
-  Array.iteri
-    (fun nid is_frozen ->
-      if is_frozen then baseline.(nid) <- Ptpair.Set.cardinal t.pts.(nid))
-    frozen;
+  List.iter (fun (nid, s) -> t.pts.(nid) <- s) preset;
   (* install frozen call tables, without repropagation *)
   List.iter
     (fun (call, edges) ->
@@ -557,21 +610,14 @@ let solve_warm ?(config = default_config) ?budget (g : Vdg.t)
   List.iter
     (fun (call, names) -> Hashtbl.replace t.ext_callees call (ref names))
     ext_calls;
-  (* frozen -> region consumer edges *)
+  (* slots fed by frozen producers: frozen consumers have already seen
+     the preset, region consumers take it as their first delta *)
   Array.iteri
-    (fun nid is_frozen ->
-      if is_frozen then
-        let consumers = Vdg.consumers g nid in
-        if
-          List.exists (fun (c, _) -> not frozen.(c)) consumers
-        then
-          Ptpair.Set.iter
-            (fun p ->
-              List.iter
-                (fun (c, i) -> if not frozen.(c) then enqueue t c i p)
-                consumers)
-            t.pts.(nid))
-    frozen;
+    (fun slot src ->
+      if frozen.(src) then
+        if frozen.(st.slot_node.(slot)) then st.seen.(slot) <- t.pts.(src)
+        else if not (Ptset.is_empty t.pts.(src)) then push st slot)
+    st.slot_src;
   (* frozen caller -> region callee injection *)
   List.iter
     (fun (call, edges) ->
@@ -579,116 +625,41 @@ let solve_warm ?(config = default_config) ?budget (g : Vdg.t)
       List.iter
         (fun (name, argmap) ->
           match Hashtbl.find_opt g.Vdg.funs name with
-          | Some meta when not frozen.(meta.Vdg.fm_formal_store) ->
-            Array.iteri
-              (fun formal_idx formal_out ->
-                match actual_for cm argmap formal_idx with
-                | Some actual ->
-                  Ptpair.Set.iter (fun p -> flow_out t formal_out p)
-                    t.pts.(actual)
-                | None -> ())
-              meta.Vdg.fm_formals;
-            Ptpair.Set.iter
-              (fun p -> flow_out t meta.Vdg.fm_formal_store p)
-              t.pts.(cm.Vdg.cm_store)
+          | Some meta when not frozen.(meta.Vdg.fm_formal_store) -> inject st cm argmap meta
           | _ -> ())
         edges)
     calls;
-  (* ordinary seeding: frozen nodes' base pairs are already preset, so
-     only region nodes generate work *)
-  seed t;
-  while step t do
-    ()
-  done;
-  t.ptset_stats <- Some (Ptset.delta ~before ~after:(Ptset.stats ()));
-  let violations = ref [] in
-  Array.iteri
-    (fun nid is_frozen ->
-      if is_frozen && Ptpair.Set.cardinal t.pts.(nid) > baseline.(nid) then
-        violations := nid :: !violations)
-    frozen;
-  (t, List.rev !violations)
-
-(* ---- parallel-solver internals ------------------------------------------------ *)
-
-module Internal = struct
-  let mk ?config ?pts ~owns ~emit g =
-    mk_state ?config ?pts ~sharding:(Sharded { sh_owns = owns; sh_emit = emit }) g
-  let flow_out = flow_out
-  let enqueue = enqueue
-  let register_caller = register_caller
-  let seed_entry = seed_entry
-  let step = step
-
-  let seed_nodes t nids = List.iter (fun nid -> seed_node t (Vdg.node t.g nid)) nids
-  let has_local_work t = not (Workbag.is_empty t.worklist)
-  let raw_pushes t = Workbag.pushed t.worklist
-  let raw_pops t = Workbag.popped t.worklist
-
-  let call_entries t =
-    Hashtbl.fold
-      (fun call cell acc ->
-        (call, List.map (fun e -> (edge_name e, e.ce_argmap)) !cell) :: acc)
-      t.call_callees []
-
-  let caller_entries t =
-    Hashtbl.fold
-      (fun f cell acc -> (f, List.map (fun cm -> cm.Vdg.cm_call) !cell) :: acc)
-      t.fun_callers []
-
-  let ext_entries t = Hashtbl.fold (fun call cell acc -> (call, !cell) :: acc) t.ext_callees []
-
-  (* Build a finished solution from merged shard data.  [pts] slots must
-     already be canonical sets interned in the calling domain's
-     universe; call tables are installed verbatim. *)
-  let assemble ?(config = default_config) (g : Vdg.t) ~(pts : Ptpair.Set.t array)
-      ~(calls : (Vdg.node_id * (string * int array option) list) list)
-      ~(callers : (string * Vdg.node_id list) list)
-      ~(ext_calls : (Vdg.node_id * string list) list) ~flow_in_count ~flow_out_count
-      ~pushes ~pops ~(ptset_stats : Ptset.stats) : t =
-    let t = mk_state ~config ~pts g in
-    List.iter
-      (fun (call, edges) ->
-        Hashtbl.replace t.call_callees call
-          (ref
-             (List.map
-                (fun (name, argmap) ->
-                  { ce_meta = Hashtbl.find g.Vdg.funs name; ce_argmap = argmap })
-                edges)))
-      calls;
-    List.iter
-      (fun (f, cs) ->
-        Hashtbl.replace t.fun_callers f
-          (ref (List.map (Hashtbl.find g.Vdg.call_meta) cs)))
-      callers;
-    List.iter (fun (call, names) -> Hashtbl.replace t.ext_callees call (ref names)) ext_calls;
-    t.flow_in_count <- flow_in_count;
-    t.flow_out_count <- flow_out_count;
-    t.push_base <- pushes;
-    t.pop_base <- pops;
-    t.ptset_stats <- Some ptset_stats;
-    t
-end
+  (* ordinary seeding of the region: a frozen base or alloc node's
+     preset is the translation of its old set, which holds its seed *)
+  seed ~preset:(fun nid -> frozen.(nid)) st;
+  run st;
+  t.ptset_stats <- Ptset.delta ~before ~after:(Ptset.stats ());
+  let violations =
+    List.filter_map
+      (fun (nid, s) -> if Ptset.equal t.pts.(nid) s then None else Some nid)
+      preset
+  in
+  (t, List.sort_uniq Int.compare violations)
 
 let referenced_locations t nid =
   let n = Vdg.node t.g nid in
   match n.Vdg.nkind, n.Vdg.ninputs with
   | (Vdg.Nlookup | Vdg.Nupdate), loc :: _ ->
+    let tbl = t.g.Vdg.tbl in
     let seen = Hashtbl.create 8 in
-    Ptpair.Set.fold
-      (fun p acc ->
-        let r = p.Ptpair.referent in
+    Ptset.fold
+      (fun k acc ->
+        let r = Ptpair.referent_of_key tbl k in
         if Apath.is_location r && not (Hashtbl.mem seen r.Apath.pid) then begin
           Hashtbl.replace seen r.Apath.pid ();
           r :: acc
         end
         else acc)
       t.pts.(loc) []
-    (* canonical order, not set-iteration order: a parallel solve's merged
-       sets iterate (and intern pids) differently from a sequential
-       solve's, so order by print form — the same canonicalization the
-       solution digest uses — and reports built on this list cannot
-       depend on --jobs *)
+    (* canonical order, not set-iteration order: key order follows pid
+       interning order, which depends on how the solution was computed,
+       so order by print form — the same canonicalization the solution
+       digest uses *)
     |> List.map (fun p -> (Apath.to_string p, p))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.map snd

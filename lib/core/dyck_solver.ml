@@ -24,13 +24,13 @@ type callee_edge = {
 type t = {
   g : Vdg.t;
   budget : Budget.t;
-  pts : Ptpair.Set.t array;
-  gstore : Ptpair.Set.t;
+  pts : Ptset.t array;  (* per node: Ptpair keys *)
+  mutable gstore : Ptset.t;
   lookups : Vdg.node_id list;  (* every lookup: re-queued on gstore growth *)
-  (* (consumer, input index, pair).  As in Ci_solver, a push only follows
-     the first insertion of a pair at its producer (or into gstore), so
-     no item is ever queued twice (test_ptset checks the exact count). *)
-  worklist : (Vdg.node_id * int * Ptpair.t) Workbag.t;
+  (* (consumer, input index, pair key).  A push only follows the first
+     insertion of a pair at its producer (or into gstore), so no item is
+     ever queued twice (test_ptset checks the exact count). *)
+  worklist : (Vdg.node_id * int * int) Workbag.t;
   mutable flow_in_count : int;
   mutable flow_out_count : int;
   mutable ptset_stats : Ptset.stats option;  (* per-solve delta *)
@@ -41,7 +41,7 @@ type t = {
 
 let graph t = t.g
 let pairs t nid = t.pts.(nid)
-let store_pairs t = Ptpair.Set.elements t.gstore
+let store_pairs t = Ptpair.Set.elements t.g.Vdg.tbl t.gstore
 let flow_in_count t = t.flow_in_count
 let flow_out_count t = t.flow_out_count
 let worklist_pushes t = Workbag.pushed t.worklist
@@ -60,11 +60,17 @@ let cell tbl key =
     Hashtbl.add tbl key c;
     c
 
+let path t k = Ptpair.path_of_key t.g.Vdg.tbl k
+let referent t k = Ptpair.referent_of_key t.g.Vdg.tbl k
+
 (* A pair entered the global store: every lookup re-matches. *)
-let add_store t pair =
+let add_store t k =
   Budget.tick_meet t.budget;
-  if Ptpair.Set.add t.gstore pair then
-    List.iter (fun lkp -> Workbag.add t.worklist (lkp, 1, pair)) t.lookups
+  let v = Ptset.add t.gstore k in
+  if not (Ptset.equal v t.gstore) then begin
+    t.gstore <- v;
+    List.iter (fun lkp -> Workbag.add t.worklist (lkp, 1, k)) t.lookups
+  end
 
 let actual_for cm edge formal_idx =
   match edge.ce_argmap with
@@ -78,12 +84,15 @@ let actual_for cm edge formal_idx =
 
 (* ---- flow-out: value outputs only (store facts go through add_store) ---- *)
 
-let rec flow_out t output pair =
+let rec flow_out t output k =
   t.flow_out_count <- t.flow_out_count + 1;
   Budget.tick_meet t.budget;
-  if Ptpair.Set.add t.pts.(output) pair then begin
+  let cur = t.pts.(output) in
+  let v = Ptset.add cur k in
+  if not (Ptset.equal v cur) then begin
+    t.pts.(output) <- v;
     List.iter
-      (fun (consumer, idx) -> Workbag.add t.worklist (consumer, idx, pair))
+      (fun (consumer, idx) -> Workbag.add t.worklist (consumer, idx, k))
       (Vdg.consumers t.g output);
     match (Vdg.node t.g output).Vdg.nkind with
     | Vdg.Nret_value fname ->
@@ -91,7 +100,7 @@ let rec flow_out t output pair =
         (fun call ->
           let cm = Hashtbl.find t.g.Vdg.call_meta call in
           match cm.Vdg.cm_result with
-          | Some res -> flow_out t res pair
+          | Some res -> flow_out t res k
           | None -> ())
         (callers t fname)
     | _ -> ()
@@ -111,12 +120,11 @@ and add_defined_callee t call edge =
     Array.iteri
       (fun formal_idx formal_out ->
         match actual_for cm edge formal_idx with
-        | Some actual ->
-          Ptpair.Set.iter (fun p -> flow_out t formal_out p) t.pts.(actual)
+        | Some actual -> Ptset.iter (fun k -> flow_out t formal_out k) t.pts.(actual)
         | None -> ())
       meta.Vdg.fm_formals;
     match cm.Vdg.cm_result, meta.Vdg.fm_ret_value with
-    | Some res, Some rv -> Ptpair.Set.iter (fun p -> flow_out t res p) t.pts.(rv)
+    | Some res, Some rv -> Ptset.iter (fun k -> flow_out t res k) t.pts.(rv)
     | _ -> ()
   end
 
@@ -130,23 +138,24 @@ and add_extern_callee t call name =
     (* no store identity: the global store already carries everything *)
     (match cm.Vdg.cm_result, summary.Extern_summary.sum_returns with
     | Some res, Extern_summary.Ret_arg k when k < Array.length cm.Vdg.cm_args ->
-      Ptpair.Set.iter (fun p -> flow_out t res p) t.pts.(cm.Vdg.cm_args.(k))
+      Ptset.iter (fun key -> flow_out t res key) t.pts.(cm.Vdg.cm_args.(k))
     | Some res, Extern_summary.Ret_external ext ->
       let base = Apath.mk_base t.g.Vdg.tbl (Apath.Bext ext) ~singular:false in
       flow_out t res
-        (Ptpair.make (Apath.empty_offset t.g.Vdg.tbl) (Apath.of_base t.g.Vdg.tbl base))
+        (Ptpair.pack (Apath.empty_offset t.g.Vdg.tbl) (Apath.of_base t.g.Vdg.tbl base))
     | _ -> ());
     List.iter
       (fun (arg_idx, formal_map) ->
         if arg_idx < Array.length cm.Vdg.cm_args then
-          Ptpair.Set.iter
-            (fun p -> handle_function_value t call (Some (arg_idx, formal_map)) p)
+          Ptset.iter
+            (fun k -> handle_function_value t call (Some (arg_idx, formal_map)) k)
             t.pts.(cm.Vdg.cm_args.(arg_idx)))
       summary.Extern_summary.sum_calls
   end
 
-and handle_function_value t call via (pair : Ptpair.t) =
-  match pair.Ptpair.referent.Apath.proot with
+(* [k] is the key of a pair whose referent may be a function value *)
+and handle_function_value t call via k =
+  match (referent t k).Apath.proot with
   | Some { Apath.bkind = Apath.Bfun name; _ } ->
     if Hashtbl.mem t.g.Vdg.funs name then
       add_defined_callee t call
@@ -160,20 +169,20 @@ and handle_function_value t call via (pair : Ptpair.t) =
    a store pair.  When rl is a prefix of the stored location, the
    residual accessor chain (the still-open parentheses) becomes the
    result's offset. *)
-let match_store t nid rl (sp : Ptpair.t) =
-  if Apath.dom rl sp.Ptpair.path then
-    match Apath.subtract t.g.Vdg.tbl sp.Ptpair.path rl with
-    | Some off -> flow_out t nid (Ptpair.make off sp.Ptpair.referent)
+let match_store t nid rl sk =
+  let sp = path t sk in
+  if Apath.dom rl sp then
+    match Apath.subtract t.g.Vdg.tbl sp rl with
+    | Some off -> flow_out t nid (Ptpair.pack off (referent t sk))
     | None ->
-      flow_out t nid
-        (Ptpair.make (Apath.empty_offset t.g.Vdg.tbl) sp.Ptpair.referent)
+      flow_out t nid (Ptpair.pack (Apath.empty_offset t.g.Vdg.tbl) (referent t sk))
 
-let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
+let flow_in t (nid : Vdg.node_id) (idx : int) k =
   t.flow_in_count <- t.flow_in_count + 1;
   Budget.tick_transfer t.budget;
   let n = Vdg.node t.g nid in
   let tbl = t.g.Vdg.tbl in
-  let input k = List.nth n.Vdg.ninputs k in
+  let input i = List.nth n.Vdg.ninputs i in
   match n.Vdg.nkind with
   | Vdg.Nconst _ | Vdg.Nbase _ | Vdg.Nundef -> ()
   | Vdg.Nalloc _ -> ()
@@ -183,14 +192,13 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
        locations (the store node input is never used). *)
     (match idx with
     | 0 ->
-      let rl = pair.Ptpair.referent in
-      if Apath.is_location rl then
-        Ptpair.Set.iter (fun sp -> match_store t nid rl sp) t.gstore
+      let rl = referent t k in
+      if Apath.is_location rl then Ptset.iter (fun sk -> match_store t nid rl sk) t.gstore
     | 1 ->
-      Ptpair.Set.iter
-        (fun (lp : Ptpair.t) ->
-          let rl = lp.Ptpair.referent in
-          if Apath.is_location rl then match_store t nid rl pair)
+      Ptset.iter
+        (fun lk ->
+          let rl = referent t lk in
+          if Apath.is_location rl then match_store t nid rl k)
         t.pts.(input 0)
     | _ -> ())
   | Vdg.Nupdate ->
@@ -198,61 +206,61 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
        never a store pass-through (there is no store input flow) *)
     (match idx with
     | 0 ->
-      let rl = pair.Ptpair.referent in
+      let rl = referent t k in
       if Apath.is_location rl then
-        Ptpair.Set.iter
-          (fun (vp : Ptpair.t) ->
-            if Apath.is_offset vp.Ptpair.path then
-              add_store t
-                (Ptpair.make (Apath.append tbl rl vp.Ptpair.path) vp.Ptpair.referent))
+        Ptset.iter
+          (fun vk ->
+            let vpath = path t vk in
+            if Apath.is_offset vpath then
+              add_store t (Ptpair.pack (Apath.append tbl rl vpath) (referent t vk)))
           t.pts.(input 2)
     | 2 ->
-      if Apath.is_offset pair.Ptpair.path then
-        Ptpair.Set.iter
-          (fun (lp : Ptpair.t) ->
-            let rl = lp.Ptpair.referent in
+      let vpath = path t k in
+      if Apath.is_offset vpath then
+        Ptset.iter
+          (fun lk ->
+            let rl = referent t lk in
             if Apath.is_location rl then
-              add_store t
-                (Ptpair.make (Apath.append tbl rl pair.Ptpair.path) pair.Ptpair.referent))
+              add_store t (Ptpair.pack (Apath.append tbl rl vpath) (referent t k)))
           t.pts.(input 0)
     | _ -> ())
   | Vdg.Nfield_addr acc ->
     (* open parenthesis: push the accessor onto the referent *)
-    if idx = 0 && Apath.is_location pair.Ptpair.referent then
-      flow_out t nid
-        (Ptpair.make pair.Ptpair.path (Apath.extend tbl pair.Ptpair.referent acc))
+    let r = referent t k in
+    if idx = 0 && Apath.is_location r then
+      flow_out t nid (Ptpair.pack (path t k) (Apath.extend tbl r acc))
   | Vdg.Noffset_read acc ->
     if idx = 0 then begin
       let acc_path = Apath.extend tbl (Apath.empty_offset tbl) acc in
-      if Apath.dom acc_path pair.Ptpair.path then
-        match Apath.subtract tbl pair.Ptpair.path acc_path with
-        | Some off -> flow_out t nid (Ptpair.make off pair.Ptpair.referent)
-        | None ->
-          flow_out t nid (Ptpair.make (Apath.empty_offset tbl) pair.Ptpair.referent)
+      let p = path t k in
+      if Apath.dom acc_path p then
+        match Apath.subtract tbl p acc_path with
+        | Some off -> flow_out t nid (Ptpair.pack off (referent t k))
+        | None -> flow_out t nid (Ptpair.pack (Apath.empty_offset tbl) (referent t k))
     end
   | Vdg.Noffset_write acc ->
     (* flow-insensitive: the member write never replaces anything *)
     let acc_path = Apath.extend tbl (Apath.empty_offset tbl) acc in
     (match idx with
-    | 0 -> flow_out t nid pair
+    | 0 -> flow_out t nid k
     | 1 ->
-      if Apath.is_offset pair.Ptpair.path then
-        flow_out t nid
-          (Ptpair.make (Apath.append tbl acc_path pair.Ptpair.path) pair.Ptpair.referent)
+      let p = path t k in
+      if Apath.is_offset p then
+        flow_out t nid (Ptpair.pack (Apath.append tbl acc_path p) (referent t k))
     | _ -> ())
-  | Vdg.Ngamma -> flow_out t nid pair
-  | Vdg.Nprimop Vdg.Ptr_arith -> if idx = 0 then flow_out t nid pair
+  | Vdg.Ngamma -> flow_out t nid k
+  | Vdg.Nprimop Vdg.Ptr_arith -> if idx = 0 then flow_out t nid k
   | Vdg.Nprimop (Vdg.Scalar_op _) -> ()
-  | Vdg.Nformal _ -> flow_out t nid pair
+  | Vdg.Nformal _ -> flow_out t nid k
   | Vdg.Nformal_store _ | Vdg.Nret_store _ -> ()
-  | Vdg.Nret_value _ -> flow_out t nid pair
+  | Vdg.Nret_value _ -> flow_out t nid k
   | Vdg.Ncall ->
     let cm = Hashtbl.find t.g.Vdg.call_meta nid in
     (match idx with
-    | 0 -> handle_function_value t nid None pair
+    | 0 -> handle_function_value t nid None k
     | 1 -> ()  (* store input: collapsed into the global store *)
-    | k ->
-      let arg_idx = k - 2 in
+    | i ->
+      let arg_idx = i - 2 in
       (match Hashtbl.find_opt t.call_callees nid with
       | Some cell ->
         List.iter
@@ -266,7 +274,7 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
                   | Some map ->
                     formal_idx < Array.length map && map.(formal_idx) = arg_idx
                 in
-                if maps_here then flow_out t formal_out pair)
+                if maps_here then flow_out t formal_out k)
               meta.Vdg.fm_formals)
           !cell
       | None -> ());
@@ -278,12 +286,12 @@ let flow_in t (nid : Vdg.node_id) (idx : int) (pair : Ptpair.t) =
             let summary = Extern_summary.lookup name fs in
             (match cm.Vdg.cm_result, summary.Extern_summary.sum_returns with
             | Some res, Extern_summary.Ret_arg k' when k' = arg_idx ->
-              flow_out t res pair
+              flow_out t res k
             | _ -> ());
             List.iter
               (fun (ho_idx, formal_map) ->
                 if ho_idx = arg_idx then
-                  handle_function_value t nid (Some (ho_idx, formal_map)) pair)
+                  handle_function_value t nid (Some (ho_idx, formal_map)) k)
               summary.Extern_summary.sum_calls)
           !cell
       | None -> ()))
@@ -298,11 +306,11 @@ let seed t =
   let argv_arr = Apath.mk_base tbl (Apath.Bext "argv") ~singular:false in
   let argv_str = Apath.mk_base tbl (Apath.Bext "argv_strings") ~singular:false in
   let slot = Apath.extend tbl (Apath.of_base tbl argv_arr) Apath.Index in
-  add_store t (Ptpair.make slot (Apath.of_base tbl argv_str));
+  add_store t (Ptpair.pack slot (Apath.of_base tbl argv_str));
   Vdg.iter_nodes t.g (fun n ->
       match n.Vdg.nkind with
       | Vdg.Nbase b | Vdg.Nalloc b ->
-        flow_out t n.Vdg.nid (Ptpair.make (Apath.empty_offset tbl) (Apath.of_base tbl b))
+        flow_out t n.Vdg.nid (Ptpair.pack (Apath.empty_offset tbl) (Apath.of_base tbl b))
       | _ -> ())
 
 let solve ?(config = Ci_solver.default_config) ?budget (g : Vdg.t) : t =
@@ -314,10 +322,10 @@ let solve ?(config = Ci_solver.default_config) ?budget (g : Vdg.t) : t =
     {
       g;
       budget = (match budget with Some b -> b | None -> Budget.unlimited ());
-      pts = Array.init (Vdg.n_nodes g) (fun _ -> Ptpair.Set.create ());
-      gstore = Ptpair.Set.create ();
+      pts = Array.make (Vdg.n_nodes g) Ptset.empty;
+      gstore = Ptset.empty;
       lookups = !lookups;
-      worklist = Workbag.create ~dummy:(-1, -1, Ptpair.dummy) config.Ci_solver.schedule;
+      worklist = Workbag.create ~dummy:(-1, -1, -1) config.Ci_solver.schedule;
       flow_in_count = 0;
       flow_out_count = 0;
       ptset_stats = None;
@@ -328,8 +336,8 @@ let solve ?(config = Ci_solver.default_config) ?budget (g : Vdg.t) : t =
   in
   seed t;
   while not (Workbag.is_empty t.worklist) do
-    let nid, idx, pair = Workbag.pop t.worklist in
-    flow_in t nid idx pair
+    let nid, idx, k = Workbag.pop t.worklist in
+    flow_in t nid idx k
   done;
   t.ptset_stats <- Some (Ptset.delta ~before ~after:(Ptset.stats ()));
   t
@@ -339,14 +347,17 @@ let referenced_locations t nid =
   match n.Vdg.nkind, n.Vdg.ninputs with
   | (Vdg.Nlookup | Vdg.Nupdate), loc :: _ ->
     let seen = Hashtbl.create 8 in
-    Ptpair.Set.fold
-      (fun p acc ->
-        let r = p.Ptpair.referent in
+    Ptset.fold
+      (fun k acc ->
+        let r = referent t k in
         if Apath.is_location r && not (Hashtbl.mem seen r.Apath.pid) then begin
           Hashtbl.replace seen r.Apath.pid ();
           r :: acc
         end
         else acc)
       t.pts.(loc) []
-    |> List.rev
+    (* canonical print-form order, as Ci_solver.referenced_locations *)
+    |> List.map (fun p -> (Apath.to_string p, p))
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.map snd
   | _ -> []

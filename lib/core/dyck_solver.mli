@@ -12,8 +12,9 @@
     solvers, whose offset component is the stack of currently-open
     parentheses — and the interning k-limit ([Apath.max_depth]) is the
     bounded-stack restriction that keeps the language regular enough to
-    saturate.  Worklist dedup and set membership run over the packed
-    63-bit {!Ptpair.key} ints, like every other solver here.
+    saturate.  Pair sets are hash-consed {!Ptset.t}s of packed 63-bit
+    {!Ptpair.key} ints, one version per output as in {!Ci_solver}; unlike
+    CI the worklist stays pair-granular.
 
     What distinguishes the tier from [Ci] is the store model: instead of
     threading one SSA store value per program point, the solver keeps a
@@ -51,11 +52,11 @@ val pairs : t -> Vdg.node_id -> Ptpair.Set.t
 
 val referenced_locations : t -> Vdg.node_id -> Apath.t list
 (** As {!Ci_solver.referenced_locations}: the location referents of a
-    lookup/update node's location input, deduplicated, in insertion
-    order. *)
+    lookup/update node's location input, deduplicated, in canonical
+    print-form order. *)
 
 val store_pairs : t -> Ptpair.t list
-(** Contents of the global store relation, in insertion order: every
+(** Contents of the global store relation, in key order: every
     [(location, referent)] any update may have written, plus the argv
     seed. *)
 

@@ -164,6 +164,22 @@ let mem s e =
 
 let elements s = Array.to_list s.elems
 let iter f s = Array.iter f s.elems
+
+(* one merge walk over both sorted arrays *)
+let iter_diff f s old =
+  let b = old.elems in
+  if Array.length b = 0 then Array.iter f s.elems
+  else begin
+    let nb = Array.length b in
+    let j = ref 0 in
+    Array.iter
+      (fun x ->
+        while !j < nb && Array.unsafe_get b !j < x do
+          incr j
+        done;
+        if !j < nb && Array.unsafe_get b !j = x then incr j else f x)
+      s.elems
+  end
 let fold f s init = Array.fold_left (fun acc e -> f e acc) init s.elems
 
 (* ---- memoized meets ------------------------------------------------------------ *)
@@ -247,6 +263,18 @@ let subset s1 s2 =
        r)
 
 let add s e = if mem s e then s else union s (singleton e)
+
+let add_many s (keys : int array) n =
+  (* merge the new elements in once: no intermediate set is interned *)
+  let fresh = ref [] in
+  for i = n - 1 downto 0 do
+    let e = keys.(i) in
+    if e < 0 then invalid_arg "Ptset.add_many: negative element";
+    if not (mem s e) then fresh := e :: !fresh
+  done;
+  match !fresh with
+  | [] -> s
+  | l -> intern (univ ()) (merge_elems s.elems (Array.of_list (List.sort_uniq Int.compare l)))
 
 (* ---- instrumentation ------------------------------------------------------------ *)
 

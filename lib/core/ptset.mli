@@ -63,11 +63,22 @@ val mem : t -> int -> bool
 val add : t -> int -> t
 (** Returns [s] itself (physically) when the element is present. *)
 
+val add_many : t -> int array -> int -> t
+(** [add_many s keys n]: [s] plus the first [n] elements of [keys]
+    (unsorted, duplicates allowed; [keys] is not modified).  Interns one
+    set for the whole batch, not one per element, and returns [s] itself
+    when nothing is new.  Not memoized. *)
+
 val union : t -> t -> t
 val subset : t -> t -> bool
 val elements : t -> int list
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
+
+val iter_diff : (int -> unit) -> t -> t -> unit
+(** [iter_diff f s old] applies [f] to the elements of [s] that are not
+    in [old], in increasing order: one merge walk, nothing allocated.
+    Structural, safe on any handle. *)
 
 (** {2 Instrumentation}
 

@@ -19,7 +19,8 @@ let ci_view ci =
   {
     nv_tier = "ci";
     nv_graph = Ci_solver.graph ci;
-    nv_pairs = (fun nid -> Ptpair.Set.elements (Ci_solver.pairs ci nid));
+    nv_pairs =
+      (fun nid -> Ptpair.Set.elements (Ci_solver.graph ci).Vdg.tbl (Ci_solver.pairs ci nid));
     nv_referenced = Ci_solver.referenced_locations ci;
   }
 
@@ -36,7 +37,8 @@ let dyck_view d =
   {
     nv_tier = "dyck";
     nv_graph = Dyck_solver.graph d;
-    nv_pairs = (fun nid -> Ptpair.Set.elements (Dyck_solver.pairs d nid));
+    nv_pairs =
+      (fun nid -> Ptpair.Set.elements (Dyck_solver.graph d).Vdg.tbl (Dyck_solver.pairs d nid));
     nv_referenced = Dyck_solver.referenced_locations d;
   }
 

@@ -133,7 +133,7 @@ let all_ci_pairs ci =
   let g = Ci_solver.graph ci in
   let acc = ref [] in
   Vdg.iter_nodes g (fun n ->
-      Ptpair.Set.iter (fun p -> acc := p :: !acc) (Ci_solver.pairs ci n.Vdg.nid));
+      Ptpair.Set.iter g.Vdg.tbl (fun p -> acc := p :: !acc) (Ci_solver.pairs ci n.Vdg.nid));
   !acc
 
 let ci_breakdown ci = breakdown_of_pairs (all_ci_pairs ci)
@@ -145,7 +145,7 @@ let spurious_pairs ci cs =
       let cs_set = Cs_solver.pairs cs n.Vdg.nid in
       let cs_tbl = Hashtbl.create (List.length cs_set) in
       List.iter (fun p -> Hashtbl.replace cs_tbl (Ptpair.key p) ()) cs_set;
-      Ptpair.Set.iter
+      Ptpair.Set.iter g.Vdg.tbl
         (fun p -> if not (Hashtbl.mem cs_tbl (Ptpair.key p)) then acc := p :: !acc)
         (Ci_solver.pairs ci n.Vdg.nid));
   !acc

@@ -12,14 +12,14 @@ type stats = {
   mutable disk_hits : int;
   mutable misses : int;
   mutable stores : int;
-  mutable purged : int;  (* stale/corrupt entries deleted, + prune victims *)
+  mutable purged : int;  (* other-format/corrupt entries deleted, + prune victims *)
 }
 
 (* [lock] guards the counters only: Par_runner workers share one cache *)
 type t = { dir : string; lock : Mutex.t; st : stats }
 
 (* bump when the marshaled payload shape or any solver data structure
-   changes; stale files then simply miss *)
+   changes; stale files then miss, and [create] deletes them *)
 (* /2: Telemetry.t gained the per-checker stats field, which changes the
    Marshal layout of stored payloads. *)
 (* /3: Telemetry.t gained tier/degradation/budget fields for the
@@ -38,16 +38,45 @@ type t = { dir : string; lock : Mutex.t; st : stats }
 (* /9: Telemetry.t's dyck field became a solver_counters record and its
    incr field holds Incr_engine.stats. *)
 (* /10: Telemetry.t lost its sharded-solve counter field. *)
-let format_version = "alias-engine-cache/10"
+(* /11: Ci_solver.t keeps one hash-consed set per node (no insertion-order
+   pair list) and no worklist; Ptpair.Set.t is a Ptset.t; Apath.table
+   gained its pid array. *)
+let format_version = "alias-engine-cache/11"
+
+let header_ok path =
+  match
+    In_channel.with_open_bin path (fun ic ->
+        In_channel.really_input_string ic (String.length format_version))
+  with
+  | Some header -> header = format_version
+  | None -> false
+  | exception Sys_error _ -> true  (* unreadable now: leave it to find_disk *)
 
 let create dir =
   (if not (Sys.file_exists dir) then
      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  {
-    dir;
-    lock = Mutex.create ();
-    st = { disk_hits = 0; misses = 0; stores = 0; purged = 0 };
-  }
+  let t =
+    {
+      dir;
+      lock = Mutex.create ();
+      st = { disk_hits = 0; misses = 0; stores = 0; purged = 0 };
+    }
+  in
+  (* The format version is part of every key, so no lookup of this build
+     ever opens an older build's entry: reclaim them here, or they stay
+     on disk for good. *)
+  (match Sys.readdir dir with
+  | exception Sys_error _ -> ()
+  | names ->
+    Array.iter
+      (fun f ->
+        let path = Filename.concat dir f in
+        if Filename.check_suffix f ".bin" && not (header_ok path) then
+          match Sys.remove path with
+          | () -> t.st.purged <- t.st.purged + 1
+          | exception Sys_error _ -> ())
+      names);
+  t
 
 let stats t = t.st
 
@@ -109,8 +138,9 @@ let record_miss t = locked t (fun () -> t.st.misses <- t.st.misses + 1)
 (* The cache keys with a snapshot on disk, for the server's startup
    report: a restarted daemon answers opens of these from the disk layer
    without a solve (a warm start).  Purely observational — nothing is
-   read or validated here; a stale-format entry still shows up until its
-   first read purges it. *)
+   read or validated here; [create] has already purged other formats'
+   entries, and a damaged one still shows up until its first read purges
+   it. *)
 let keys_on_disk t =
   match Sys.readdir t.dir with
   | exception Sys_error _ -> []

@@ -16,13 +16,17 @@ type stats = {
   mutable misses : int;
   mutable stores : int;
   mutable purged : int;
-      (** stale/corrupt entries deleted on read, plus {!prune} victims *)
+      (** other-format entries deleted by {!create}, stale/corrupt
+          entries deleted on read, plus {!prune} victims *)
 }
 
 type t
 
 val create : string -> t
-(** A cache persisted under the given directory, created if missing. *)
+(** A cache persisted under the given directory, created if missing.
+    Every entry there whose header is not this build's format version is
+    deleted and counted in [stats.purged]: the version is part of every
+    key, so no lookup would ever reach it. *)
 
 val stats : t -> stats
 

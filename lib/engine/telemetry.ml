@@ -335,7 +335,7 @@ let suite_to_json ?(cache_stats = []) ts =
   in
   Ejson.Assoc
     [
-      ("schema", Ejson.String "alias-engine-metrics/4");
+      ("schema", Ejson.String "alias-engine-metrics/5");
       ("benchmarks", Ejson.List (List.map to_json ts));
       ("totals", totals);
     ]

@@ -237,10 +237,25 @@ let translator (im : ident_maps) (tbl : Apath.table) : translator =
 
 let nodes_by_fun (g : Vdg.t) : (string, Vdg.node list ref) Hashtbl.t =
   let tbl = Hashtbl.create 64 in
+  (* a procedure's nodes are mostly consecutive: reuse the last cell *)
+  let last = ref None in
   Vdg.iter_nodes g (fun n ->
-      match Hashtbl.find_opt tbl n.Vdg.nfun with
-      | Some cell -> cell := n :: !cell
-      | None -> Hashtbl.add tbl n.Vdg.nfun (ref [ n ]));
+      let cell =
+        match !last with
+        | Some (name, cell) when String.equal name n.Vdg.nfun -> cell
+        | _ ->
+          let cell =
+            match Hashtbl.find_opt tbl n.Vdg.nfun with
+            | Some cell -> cell
+            | None ->
+              let cell = ref [] in
+              Hashtbl.add tbl n.Vdg.nfun cell;
+              cell
+          in
+          last := Some (n.Vdg.nfun, cell);
+          cell
+      in
+      cell := n :: !cell);
   Hashtbl.iter (fun _ cell -> cell := List.rev !cell) tbl;
   tbl
 
@@ -323,7 +338,7 @@ let match_proc (tr : translator) (old_g : Vdg.t) (new_g : Vdg.t)
 
 (* per-clean-procedure translated state *)
 type proc_state = {
-  prs_pairs : (Vdg.node_id * Ptpair.t list) list;
+  prs_pairs : (Vdg.node_id * Ptpair.Set.t) list;
   prs_calls : (Vdg.node_id * (string * int array option) list) list;
   prs_ext_calls : (Vdg.node_id * string list) list;
 }
@@ -386,29 +401,29 @@ let update ?(config = Ci_solver.default_config) ?budget ~(prev : prev)
   let old_by_fun = nodes_by_fun prev.pv_graph in
   let new_by_fun = nodes_by_fun graph in
   (* the previous solution's pair sets are hash-consed: nodes sharing a
-     set share one translation (keyed by the set's version id), and
-     overlapping sets share per-pair work (keyed by {!Ptpair.key}) *)
-  let pair_memo : (int, Ptpair.t) Hashtbl.t = Hashtbl.create 4096 in
-  let tr_pair_memo p =
-    let k = Ptpair.key p in
-    match Hashtbl.find_opt pair_memo k with
-    | Some np -> np
+     set share one translation (keyed by the set's id), and overlapping
+     sets share per-pair work (keyed by the old {!Ptpair.key}) *)
+  let old_tbl = prev.pv_graph.Vdg.tbl in
+  let key_memo : (int, int) Hashtbl.t = Hashtbl.create 4096 in
+  let tr_key k =
+    match Hashtbl.find_opt key_memo k with
+    | Some nk -> nk
     | None ->
-      let np = tr.tr_pair p in
-      Hashtbl.replace pair_memo k np;
-      np
+      let nk = Ptpair.key (tr.tr_pair (Ptpair.of_key old_tbl k)) in
+      Hashtbl.replace key_memo k nk;
+      nk
   in
-  let set_memo : (int, Ptpair.t list) Hashtbl.t = Hashtbl.create 1024 in
-  let tr_pairs_of nid =
-    let s = Ci_solver.pairs prev.pv_ci nid in
-    let vid = Ptset.id (Ptpair.Set.version s) in
-    match Hashtbl.find_opt set_memo vid with
-    | Some l -> l
+  let set_memo : (int, Ptpair.Set.t) Hashtbl.t = Hashtbl.create 1024 in
+  (* raises Untranslatable *)
+  let tr_set (s : Ptpair.Set.t) =
+    match Hashtbl.find_opt set_memo (Ptset.id s) with
+    | Some ns -> ns
     | None ->
-      let l = Ptpair.Set.fold (fun p acc -> tr_pair_memo p :: acc) s [] in
-      Hashtbl.replace set_memo vid l;
-      l
+      let ns = Ptset.of_list (Ptset.fold (fun k acc -> tr_key k :: acc) s []) in
+      Hashtbl.replace set_memo (Ptset.id s) ns;
+      ns
   in
+  let tr_pairs_of nid = tr_set (Ci_solver.pairs prev.pv_ci nid) in
   let states : (string, proc_state) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun name ->
@@ -471,19 +486,14 @@ let update ?(config = Ci_solver.default_config) ?budget ~(prev : prev)
         | None -> None
         | Some meta -> (
           let set_of nid =
-            let s = Ptpair.Set.create () in
-            match
-              Ptpair.Set.iter
-                (fun p -> ignore (Ptpair.Set.add s (tr.tr_pair p)))
-                (Ci_solver.pairs prev.pv_ci nid)
-            with
-            | () -> Some (Ptpair.Set.version s)
+            match tr_pairs_of nid with
+            | s -> Some s
             | exception Untranslatable -> None
           in
           let rv =
             match meta.Vdg.fm_ret_value with
             | Some nid -> set_of nid
-            | None -> Some (Ptpair.Set.version (Ptpair.Set.create ()))
+            | None -> Some Ptset.empty
           in
           match (rv, set_of meta.Vdg.fm_ret_store) with
           | Some a, Some b -> Some (a, b)
@@ -541,13 +551,9 @@ let update ?(config = Ci_solver.default_config) ?budget ~(prev : prev)
             (* (2): formal channels equal the union of their new
                contributions *)
             let contributions channel ~formal_idx =
-              let s = Ptpair.Set.create () in
-              List.iter
-                (fun src ->
-                  Ptpair.Set.iter
-                    (fun pr -> ignore (Ptpair.Set.add s pr))
-                    (Ci_solver.pairs t src))
-                (Vdg.node graph channel).Vdg.ninputs;
+              let s = ref Ptset.empty in
+              let add src = s := Ptset.union !s (Ci_solver.pairs t src) in
+              List.iter add (Vdg.node graph channel).Vdg.ninputs;
               List.iter
                 (fun call ->
                   let cm = Hashtbl.find graph.Vdg.call_meta call in
@@ -555,25 +561,14 @@ let update ?(config = Ci_solver.default_config) ?budget ~(prev : prev)
                     (fun (callee, argmap) ->
                       if callee = p then
                         match formal_idx with
-                        | Some i -> (
-                          match actual_for cm argmap i with
-                          | Some actual ->
-                            Ptpair.Set.iter
-                              (fun pr -> ignore (Ptpair.Set.add s pr))
-                              (Ci_solver.pairs t actual)
-                          | None -> ())
-                        | None ->
-                          Ptpair.Set.iter
-                            (fun pr -> ignore (Ptpair.Set.add s pr))
-                            (Ci_solver.pairs t cm.Vdg.cm_store))
+                        | Some i -> Option.iter add (actual_for cm argmap i)
+                        | None -> add cm.Vdg.cm_store)
                     (Ci_solver.callee_edges t call))
                 (Ci_solver.callers t p);
-              Ptpair.Set.version s
+              !s
             in
             let channel_ok channel ~formal_idx =
-              Ptset.equal
-                (contributions channel ~formal_idx)
-                (Ptpair.Set.version (Ci_solver.pairs t channel))
+              Ptset.equal (contributions channel ~formal_idx) (Ci_solver.pairs t channel)
             in
             let ok = ref true in
             Array.iteri
@@ -599,15 +594,10 @@ let update ?(config = Ci_solver.default_config) ?budget ~(prev : prev)
                         | Some (orv, ors), Some cmeta ->
                           let nrv =
                             match cmeta.Vdg.fm_ret_value with
-                            | Some nid ->
-                              Ptpair.Set.version (Ci_solver.pairs t nid)
-                            | None ->
-                              Ptpair.Set.version (Ptpair.Set.create ())
+                            | Some nid -> Ci_solver.pairs t nid
+                            | None -> Ptset.empty
                           in
-                          let nrs =
-                            Ptpair.Set.version
-                              (Ci_solver.pairs t cmeta.Vdg.fm_ret_store)
-                          in
+                          let nrs = Ci_solver.pairs t cmeta.Vdg.fm_ret_store in
                           if Ptset.equal orv nrv && Ptset.equal ors nrs then
                             incr hits
                           else ok := false

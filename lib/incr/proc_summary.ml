@@ -26,9 +26,17 @@ let esc s =
     s;
   Buffer.contents buf
 
-let canonical_dump (prog : Sil.program) (fd : Sil.fundec) : string =
+(* the names of the program's defined functions, as a membership test *)
+let defined_names (prog : Sil.program) =
+  let tbl = Hashtbl.create 256 in
+  List.iter (fun (fd : Sil.fundec) -> Hashtbl.replace tbl fd.Sil.fd_name ()) prog.Sil.p_functions;
+  Hashtbl.mem tbl
+
+let canonical_dump_with ~defined (prog : Sil.program) (fd : Sil.fundec) : string =
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
+  let addc = Buffer.add_char buf in
+  let addi i = add (string_of_int i) in
   let pos = Hashtbl.create 16 in
   List.iteri
     (fun i (v : Sil.var) -> Hashtbl.replace pos v.Sil.vid i)
@@ -36,106 +44,211 @@ let canonical_dump (prog : Sil.program) (fd : Sil.fundec) : string =
   let var (v : Sil.var) =
     match v.Sil.vkind with
     | Sil.Global ->
-      Printf.sprintf "g:%s:%s:%b" v.Sil.vname
-        (Ctype.to_string v.Sil.vtype)
-        v.Sil.vaddr_taken
+      add "g:";
+      add v.Sil.vname;
+      addc ':';
+      add (Ctype.to_string v.Sil.vtype);
+      addc ':';
+      add (string_of_bool v.Sil.vaddr_taken)
     | _ -> (
       match Hashtbl.find_opt pos v.Sil.vid with
-      | Some i -> Printf.sprintf "l:%d:%s" i (Ctype.to_string v.Sil.vtype)
-      | None -> Printf.sprintf "x:%s" v.Sil.vname (* foreign local: impossible *))
+      | Some i ->
+        add "l:";
+        addi i;
+        addc ':';
+        add (Ctype.to_string v.Sil.vtype)
+      | None ->
+        (* foreign local: impossible *)
+        add "x:";
+        add v.Sil.vname)
   in
   let alloc_ord = ref 0 in
   let const = function
-    | Sil.Cint i -> Printf.sprintf "i%Ld" i
+    | Sil.Cint i ->
+      addc 'i';
+      add (Int64.to_string i)
     | Sil.Cstr idx ->
-      if idx >= 0 && idx < Array.length prog.Sil.p_strings then
-        Printf.sprintf "s\"%s\"" (esc prog.Sil.p_strings.(idx))
-      else Printf.sprintf "s?%d" idx
+      if idx >= 0 && idx < Array.length prog.Sil.p_strings then begin
+        add "s\"";
+        add (esc prog.Sil.p_strings.(idx));
+        addc '"'
+      end
+      else begin
+        add "s?";
+        addi idx
+      end
   in
   let rec lval (lv : Sil.lval) =
     (match lv.Sil.lbase with
     | Sil.Vbase v -> var v
-    | Sil.Mem e -> Printf.sprintf "*(%s)" (exp e))
-    ^ String.concat ""
-        (List.map
-           (function
-             | Sil.Ofield (k, tag, f) ->
-               Printf.sprintf ".%s%s.%s"
-                 (match k with Ctype.Struct -> "s" | Ctype.Union -> "u")
-                 tag f
-             | Sil.Oindex e -> Printf.sprintf "[%s]" (exp e))
-           lv.Sil.loffs)
+    | Sil.Mem e ->
+      add "*(";
+      exp e;
+      addc ')');
+    List.iter
+      (function
+        | Sil.Ofield (k, tag, f) ->
+          addc '.';
+          add (match k with Ctype.Struct -> "s" | Ctype.Union -> "u");
+          add tag;
+          addc '.';
+          add f
+        | Sil.Oindex e ->
+          addc '[';
+          exp e;
+          addc ']')
+      lv.Sil.loffs
   and exp = function
     | Sil.Const c -> const c
     | Sil.Lval lv -> lval lv
-    | Sil.Addr_of lv -> "&" ^ lval lv
-    | Sil.Start_of lv -> "start(" ^ lval lv ^ ")"
-    | Sil.Fun_addr f -> "fun:" ^ f
+    | Sil.Addr_of lv ->
+      addc '&';
+      lval lv
+    | Sil.Start_of lv ->
+      add "start(";
+      lval lv;
+      addc ')'
+    | Sil.Fun_addr f ->
+      add "fun:";
+      add f
     | Sil.Unop (op, e, t) ->
-      Printf.sprintf "u%d(%s):%s"
-        (match op with Sil.Neg -> 0 | Sil.Bnot -> 1 | Sil.Lnot -> 2)
-        (exp e) (Ctype.to_string t)
+      addc 'u';
+      addi (match op with Sil.Neg -> 0 | Sil.Bnot -> 1 | Sil.Lnot -> 2);
+      addc '(';
+      exp e;
+      add "):";
+      add (Ctype.to_string t)
     | Sil.Binop (op, a, b, t) ->
-      Printf.sprintf "%s(%s,%s):%s" (Sil.string_of_binop op) (exp a) (exp b)
-        (Ctype.to_string t)
-    | Sil.Cast (t, e) -> Printf.sprintf "(%s)(%s)" (Ctype.to_string t) (exp e)
+      add (Sil.string_of_binop op);
+      addc '(';
+      exp a;
+      addc ',';
+      exp b;
+      add "):";
+      add (Ctype.to_string t)
+    | Sil.Cast (t, e) ->
+      addc '(';
+      add (Ctype.to_string t);
+      add ")(";
+      exp e;
+      addc ')'
   in
-  let defined name = Sil.find_function prog name <> None in
+  let args = function
+    | [] -> ()
+    | e :: rest ->
+      exp e;
+      List.iter
+        (fun e ->
+          addc ',';
+          exp e)
+        rest
+  in
   let instr = function
-    | Sil.Set (lv, e, _) -> Printf.sprintf "set %s = %s" (lval lv) (exp e)
-    | Sil.Call (lv, target, args, _) ->
-      let dest = match lv with Some lv -> lval lv ^ " = " | None -> "" in
-      let tgt =
-        match target with
-        | Sil.Direct name ->
-          if defined name then "call:" ^ name
-          else
-            let sg =
-              match List.assoc_opt name prog.Sil.p_externals with
-              | Some fs -> Ctype.to_string (Ctype.Func fs)
-              | None -> "?"
-            in
-            Printf.sprintf "ext:%s:%s" name sg
-        | Sil.Indirect e -> "ind:" ^ exp e
-      in
-      Printf.sprintf "%s%s(%s)" dest tgt (String.concat "," (List.map exp args))
+    | Sil.Set (lv, e, _) ->
+      add "set ";
+      lval lv;
+      add " = ";
+      exp e
+    | Sil.Call (lv, target, actuals, _) ->
+      Option.iter
+        (fun lv ->
+          lval lv;
+          add " = ")
+        lv;
+      (match target with
+      | Sil.Direct name ->
+        if defined name then begin
+          add "call:";
+          add name
+        end
+        else begin
+          add "ext:";
+          add name;
+          addc ':';
+          add
+            (match List.assoc_opt name prog.Sil.p_externals with
+            | Some fs -> Ctype.to_string (Ctype.Func fs)
+            | None -> "?")
+        end
+      | Sil.Indirect e ->
+        add "ind:";
+        exp e);
+      addc '(';
+      args actuals;
+      addc ')'
     | Sil.Alloc (lv, size, _site, _) ->
-      let ord = !alloc_ord in
+      add "alloc#";
+      addi !alloc_ord;
       incr alloc_ord;
-      Printf.sprintf "alloc#%d %s = malloc(%s)" ord (lval lv) (exp size)
+      addc ' ';
+      lval lv;
+      add " = malloc(";
+      exp size;
+      addc ')'
   in
-  add (Printf.sprintf "proc %s sig=%s\n" fd.Sil.fd_name
-         (Ctype.to_string (Ctype.Func fd.Sil.fd_sig)));
-  add
-    (Printf.sprintf "formals=%d locals=%d entry=%d\n"
-       (List.length fd.Sil.fd_formals)
-       (List.length fd.Sil.fd_locals)
-       fd.Sil.fd_entry);
+  add "proc ";
+  add fd.Sil.fd_name;
+  add " sig=";
+  add (Ctype.to_string (Ctype.Func fd.Sil.fd_sig));
+  add "\nformals=";
+  addi (List.length fd.Sil.fd_formals);
+  add " locals=";
+  addi (List.length fd.Sil.fd_locals);
+  add " entry=";
+  addi fd.Sil.fd_entry;
+  addc '\n';
   List.iteri
     (fun i (v : Sil.var) ->
-      add (Printf.sprintf "v%d %s addr=%b\n" i (Ctype.to_string v.Sil.vtype)
-             v.Sil.vaddr_taken))
+      addc 'v';
+      addi i;
+      addc ' ';
+      add (Ctype.to_string v.Sil.vtype);
+      add " addr=";
+      add (string_of_bool v.Sil.vaddr_taken);
+      addc '\n')
     (fd.Sil.fd_formals @ fd.Sil.fd_locals);
   Array.iter
     (fun (b : Sil.block) ->
-      add (Printf.sprintf "block %d\n" b.Sil.bid);
-      List.iter (fun i -> add ("  " ^ instr i ^ "\n")) b.Sil.binstrs;
-      add
-        ("  " ^
-         (match b.Sil.bterm with
-         | Sil.Goto k -> Printf.sprintf "goto %d" k
-         | Sil.If (c, a, b) -> Printf.sprintf "if %s then %d else %d" (exp c) a b
-         | Sil.Return None -> "return"
-         | Sil.Return (Some e) -> "return " ^ exp e
-         | Sil.Unreachable -> "unreachable")
-         ^ "\n"))
+      add "block ";
+      addi b.Sil.bid;
+      addc '\n';
+      List.iter
+        (fun i ->
+          add "  ";
+          instr i;
+          addc '\n')
+        b.Sil.binstrs;
+      add "  ";
+      (match b.Sil.bterm with
+      | Sil.Goto k ->
+        add "goto ";
+        addi k
+      | Sil.If (c, a, b) ->
+        add "if ";
+        exp c;
+        add " then ";
+        addi a;
+        add " else ";
+        addi b
+      | Sil.Return None -> add "return"
+      | Sil.Return (Some e) ->
+        add "return ";
+        exp e
+      | Sil.Unreachable -> add "unreachable");
+      addc '\n')
     fd.Sil.fd_blocks;
   Buffer.contents buf
+
+let canonical_dump prog fd = canonical_dump_with ~defined:(defined_names prog) prog fd
 
 let digest prog fd = Digest.to_hex (Digest.string (canonical_dump prog fd))
 
 let digests (prog : Sil.program) : (string * string) list =
-  List.map (fun fd -> (fd.Sil.fd_name, digest prog fd)) prog.Sil.p_functions
+  let defined = defined_names prog in
+  List.map
+    (fun fd ->
+      (fd.Sil.fd_name, Digest.to_hex (Digest.string (canonical_dump_with ~defined prog fd))))
+    prog.Sil.p_functions
 
 (* Program-level context a procedure digest cannot localize: composite
    layouts (field accessors and pointer-containment classification),
@@ -186,7 +299,7 @@ let interface (ci : Ci_solver.t) (name : string) : iface option =
   match Hashtbl.find_opt g.Vdg.funs name with
   | None -> None
   | Some meta ->
-    let version nid = Ptpair.Set.version (Ci_solver.pairs ci nid) in
+    let version nid = Ci_solver.pairs ci nid in
     Some
       {
         if_name = name;

@@ -32,57 +32,26 @@ type base_key =
   | Kext of string
 
 type table = {
-  tid : int;  (* process-unique stamp, keys the domain-local caches *)
   bases : (base_key, base) Hashtbl.t;
   mutable nbases : int;
   paths : (int * accessor list * bool, t) Hashtbl.t;
   mutable npaths : int;
-  mutable lock : Mutex.t option;
-      (* [Some _] while the table is shared across domains (parallel
-         solve): all interning then goes through the lock, fronted by a
-         per-domain memo cache.  [None] keeps the sequential fast path
-         lock-free. *)
+  mutable by_pid : t array;
+      (* pid -> path, for decoding packed pair keys; slots at and above
+         [npaths] hold [dummy].  Appended only by whoever interns into
+         this table, so it needs no lock. *)
 }
 
-let table_stamps = Atomic.make 0
+let dummy = { pid = -1; proot = None; paccs = []; ptruncated = false }
 
 let create_table () =
   {
-    tid = Atomic.fetch_and_add table_stamps 1;
     bases = Hashtbl.create 256;
     nbases = 0;
     paths = Hashtbl.create 1024;
     npaths = 0;
-    lock = None;
+    by_pid = Array.make 1024 dummy;
   }
-
-let share tbl = if tbl.lock = None then tbl.lock <- Some (Mutex.create ())
-let unshare tbl = tbl.lock <- None
-
-(* Per-domain memo over a shared table.  Interned bases and paths are
-   immutable once published, so a domain may cache any (key -> value)
-   binding it has seen and serve repeat lookups without the lock; only
-   genuine misses pay for mutual exclusion.  One cache per domain,
-   re-pointed (and cleared) whenever the domain touches a different
-   table. *)
-type dls_cache = {
-  mutable c_tid : int;
-  c_bases : (base_key, base) Hashtbl.t;
-  c_paths : (int * accessor list * bool, t) Hashtbl.t;
-}
-
-let cache_key =
-  Domain.DLS.new_key (fun () ->
-      { c_tid = -1; c_bases = Hashtbl.create 64; c_paths = Hashtbl.create 1024 })
-
-let cache_for tbl =
-  let c = Domain.DLS.get cache_key in
-  if c.c_tid <> tbl.tid then begin
-    Hashtbl.reset c.c_bases;
-    Hashtbl.reset c.c_paths;
-    c.c_tid <- tbl.tid
-  end;
-  c
 
 let base_key = function
   | Bvar v -> Kvar v.Sil.vid
@@ -91,7 +60,8 @@ let base_key = function
   | Bfun name -> Kfun name
   | Bext name -> Kext name
 
-let mk_base_locked tbl key bkind ~singular =
+let mk_base tbl bkind ~singular =
+  let key = base_key bkind in
   match Hashtbl.find_opt tbl.bases key with
   | Some b -> b
   | None ->
@@ -99,19 +69,6 @@ let mk_base_locked tbl key bkind ~singular =
     tbl.nbases <- tbl.nbases + 1;
     Hashtbl.add tbl.bases key b;
     b
-
-let mk_base tbl bkind ~singular =
-  let key = base_key bkind in
-  match tbl.lock with
-  | None -> mk_base_locked tbl key bkind ~singular
-  | Some m ->
-    let c = cache_for tbl in
-    (match Hashtbl.find_opt c.c_bases key with
-    | Some b -> b
-    | None ->
-      let b = Mutex.protect m (fun () -> mk_base_locked tbl key bkind ~singular) in
-      Hashtbl.add c.c_bases key b;
-      b)
 
 let base_count tbl = tbl.nbases
 let path_count tbl = tbl.npaths
@@ -124,35 +81,29 @@ let max_depth = 8
    on it. *)
 let max_paths = 1 lsl 31
 
-let intern_locked tbl key root accs truncated =
+let intern tbl root accs truncated =
+  let root_id = match root with None -> -1 | Some b -> b.bid in
+  let key = (root_id, accs, truncated) in
   match Hashtbl.find_opt tbl.paths key with
   | Some p -> p
   | None ->
     if tbl.npaths >= max_paths then failwith "Apath: path table overflow (2^31 paths)";
     let p = { pid = tbl.npaths; proot = root; paccs = accs; ptruncated = truncated } in
+    if p.pid >= Array.length tbl.by_pid then begin
+      let grown = Array.make (2 * Array.length tbl.by_pid) dummy in
+      Array.blit tbl.by_pid 0 grown 0 tbl.npaths;
+      tbl.by_pid <- grown
+    end;
+    tbl.by_pid.(p.pid) <- p;
     tbl.npaths <- tbl.npaths + 1;
     Hashtbl.add tbl.paths key p;
     p
 
-let intern tbl root accs truncated =
-  let root_id = match root with None -> -1 | Some b -> b.bid in
-  let key = (root_id, accs, truncated) in
-  match tbl.lock with
-  | None -> intern_locked tbl key root accs truncated
-  | Some m ->
-    let c = cache_for tbl in
-    (match Hashtbl.find_opt c.c_paths key with
-    | Some p -> p
-    | None ->
-      let p = Mutex.protect m (fun () -> intern_locked tbl key root accs truncated) in
-      Hashtbl.add c.c_paths key p;
-      p)
+let of_pid tbl pid = tbl.by_pid.(pid)
 
 let of_base tbl b = intern tbl (Some b) [] false
 
 let empty_offset tbl = intern tbl None [] false
-
-let dummy = { pid = -1; proot = None; paccs = []; ptruncated = false }
 
 let limit accs =
   let rec take n = function

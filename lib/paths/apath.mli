@@ -14,7 +14,9 @@
     paper's static-aliasing model for C.
 
     Paths are hash-consed inside a {!table}; handles are dense ints so the
-    solvers compare and hash them in O(1).  Accessor chains are k-limited
+    solvers compare and hash them in O(1), and {!of_pid} maps a handle
+    back to its path, so a pair of paths can be stored as one packed int
+    and decoded on demand.  Accessor chains are k-limited
     (depth {!max_depth}); a path that would exceed the bound is truncated
     and marked, truncated paths alias all their extensions and are never
     strongly updateable — a sound summarization. *)
@@ -47,25 +49,19 @@ type table
 
 val create_table : unit -> table
 
-val share : table -> unit
-(** Switch the table into cross-domain mode: subsequent interning
-    ({!mk_base}, {!intern}-backed operations such as {!extend},
-    {!append}, {!subtract}, {!of_base}, {!empty_offset}) is serialized
-    behind a mutex, fronted by a per-domain memo cache so repeat lookups
-    stay lock-free.  Interned values are immutable, so handles obtained
-    by any domain remain valid everywhere.  Must be called before other
-    domains touch the table; idempotent. *)
-
-val unshare : table -> unit
-(** Drop back to the lock-free single-domain fast path.  Only safe once
-    no other domain can touch the table (the parallel solver calls this
-    after joining its workers). *)
-
 val mk_base : table -> base_kind -> singular:bool -> base
 (** Interned: the same kind yields the same base. *)
 
 val base_count : table -> int
 val path_count : table -> int
+
+val of_pid : table -> int -> t
+(** The path interned under a pid: the inverse of [p.pid], used to
+    decode packed pair keys ({!Ptpair.key}).  Each table keeps its own
+    pid array, appended whenever an operation on that table interns a
+    new path; it is neither global nor locked, so only one domain at a
+    time may intern into a table.  A pid the table never issued yields
+    {!dummy} or raises [Invalid_argument]. *)
 
 val max_depth : int
 (** Accessor-chain k-limit (8). *)

@@ -1,11 +1,10 @@
 (* Strongly connected components and condensation of an integer digraph.
 
-   One iterative Tarjan implementation shared by the incremental engine's
-   caller/callee dependency graph (lib/incr/dep_graph) and the parallel
-   solver's bottom-up SCC schedule (lib/core/par_solver).  Both clients
-   work over graphs whose depth can match the deepest call chain of a
-   workload program, so the traversal keeps an explicit frame stack and
-   never recurses.
+   An iterative Tarjan implementation for the incremental engine's
+   caller/callee dependency graph (lib/incr/dep_graph).  It works over
+   graphs whose depth can match the deepest call chain of a workload
+   program, so the traversal keeps an explicit frame stack and never
+   recurses.
 
    Tarjan emits a component only once everything it reaches has been
    emitted, so components come out in reverse topological order of the

@@ -1,13 +1,12 @@
 (** Strongly connected components of an integer digraph, with its
     condensation.
 
-    Shared between the incremental engine's caller/callee dependency
-    graph and the parallel solver's bottom-up SCC schedule.  The Tarjan
-    traversal is iterative (clients feed it call graphs whose depth can
-    match the deepest call chain of a generated workload), and component
-    ids are assigned in reverse topological order of the condensation:
-    ascending id is already a successors-before-predecessors (bottom-up)
-    order. *)
+    Used by the incremental engine's caller/callee dependency graph.
+    The Tarjan traversal is iterative (clients feed it call graphs whose
+    depth can match the deepest call chain of a generated workload), and
+    component ids are assigned in reverse topological order of the
+    condensation: ascending id is already a successors-before-predecessors
+    (bottom-up) order. *)
 
 type t = {
   n_vertices : int;  (** vertex count of the input graph *)

@@ -39,9 +39,9 @@ let default ~name ~target_lines =
 (* A linux-flavoured scale preset: two orders of magnitude past the
    paper's suite.  Deep call chains model the subsystem -> driver ->
    helper layering of a kernel tree, wide fan-in models shared utility
-   routines with many callers; both shapes stress exactly what the
-   parallel solve schedules around (long condensation paths, components
-   with many cross-shard consumers). *)
+   routines with many callers; both shapes stress the interprocedural
+   store chains that dominate the CI solve (long call paths, callees
+   with many callers). *)
 let linux ~target_lines =
   let base =
     default

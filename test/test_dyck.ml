@@ -25,8 +25,8 @@ let example_files () =
 
 let build_graph ~file src = Vdg_build.build (Norm.compile ~file src)
 
-let pair_strings set =
-  List.sort compare (List.map Ptpair.to_string (Ptpair.Set.elements set))
+let pair_strings (g : Vdg.t) set =
+  List.sort compare (List.map Ptpair.to_string (Ptpair.Set.elements g.Vdg.tbl set))
 
 let is_store_output (n : Vdg.node) = n.Vdg.ntype = Vdg.Vstore
 
@@ -38,7 +38,7 @@ let assert_ci_subset_dyck label g ci dy =
       if is_store_output n then
         (* CI threads a store value here; the Dyck tier collapses all of
            them into one global relation, which must cover each *)
-        Ptpair.Set.iter
+        Ptpair.Set.iter g.Vdg.tbl
           (fun p ->
             if not (Ptpair.Set.mem (Dyck_solver.pairs dy n.Vdg.nid) p)
                && not
@@ -50,7 +50,7 @@ let assert_ci_subset_dyck label g ci dy =
           cip
       else begin
         let dyp = Dyck_solver.pairs dy n.Vdg.nid in
-        Ptpair.Set.iter
+        Ptpair.Set.iter g.Vdg.tbl
           (fun p ->
             if not (Ptpair.Set.mem dyp p) then
               Alcotest.fail
@@ -154,8 +154,8 @@ let test_schedule_invariance () =
         (fun nid ->
           Alcotest.(check (list string))
             (Printf.sprintf "node %d" nid)
-            (pair_strings (Dyck_solver.pairs reference nid))
-            (pair_strings (Dyck_solver.pairs d nid)))
+            (pair_strings g (Dyck_solver.pairs reference nid))
+            (pair_strings g (Dyck_solver.pairs d nid)))
         memops)
     [ Workbag.Fifo; Workbag.Lifo; Workbag.Random_order 3; Workbag.Random_order 99 ]
 

@@ -85,6 +85,25 @@ let pc_to_list (pc : Stats.pair_counts) =
   [ pc.Stats.pc_pointer; pc.Stats.pc_function; pc.Stats.pc_aggregate;
     pc.Stats.pc_store; pc.Stats.pc_total ]
 
+(* entries of another format version are unreachable (the version is
+   part of every key), so [create] reclaims them *)
+let test_cache_purges_old_formats () =
+  let dir = fresh_cache_dir () in
+  let input = Engine.load_string ~file:"quickstart.c" quickstart_src in
+  ignore (Test_util.analysis ~cache:(Engine_cache.create dir) input);
+  let planted = Filename.concat dir "0123456789abcdef.bin" in
+  Out_channel.with_open_bin planted (fun oc ->
+      output_string oc "alias-engine-cache/10";
+      Marshal.to_channel oc [ 1; 2; 3 ] []);
+  let cache = Engine_cache.create dir in
+  Alcotest.(check bool) "old-format entry deleted" false (Sys.file_exists planted);
+  Alcotest.(check int) "counted as purged" 1 (Engine_cache.stats cache).Engine_cache.purged;
+  Alcotest.(check int) "current entry kept" 1 (List.length (Engine_cache.keys_on_disk cache));
+  let again = Test_util.analysis ~cache input in
+  Alcotest.(check bool)
+    "current entry still hits" true
+    (again.Engine.telemetry.Telemetry.t_cache = Telemetry.Disk_hit)
+
 let test_cache_roundtrip () =
   let dir = fresh_cache_dir () in
   let input = Engine.load_string ~file:"quickstart.c" quickstart_src in
@@ -179,7 +198,7 @@ let test_metrics_json () =
   (* must survive a print/parse round trip *)
   let parsed = Ejson.of_string (Ejson.to_string json) in
   Alcotest.(check (option string))
-    "schema version" (Some "alias-engine-metrics/4")
+    "schema version" (Some "alias-engine-metrics/5")
     (match Ejson.member "schema" parsed with
     | Some (Ejson.String v) -> Some v
     | _ -> None);
@@ -287,6 +306,8 @@ let tests =
   [
     Alcotest.test_case "engine = direct pipeline" `Quick test_matches_direct;
     Alcotest.test_case "cache roundtrip (memory + disk)" `Quick test_cache_roundtrip;
+    Alcotest.test_case "cache create purges other formats" `Quick
+      test_cache_purges_old_formats;
     Alcotest.test_case "parallel suite = sequential" `Slow test_parallel_suite;
     Alcotest.test_case "metrics JSON schema" `Quick test_metrics_json;
     Alcotest.test_case "ejson roundtrip" `Quick test_ejson_roundtrip;

@@ -159,6 +159,32 @@ let solutions_match_seed () =
         (Solution_digest.digest (analysis_of name)))
     seed_digests
 
+(* The CI dump renders each distinct set once; it must equal the plain
+   per-node rendering, byte for byte. *)
+let naive_ci_dump (a : Engine.analysis) =
+  let buf = Buffer.create 4096 in
+  let g = a.Engine.graph in
+  Vdg.iter_nodes g (fun n ->
+      let lines =
+        Ptpair.Set.fold g.Vdg.tbl
+          (fun p acc -> Ptpair.to_string p :: acc)
+          (Ci_solver.pairs a.Engine.ci n.Vdg.nid) []
+        |> List.sort compare
+      in
+      if lines <> [] then begin
+        Buffer.add_string buf (Printf.sprintf "node %d\n" n.Vdg.nid);
+        List.iter (fun l -> Buffer.add_string buf ("ci " ^ l ^ "\n")) lines
+      end);
+  Buffer.contents buf
+
+let ci_dump_matches_naive () =
+  let battery = List.filteri (fun i _ -> i < 10) Test_util.battery_profiles in
+  List.iter
+    (fun (file, src) ->
+      let a = Test_util.analysis (Engine.load_string ~file src) in
+      Alcotest.(check string) (file ^ " ci dump") (naive_ci_dump a) (Solution_digest.ci_dump a))
+    (Test_util.solver_subjects ~battery ())
+
 (* the stale-skip fast path must not change the fixpoint *)
 let stale_skip_preserves_solutions () =
   let a = analysis_of "part" in
@@ -185,11 +211,12 @@ let stale_skip_preserves_solutions () =
     "fast path skipped something or matched exactly" true
     (Cs_solver.worklist_stale_skips fast >= 0)
 
-(* A push only follows the first insertion of a pair at its producer, and
-   each (consumer, input) has exactly one producer, so a cold solve pushes
-   exactly Σ_o |pairs o| × |consumers o| — any path that queues an item
-   twice breaks the equality. *)
-let expected_pushes ci =
+(* Every slot — one per (consumer, input) edge — processes each of its
+   producer's pairs exactly once, so a cold solve's transfers are exactly
+   Σ_o |pairs o| × |consumers o|: a pair that reached a consumer input
+   twice, or never, breaks the equality.  Every slot activation delivers
+   at least one new pair, so activations never exceed transfers. *)
+let expected_transfers ci =
   let g = Ci_solver.graph ci in
   let n = ref 0 in
   Vdg.iter_nodes g (fun nd ->
@@ -197,9 +224,13 @@ let expected_pushes ci =
       n := !n + (Ptpair.Set.cardinal (Ci_solver.pairs ci o) * List.length (Vdg.consumers g o)));
   !n
 
-let check_push_count label ci =
-  Alcotest.(check int) (label ^ " pushes = pairs × consumers") (expected_pushes ci)
-    (Ci_solver.worklist_pushes ci)
+let check_delivery label ci =
+  Alcotest.(check int) (label ^ " transfers = pairs × consumers") (expected_transfers ci)
+    (Ci_solver.flow_in_count ci);
+  Alcotest.(check bool) (label ^ " activations <= transfers") true
+    (Ci_solver.worklist_pushes ci <= Ci_solver.flow_in_count ci);
+  Alcotest.(check int) (label ^ " pops = pushes") (Ci_solver.worklist_pushes ci)
+    (Ci_solver.worklist_pops ci)
 
 (* Dyck's pushes: the same per-output term over its value outputs, plus
    one push per lookup for each first insertion into the global store.
@@ -228,30 +259,15 @@ let solver_stats_populated () =
      zero — but never negative.  Byte figures are absolute. *)
   Alcotest.(check bool) "interned sets delta sane" true (s.Ptset.st_sets >= 0);
   Alcotest.(check bool) "peak bytes counted" true (s.Ptset.st_peak_bytes > 0);
-  check_push_count "allroots" a.Engine.ci
+  check_delivery "allroots" a.Engine.ci
 
-let exact_push_count () =
-  let sources =
-    List.map (fun path -> (path, Test_par_solver.read_file path))
-      (Test_par_solver.example_files ())
-    @ List.map
-        (fun (e : Suite.entry) -> (e.Suite.profile.Profile.name ^ ".c", Suite.source e))
-        Suite.benchmarks
-    @ List.map
-        (fun profile -> (profile.Profile.name ^ ".c", Genc.generate profile))
-        Test_par_solver.battery_profiles
-  in
+let exact_delivery () =
   List.iter
     (fun (file, src) ->
-      let graph () =
-        Engine.build_graph (Engine.compile (Engine.load_string ~file src))
-      in
-      check_push_count (file ^ " jobs 1")
-        (Test_util.analysis (Engine.load_string ~file src)).Engine.ci;
-      (* the sharded solver has no product caller: call it directly *)
-      check_push_count (file ^ " jobs 2") (fst (Par_solver.solve ~jobs:2 (graph ())));
-      check_dyck_push_count file (graph ()))
-    sources
+      check_delivery file (Test_util.analysis (Engine.load_string ~file src)).Engine.ci;
+      check_dyck_push_count file
+        (Engine.build_graph (Engine.compile (Engine.load_string ~file src))))
+    (Test_util.solver_subjects ())
 
 let tests =
   [
@@ -262,7 +278,8 @@ let tests =
     Alcotest.test_case "stale skip preserves solutions" `Quick
       stale_skip_preserves_solutions;
     Alcotest.test_case "solver ptset stats populated" `Quick solver_stats_populated;
-    Alcotest.test_case "cold solve pushes each item once" `Slow exact_push_count;
+    Alcotest.test_case "cold solve pushes each item once" `Slow exact_delivery;
+    Alcotest.test_case "ci dump renders each set once" `Slow ci_dump_matches_naive;
     QCheck_alcotest.to_alcotest law_of_list_elements;
     QCheck_alcotest.to_alcotest law_union;
     QCheck_alcotest.to_alcotest law_subset;

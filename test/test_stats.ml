@@ -21,23 +21,25 @@ let mk_tbl () =
 
 let pair_set_dedup () =
   let tbl, base = mk_tbl () in
-  let s = Ptpair.Set.create () in
   let p = Ptpair.make (Apath.empty_offset tbl) (base "x") in
-  Alcotest.(check bool) "first add" true (Ptpair.Set.add s p);
-  Alcotest.(check bool) "duplicate rejected" false (Ptpair.Set.add s p);
+  let s = Ptset.add Ptset.empty (Ptpair.key p) in
+  Alcotest.(check bool) "first add grows" false (Ptset.equal s Ptset.empty);
+  Alcotest.(check bool) "duplicate is the same set" true
+    (Ptset.add s (Ptpair.key p) == s);
   Alcotest.(check int) "cardinal" 1 (Ptpair.Set.cardinal s);
   Alcotest.(check bool) "mem" true (Ptpair.Set.mem s p)
 
+(* iteration runs in key order and decodes through the table *)
 let pair_set_insertion_order () =
   let tbl, base = mk_tbl () in
-  let s = Ptpair.Set.create () in
   let mk name = Ptpair.make (Apath.empty_offset tbl) (base name) in
-  List.iter (fun n -> ignore (Ptpair.Set.add s (mk n))) [ "a"; "b"; "c" ];
-  let elems = Ptpair.Set.elements s in
+  let ps = List.map mk [ "a"; "b"; "c" ] in
+  let s = Ptset.of_list (List.rev_map Ptpair.key ps) in
+  let elems = Ptpair.Set.elements tbl s in
   Alcotest.(check int) "three" 3 (List.length elems);
-  Alcotest.(check bool) "order preserved" true
-    (List.map (fun (p : Ptpair.t) -> Apath.to_string p.Ptpair.referent) elems
-    = [ "a"; "b"; "c" ])
+  Alcotest.(check bool) "key order" true
+    (List.map Ptpair.key elems = List.sort compare (List.map Ptpair.key ps));
+  Alcotest.(check bool) "decoded pairs" true (List.for_all2 Ptpair.equal elems ps)
 
 let pair_ops () =
   let tbl, base = mk_tbl () in
@@ -109,7 +111,7 @@ let classification () =
   (* paths seen across the solution must cover local, global and heap *)
   let classes = Hashtbl.create 8 in
   Vdg.iter_nodes g (fun n ->
-      Ptpair.Set.iter
+      Ptpair.Set.iter g.Vdg.tbl
         (fun (p : Ptpair.t) ->
           Hashtbl.replace classes (Stats.classify_path p.Ptpair.path) ())
         (Ci_solver.pairs ci n.Vdg.nid));
