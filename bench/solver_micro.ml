@@ -13,8 +13,7 @@
    where the memo wins) and uniform-random (the memo's worst case, where
    the naive lists win).  The "benchmarks" section times full CI and CS
    solves and records the deterministic outcome facts — executed meets
-   (CI, CS and the one Dyck solve), pair counts, and the canonical
-   solution digest.
+   (CI and CS), pair counts, and the canonical solution digest.
 
    --check FILE re-reads a previously written report and fails (exit 1)
    if any deterministic field drifted for a benchmark present in both:
@@ -151,9 +150,6 @@ let benchmark_json name =
     let cs = Engine.solve_cs g ~ci in
     let t2 = Unix.gettimeofday () in
     let cs_stats = Cs_solver.ptset_stats cs in
-    (* the Dyck tier's executed meets: one FIFO solve, so the count
-       depends only on the graph *)
-    let dyck_meets = Dyck_solver.flow_out_count (Dyck_solver.solve g) in
     let base_a = analysis_of input in
     let digest = Solution_digest.digest base_a in
     (* the incremental engine's deterministic footprint: append one probe
@@ -181,7 +177,6 @@ let benchmark_json name =
       [
         ("name", Ejson.String name);
         ("nodes", Ejson.Int (Vdg.n_nodes g));
-        ("dyck_meets", Ejson.Int dyck_meets);
         ("ci_seconds", Ejson.Float (t1 -. t0));
         ("ci_meets", Ejson.Int (Ci_solver.flow_out_count ci));
         ("cs_seconds", Ejson.Float (t2 -. t1));
@@ -204,7 +199,7 @@ let benchmark_json name =
    interning deltas) legitimately varies between hosts and run shapes *)
 let deterministic_fields =
   [
-    "nodes"; "dyck_meets"; "ci_meets"; "cs_meets";
+    "nodes"; "ci_meets"; "cs_meets";
     "cs_pairs"; "digest"; "incr_probe_resolved"; "incr_probe_reused";
     "incr_probe_digest_ok";
   ]

@@ -62,8 +62,7 @@ let tier_conv =
       Error
         (`Msg
           (Printf.sprintf
-             "unknown tier %S (expected steensgaard, andersen, dyck, ci, or \
-              cs)" s))
+             "unknown tier %S (expected steensgaard, andersen, ci, or cs)" s))
   in
   Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Engine.string_of_tier t))
 
@@ -76,10 +75,7 @@ let deadline_arg =
           "Wall-clock budget for the solve.  On exhaustion the analysis \
            degrades down the precision ladder (cs, ci, andersen, \
            steensgaard) instead of failing, and the output reports the \
-           tier that answered.  The descent skips the dyck tier; with \
-           $(b,--min-tier dyck) a ci solve that ran out of time fails at \
-           that tier instead (the deadline has already passed when it \
-           starts).")
+           tier that answered.")
 
 let min_tier_arg =
   Arg.(
@@ -121,9 +117,25 @@ let print_degradations degradations =
         (Budget.string_of_reason d.Engine.d_reason))
     degradations
 
-(* The report every node tier prints: the program's shape, the mode,
-   and what each indirect memory operation may touch by [locations_of]. *)
-let print_memop_report prog g ~mode locations_of =
+(* The full-precision report, shared by the governed and ungoverned
+   paths: the program's shape, the mode, and what each indirect memory
+   operation may touch. *)
+let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
+  let prog = a.Engine.prog and g = a.Engine.graph and ci = a.Engine.ci in
+  if dump_sil then Format.printf "%a@." Sil.pp_program prog;
+  if dump_dot then print_string (Vdg.to_dot g);
+  let mode, locations_of =
+    if context_sensitive then
+      let cs = Engine.cs a in
+      ( Printf.sprintf "context-sensitive (CS pairs: %d, CI pairs: %d)"
+          (Stats.cs_pair_counts cs g).Stats.pc_total
+          (Stats.ci_pair_counts ci).Stats.pc_total,
+        Cs_solver.referenced_locations cs )
+    else
+      ( Printf.sprintf "context-insensitive (pairs: %d)"
+          (Stats.ci_pair_counts ci).Stats.pc_total,
+        Ci_solver.referenced_locations ci )
+  in
   Printf.printf "functions: %d   VDG nodes: %d   alias-related outputs: %d\n"
     (List.length prog.Sil.p_functions) (Vdg.n_nodes g)
     (Stats.alias_related_outputs g);
@@ -149,27 +161,7 @@ let print_memop_report prog g ~mode locations_of =
         ])
     (Vdg.indirect_memops g);
   print_endline "indirect memory operations:";
-  Table.print t
-
-(* The full-precision report, shared by the governed and ungoverned
-   paths. *)
-let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
-  let prog = a.Engine.prog and g = a.Engine.graph and ci = a.Engine.ci in
-  if dump_sil then Format.printf "%a@." Sil.pp_program prog;
-  if dump_dot then print_string (Vdg.to_dot g);
-  let mode, locations_of =
-    if context_sensitive then
-      let cs = Engine.cs a in
-      ( Printf.sprintf "context-sensitive (CS pairs: %d, CI pairs: %d)"
-          (Stats.cs_pair_counts cs g).Stats.pc_total
-          (Stats.ci_pair_counts ci).Stats.pc_total,
-        Cs_solver.referenced_locations cs )
-    else
-      ( Printf.sprintf "context-insensitive (pairs: %d)"
-          (Stats.ci_pair_counts ci).Stats.pc_total,
-        Ci_solver.referenced_locations ci )
-  in
-  print_memop_report prog g ~mode locations_of;
+  Table.print t;
   if show_pairs then begin
     print_endline "points-to pairs per alias-related output:";
     Vdg.iter_nodes g (fun n ->
@@ -183,13 +175,6 @@ let report_analysis a ~context_sensitive ~dump_sil ~dump_dot ~show_pairs =
           |> List.iter (Printf.printf "    %s\n")
         end)
   end
-
-(* The dyck tier's referenced-location sets may be wider than ci's
-   (flow-insensitive, no strong updates). *)
-let report_dyck (td : Engine.tiered) (d : Dyck_solver.t) =
-  print_memop_report td.Engine.td_prog (Dyck_solver.graph d)
-    ~mode:"dyck (flow-insensitive reachability)"
-    (Dyck_solver.referenced_locations d)
 
 (* At a baseline tier there is no VDG: report by source line instead. *)
 let report_baseline (td : Engine.tiered) =
@@ -218,36 +203,28 @@ let report_baseline (td : Engine.tiered) =
   print_endline "indirect memory operations:";
   Table.print t
 
-let run_analyze file dump_sil dump_dot context_sensitive dyck show_pairs
-    deadline_ms min_tier metrics =
+let run_analyze file dump_sil dump_dot context_sensitive show_pairs deadline_ms
+    min_tier metrics =
   with_frontend_errors @@ fun () ->
-  if context_sensitive && dyck then begin
-    prerr_endline "alias-analyze: --dyck and --context-sensitive conflict";
-    exit 2
-  end;
   let input = Engine.load_file file in
   let req =
     {
-      Engine.want =
-        (if context_sensitive then Engine.Cs
-         else if dyck then Engine.Dyck
-         else Engine.Ci);
+      Engine.want = (if context_sensitive then Engine.Cs else Engine.Ci);
       min_tier = Option.value ~default:Engine.Steensgaard min_tier;
       budget = budget_of_deadline deadline_ms;
       prev = None;
     }
   in
   let td = engine_errors (Engine.analyze req input) in
-  if deadline_ms <> None || dyck || td.Engine.td_degradations <> [] then
+  if deadline_ms <> None || td.Engine.td_degradations <> [] then
     Printf.printf "tier: %s\n" (Engine.string_of_tier td.Engine.td_tier);
   print_degradations td.Engine.td_degradations;
-  (match (td.Engine.td_analysis, td.Engine.td_dyck) with
-  | Some a, _ ->
+  (match td.Engine.td_analysis with
+  | Some a ->
     report_analysis a
       ~context_sensitive:(td.Engine.td_tier = Engine.Cs)
       ~dump_sil ~dump_dot ~show_pairs
-  | None, Some d -> report_dyck td d
-  | None, None -> report_baseline td);
+  | None -> report_baseline td);
   Option.iter
     (fun path -> write_metrics path (Telemetry.to_json td.Engine.td_telemetry))
     metrics
@@ -261,15 +238,6 @@ let analyze_cmd =
     Arg.(value & flag & info [ "context-sensitive"; "s" ]
            ~doc:"Use the context-sensitive solver for the report.")
   in
-  let dyck =
-    Arg.(
-      value & flag
-      & info [ "dyck" ]
-          ~doc:
-            "Answer the report through the flow-insensitive Dyck-\
-             reachability tier: field-sensitive like ci but with one \
-             global store and no strong updates.")
-  in
   let pairs =
     Arg.(value & flag & info [ "pairs" ] ~doc:"Dump all points-to pairs.")
   in
@@ -279,7 +247,7 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Run the points-to analysis on a C file")
     Term.(
-      const run_analyze $ file $ dump_sil $ dot $ cs $ dyck $ pairs
+      const run_analyze $ file $ dump_sil $ dot $ cs $ pairs
       $ deadline_arg $ min_tier_arg $ metrics_arg)
 
 (* ---- conflicts ----------------------------------------------------------------- *)

@@ -5,7 +5,17 @@ type macro =
 type state = {
   macros : (string, macro) Hashtbl.t;
   file : string;
+  mutable expanded : int;
+      (* bytes macro expansion has produced so far, counted at every
+         nesting level: a measure of the expansion work *)
 }
+
+(* The cap on [expanded].  The suite, the examples and the generated
+   programs expand a few kilobytes at most; a chain of macros that each
+   use the previous one twice doubles its output per level, and would
+   otherwise run until memory or patience ran out.  Counting as the
+   text is produced makes the error fire before that work grows. *)
+let max_expanded_bytes = 1 lsl 22
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_digit c = c >= '0' && c <= '9'
@@ -75,6 +85,14 @@ let parse_define st loc rest =
 
 (* ---- macro expansion --------------------------------------------------- *)
 
+(* Append one macro's replacement text, counting it against the cap. *)
+let add_expansion st loc buf text =
+  st.expanded <- st.expanded + String.length text;
+  if st.expanded > max_expanded_bytes then
+    Srcloc.error loc "macro expansion too large (over %d bytes)"
+      max_expanded_bytes;
+  Buffer.add_string buf text
+
 (* Expand macros in one line of live text.  [banned] prevents recursive
    self-expansion.  Skips string and char literals. *)
 let rec expand_text st loc banned text =
@@ -108,7 +126,7 @@ let rec expand_text st loc banned text =
       match (if List.mem word banned then None else Hashtbl.find_opt st.macros word) with
       | None -> Buffer.add_string buf word
       | Some (Object body) ->
-        Buffer.add_string buf (expand_text st loc (word :: banned) body)
+        add_expansion st loc buf (expand_text st loc (word :: banned) body)
       | Some (Function (params, body)) ->
         (* needs an argument list right here, else not a macro call *)
         let save = !i in
@@ -124,7 +142,8 @@ let rec expand_text st loc banned text =
             List.map (fun a -> expand_text st loc banned (strip a)) args
           in
           let substituted = substitute_params params expanded_args body in
-          Buffer.add_string buf (expand_text st loc (word :: banned) substituted)
+          add_expansion st loc buf
+            (expand_text st loc (word :: banned) substituted)
         end
         else begin
           i := save;
@@ -216,7 +235,7 @@ and substitute_params params args body =
 type cond = { mutable live : bool; mutable fired : bool; parent_live : bool }
 
 let run ?(defines = []) ~file src =
-  let st = { macros = Hashtbl.create 32; file } in
+  let st = { macros = Hashtbl.create 32; file; expanded = 0 } in
   List.iter (fun (k, v) -> Hashtbl.replace st.macros k (Object v)) defines;
   let lines = String.split_on_char '\n' src in
   let out = Buffer.create (String.length src) in

@@ -15,4 +15,7 @@
 val run : ?defines:(string * string) list -> file:string -> string -> string
 (** [run ~defines ~file src] preprocesses [src].  [defines] seeds
     object-like macros (as if by [-D]).  Raises {!Srcloc.Error} on
-    malformed directives or unbalanced conditionals. *)
+    malformed directives, unbalanced conditionals, or macro expansion
+    that produces more than a fixed 4 MiB of text over the whole file
+    (counted at every nesting level, so an exponential chain of macros
+    fails fast instead of hanging). *)

@@ -1,6 +1,6 @@
 (* Checkers consume the tier-agnostic Query.node_view: the same checker
-   body runs against the CI, CS or dyck solution, whichever view the
-   lint driver hands it. *)
+   body runs against the CI or CS solution, whichever view [Lint.run]
+   hands it. *)
 type ctx = {
   cx_prog : Sil.program;
   cx_graph : Vdg.t;

@@ -4,11 +4,10 @@
 
    Every tier of the ladder is checked against every observation:
 
-   - node tiers (CI, CS, dyck) must predict, at some memory
-     operation at the observation's source position and direction, a
-     location path that dominates the observed access path
-     (the [assert_analysis_covers_interp] rule from the integration
-     battery, extended to the dyck tier);
+   - node tiers (CI, CS) must predict, at some memory operation at the
+     observation's source position and direction, a location path that
+     dominates the observed access path (the
+     [assert_analysis_covers_interp] rule from the integration battery);
    - baseline tiers (Andersen, Steensgaard) are bridged through base
      projection: when the baseline records a dereference at the
      position, the observed path's root base must be in its points-to
@@ -43,7 +42,7 @@ type report = {
   rp_violations : violation list;
 }
 
-let tier_names = [ "steensgaard"; "andersen"; "dyck"; "ci"; "cs" ]
+let tier_names = [ "steensgaard"; "andersen"; "ci"; "cs" ]
 let ok r = r.rp_trap = None && r.rp_violations = []
 
 let string_of_violation v =
@@ -87,7 +86,6 @@ let check ?(fuel = default_fuel) ?seed ~name prog =
   let g = Vdg_build.build prog in
   let ci = Ci_solver.solve g in
   let cs = Cs_solver.solve g ~ci in
-  let dyck = Dyck_solver.solve g in
   let andersen = Andersen.analyze prog in
   let steensgaard = Steensgaard.analyze prog in
   let res = Interp.run ~fuel prog in
@@ -143,7 +141,6 @@ let check ?(fuel = default_fuel) ?seed ~name prog =
         in
         check_nodes "ci" (Ci_solver.referenced_locations ci);
         check_nodes "cs" (Cs_solver.referenced_locations cs);
-        check_nodes "dyck" (Dyck_solver.referenced_locations dyck);
         (match opath.Apath.proot with
         | None -> ()
         | Some base ->

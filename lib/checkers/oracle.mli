@@ -2,11 +2,11 @@
 
     Runs a program under the concrete interpreter ({!Interp}) and checks
     that no analysis tier refutes a concretely observed storage access:
-    the node tiers (CI, CS, dyck) must predict a dominating
-    location path at the observation's position and direction, and the
-    baseline tiers (Andersen, Steensgaard) — bridged through base
-    projection — must include the observed root base wherever they
-    record the dereference.  Misses are reported as structured
+    the node tiers (CI, CS) must predict a dominating location path at
+    the observation's position and direction, and the baseline tiers
+    (Andersen, Steensgaard) — bridged through base projection — must
+    include the observed root base wherever they record the
+    dereference.  Misses are reported as structured
     {!violation} diffs rather than exceptions, so the fuzz driver can
     aggregate over large batches; an interpreter trap is itself a
     failure (generated programs are guaranteed trap-free, and a trapped
@@ -15,7 +15,7 @@
 type violation = {
   vi_program : string;  (** program label, e.g. ["fuzz_s7_i0042"] *)
   vi_seed : int option;  (** batch seed for generated programs *)
-  vi_tier : string;  (** the tier that missed, e.g. ["dyck"] *)
+  vi_tier : string;  (** the tier that missed, e.g. ["andersen"] *)
   vi_loc : Srcloc.t;  (** source position of the observed access *)
   vi_rw : [ `Read | `Write ];
   vi_observed : string;  (** the concretely observed access path *)
@@ -35,8 +35,8 @@ type report = {
 }
 
 val tier_names : string list
-(** The five tiers every observation is checked against, coarse to fine:
-    ["steensgaard"; "andersen"; "dyck"; "ci"; "cs"]. *)
+(** The four tiers every observation is checked against, coarse to fine:
+    ["steensgaard"; "andersen"; "ci"; "cs"]. *)
 
 val ok : report -> bool
 (** No trap and no violations. *)

@@ -33,15 +33,6 @@ let cs_view ci cs =
     nv_referenced = Cs_solver.referenced_locations cs;
   }
 
-let dyck_view d =
-  {
-    nv_tier = "dyck";
-    nv_graph = Dyck_solver.graph d;
-    nv_pairs =
-      (fun nid -> Ptpair.Set.elements (Dyck_solver.graph d).Vdg.tbl (Dyck_solver.pairs d nid));
-    nv_referenced = Dyck_solver.referenced_locations d;
-  }
-
 (* The locations a node's output concerns: for memory operations the
    storage they touch; for value outputs (allocation sites, formals,
    address-of nodes, ...) the storage the value may denote.  The latter

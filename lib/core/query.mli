@@ -28,11 +28,6 @@ val ci_view : Ci_solver.t -> node_view
 val cs_view : Ci_solver.t -> Cs_solver.t -> node_view
 (** Assumption sets stripped; the CI solver supplies the graph. *)
 
-val dyck_view : Dyck_solver.t -> node_view
-(** The flow-insensitive Dyck-reachability tier, read from a solved
-    {!Dyck_solver.t}; answers are a sound superset of {!ci_view} answers
-    on the same graph (no store threading, no strong updates). *)
-
 val locations : node_view -> Vdg.node_id -> Apath.t list
 (** The storage a node's output concerns: the referenced locations for
     lookup/update nodes, and the locations the value may denote for any

@@ -3,9 +3,8 @@
     The paper notes the algorithm "has the desirable property that its
     convergence time is independent of the scheduling strategy used for
     the worklist"; the test suite checks the stronger statement that the
-    *solution* is schedule-independent.  Shared by the CI fixpoint
-    ({!Ci_solver}) and the Dyck-reachability saturation
-    ({!Dyck_solver}). *)
+    *solution* is schedule-independent.  The CI fixpoint ({!Ci_solver})
+    draws its work from it. *)
 
 type schedule = Fifo | Lifo | Random_order of int  (** seed *)
 

@@ -48,35 +48,28 @@ let default_config =
 
 (* ---- the precision ladder -------------------------------------------------------- *)
 
-(* Dyck sits between Andersen and Ci: field-sensitive like Ci (so
-   strictly above the field-insensitive baselines) but flow-insensitive —
-   one global store relation, no strong updates — so its answers are a
-   sound superset of Ci's. *)
-type tier = Steensgaard | Andersen | Dyck | Ci | Cs
+type tier = Steensgaard | Andersen | Ci | Cs
 
 let tier_rank = function
   | Steensgaard -> 0
   | Andersen -> 1
-  | Dyck -> 2
-  | Ci -> 3
-  | Cs -> 4
+  | Ci -> 2
+  | Cs -> 3
 
 let string_of_tier = function
   | Steensgaard -> "steensgaard"
   | Andersen -> "andersen"
-  | Dyck -> "dyck"
   | Ci -> "ci"
   | Cs -> "cs"
 
 let tier_of_string = function
   | "steensgaard" -> Some Steensgaard
   | "andersen" -> Some Andersen
-  | "dyck" -> Some Dyck
   | "ci" -> Some Ci
   | "cs" -> Some Cs
   | _ -> None
 
-let all_tiers = [ Steensgaard; Andersen; Dyck; Ci; Cs ]
+let all_tiers = [ Steensgaard; Andersen; Ci; Cs ]
 
 type degradation = { d_from : tier; d_to : tier; d_reason : Budget.reason }
 
@@ -246,26 +239,6 @@ let cs_counters graph cs : Telemetry.solver_counters =
     sc_worklist_pops = Cs_solver.worklist_pops cs;
     sc_worklist_skips = Cs_solver.worklist_stale_skips cs;
     sc_pairs = (Stats.cs_pair_counts cs graph).Stats.pc_total;
-    sc_meet_cache_hits = ps.Ptset.st_cache_hits;
-    sc_meet_cache_misses = ps.Ptset.st_cache_misses;
-    sc_interned_sets = ps.Ptset.st_sets;
-    sc_peak_table_bytes = ps.Ptset.st_peak_bytes;
-  }
-
-(* Dyck pairs sit on value outputs and in the one global store. *)
-let dyck_solver_counters graph d : Telemetry.solver_counters =
-  let ps = Dyck_solver.ptset_stats d in
-  {
-    Telemetry.sc_flow_in = Dyck_solver.flow_in_count d;
-    sc_flow_out = Dyck_solver.flow_out_count d;
-    sc_worklist_pushes = Dyck_solver.worklist_pushes d;
-    sc_worklist_pops = Dyck_solver.worklist_pops d;
-    sc_worklist_skips = 0;
-    sc_pairs =
-      (Stats.count_pairs graph (fun nid ->
-           Ptpair.Set.cardinal (Dyck_solver.pairs d nid)))
-        .Stats.pc_total
-      + List.length (Dyck_solver.store_pairs d);
     sc_meet_cache_hits = ps.Ptset.st_cache_hits;
     sc_meet_cache_misses = ps.Ptset.st_cache_misses;
     sc_interned_sets = ps.Ptset.st_sets;
@@ -526,8 +499,7 @@ type tiered = {
   td_input : input;
   td_tier : tier;
   td_analysis : analysis option;  (* present iff td_tier >= Ci *)
-  td_dyck : Dyck_solver.t option;  (* present iff the run landed on the dyck rung *)
-  td_baseline : baseline option;  (* present iff td_tier < Dyck *)
+  td_baseline : baseline option;  (* present iff td_tier < Ci *)
   td_prog : Sil.program;
   td_telemetry : Telemetry.t;
   td_degradations : degradation list;
@@ -537,7 +509,7 @@ type tiered = {
 (* A tiered view's telemetry is a private copy annotated with the tier
    achieved, the ladder descents, and the budget consumed — the record
    inside [td_analysis] keeps its own unannotated history. *)
-let tiered input prog telemetry ~tier ~degradations ~budget ?analysis ?dyck
+let tiered input prog telemetry ~tier ~degradations ~budget ?analysis
     ?baseline ?incr () =
   let telemetry = Telemetry.copy telemetry in
   telemetry.Telemetry.t_tier <- Some (string_of_tier tier);
@@ -552,7 +524,6 @@ let tiered input prog telemetry ~tier ~degradations ~budget ?analysis ?dyck
     td_input = input;
     td_tier = tier;
     td_analysis = analysis;
-    td_dyck = dyck;
     td_baseline = baseline;
     td_prog = prog;
     td_telemetry = telemetry;
@@ -599,39 +570,6 @@ let baseline_descent ~budget ~min_tier ~degradations input =
           (degradations
           @ [ { d_from = Andersen; d_to = Steensgaard; d_reason = r } ]))
 
-(* The dyck rung: compile, build the VDG and run the exhaustive Dyck
-   solve, all under the rung's budget — an exhaustion anywhere takes the
-   floor-or-descend exit below.  Queries afterwards are lookups. *)
-let dyck_fresh ~config ~budget ~min_tier ~degradations input =
-  let telemetry = new_telemetry input in
-  match
-    let prog = Telemetry.time telemetry "frontend" (fun () -> compile input) in
-    Budget.check_now budget;
-    let graph =
-      Telemetry.time telemetry "vdg" (fun () -> build_graph ~config prog)
-    in
-    Budget.check_now budget;
-    let dyck =
-      Telemetry.time telemetry "dyck" (fun () ->
-          Dyck_solver.solve ~config:config.ci_config ~budget graph)
-    in
-    (prog, graph, dyck)
-  with
-  | exception Srcloc.Error (loc, msg) -> frontend_error loc msg
-  | exception Budget.Exhausted Budget.Cancelled -> Error Cancelled
-  | exception Budget.Exhausted r ->
-    if tier_rank min_tier >= tier_rank Dyck then
-      Error (Budget_exhausted { be_tier = Dyck; be_reason = r })
-    else
-      baseline_descent ~budget ~min_tier
-        ~degradations:
-          (degradations @ [ { d_from = Dyck; d_to = Andersen; d_reason = r } ])
-        input
-  | prog, graph, dyck ->
-    populate_shape_counters telemetry prog graph;
-    telemetry.Telemetry.t_dyck <- Some (dyck_solver_counters graph dyck);
-    Ok (tiered input prog telemetry ~tier:Dyck ~degradations ~budget ~dyck ())
-
 (* ---- the entry point ------------------------------------------------------------------ *)
 
 type request = {
@@ -644,10 +582,18 @@ type request = {
 let default_request =
   { want = Ci; min_tier = Steensgaard; budget = None; prev = None }
 
-(* The exhaustive pipeline under the ladder: solve (or splice, or find
-   cached) CI, force CS when wanted, and descend on exhaustion. *)
-let exhaustive ?cache ~config ~budget ~want ~min_tier ~prev input =
-  match solve_exhaustive ?cache ~budget ~prev config input with
+(* The pipeline under the ladder: solve (or splice, or find cached) CI,
+   force CS when wanted, and descend on exhaustion. *)
+let analyze ?(config = default_config) ?cache req input =
+  let min_tier = req.min_tier in
+  (* a floor above the aim demands the floor outright *)
+  let want =
+    if tier_rank min_tier > tier_rank req.want then min_tier else req.want
+  in
+  let budget =
+    match req.budget with Some b -> b | None -> Budget.unlimited ()
+  in
+  match solve_exhaustive ?cache ~budget ~prev:req.prev config input with
   | a, incr -> (
     let finish tier degradations =
       Ok (of_analysis ?incr a ~tier ~degradations ~budget)
@@ -667,47 +613,10 @@ let exhaustive ?cache ~config ~budget ~want ~min_tier ~prev input =
   | exception Budget.Exhausted r ->
     if tier_rank min_tier >= tier_rank Ci then
       Error (Budget_exhausted { be_tier = Ci; be_reason = r })
-    else if min_tier = Dyck then
-      (* an explicit dyck floor recovers at the dyck rung: fresh
-         operation counters, same absolute deadline (a dead deadline
-         trips the re-check inside and errors at the floor) *)
-      dyck_fresh ~config ~budget:(Budget.restart budget) ~min_tier
-        ~degradations:[ { d_from = Ci; d_to = Dyck; d_reason = r } ]
-        input
     else
-      (* the default descent skips the dyck rung: a client that wanted
-         the exhaustive CI solution is better served by a baseline that
-         always answers than by a second fixpoint under the same
-         deadline *)
       baseline_descent ~budget ~min_tier
         ~degradations:[ { d_from = Ci; d_to = Andersen; d_reason = r } ]
         input
-
-let analyze ?(config = default_config) ?cache req input =
-  let min_tier = req.min_tier in
-  (* a floor above the aim demands the floor outright *)
-  let want =
-    if tier_rank min_tier > tier_rank req.want then min_tier else req.want
-  in
-  let budget =
-    match req.budget with Some b -> b | None -> Budget.unlimited ()
-  in
-  if want <> Dyck then
-    exhaustive ?cache ~config ~budget ~want ~min_tier ~prev:req.prev input
-  else
-    (* A warm full solution outranks the dyck tier; peek the cache
-       without recording a miss (a dyck run is not a solve the cache
-       failed to serve). *)
-    match
-      Option.bind cache (fun c ->
-          find_cached c ~key:(cache_key config input) config input)
-    with
-    | Some a ->
-      Ok
-        (of_analysis a
-           ~tier:(if cs_forced a then Cs else Ci)
-           ~degradations:[] ~budget)
-    | None -> dyck_fresh ~config ~budget ~min_tier ~degradations:[] input
 
 (* ---- queries at degraded tiers ------------------------------------------------------ *)
 

@@ -56,15 +56,12 @@ val default_config : config
 
 (** {2 The precision ladder} *)
 
-(** Analysis tiers in increasing precision (and cost) order.  [Dyck]
-    sits between [Andersen] and [Ci]: field-sensitive like [Ci]
-    (accessor chains are matched as Dyck parenthesis strings) but
-    flow-insensitive — one global store relation, no strong updates — so
-    its answers are a sound superset of [Ci]'s. *)
-type tier = Steensgaard | Andersen | Dyck | Ci | Cs
+(** Analysis tiers in increasing precision (and cost) order: the two
+    flow-insensitive baselines, then the paper's CI and CS solves. *)
+type tier = Steensgaard | Andersen | Ci | Cs
 
 val tier_rank : tier -> int
-(** 0 (Steensgaard) .. 4 (Cs); monotone in precision. *)
+(** 0 (Steensgaard) .. 3 (Cs); monotone in precision. *)
 
 val string_of_tier : tier -> string
 val tier_of_string : string -> tier option
@@ -137,7 +134,7 @@ val cache_key : config -> input -> string
     source text and the configuration fingerprint.  The query server
     uses it as the session identity. *)
 
-(** A flow-insensitive fallback solution, for tiers below [Dyck]. *)
+(** A flow-insensitive fallback solution, for tiers below [Ci]. *)
 type baseline = Base_andersen of Andersen.t | Base_steensgaard of Steensgaard.t
 
 (** What {!analyze} produced: the tier achieved and the solution
@@ -146,9 +143,7 @@ type tiered = {
   td_input : input;
   td_tier : tier;  (** the tier actually achieved *)
   td_analysis : analysis option;  (** present iff [td_tier >= Ci] *)
-  td_dyck : Dyck_solver.t option;
-      (** present iff the run landed on the dyck rung; already solved *)
-  td_baseline : baseline option;  (** present iff [td_tier < Dyck] *)
+  td_baseline : baseline option;  (** present iff [td_tier < Ci] *)
   td_prog : Sil.program;
   td_telemetry : Telemetry.t;
       (** a private copy annotated with tier, degradations, and budget
@@ -162,8 +157,8 @@ type tiered = {
 (** One pipeline run. *)
 type request = {
   want : tier;
-      (** the tier aimed for; [Dyck] solves the Dyck tier instead of
-          CI, [Cs] also forces the CS solve, anything else solves CI *)
+      (** the tier aimed for; [Cs] also forces the CS solve, anything
+          else solves CI *)
   min_tier : tier;
       (** the precision floor; a floor above [want] raises [want] to it *)
   budget : Budget.t option;  (** [None]: unbudgeted *)
@@ -185,9 +180,8 @@ val analyze :
 (** Run the pipeline at the highest affordable tier at or above
     [min_tier].
 
-    {b Exhaustive} ([want >= Ci], or any [want] other than [Dyck]):
-    compile, build the VDG and solve CI; with [want = Cs], also force
-    the CS solve.  With no budget the run always reaches [want], so
+    {b Exhaustive}: compile, build the VDG and solve CI; with
+    [want = Cs], also force the CS solve.  With no budget the run always reaches [want], so
     [td_analysis] is [Some] — callers that need the {!analysis} read it
     from there.  With [cache], the disk snapshot is consulted before
     solving, and a fresh solution is stored there; a hit's telemetry
@@ -199,25 +193,13 @@ val analyze :
     and the result is digest-identical to a cold solve.  The cache is
     written, never read, and [td_incr] reports the splice.
 
-    {b Dyck} ([want = Dyck]): compile, build the VDG and run the one
-    exhaustive {!Dyck_solver.solve}, all under the budget, and return
-    the solution in [td_dyck] (its counters in the telemetry's
-    [t_dyck]).  An exhaustion there takes the same floor-or-descend exit
-    as a frontend or VDG exhaustion: [Budget_exhausted] at [Dyck] when
-    the floor is [Dyck], else the baselines.  A warm cached full
-    solution outranks it: with [cache], a hit answers at [Ci]/[Cs].
-
     {b Degradation}: on budget exhaustion the engine descends
     [Cs -> Ci -> Andersen -> Steensgaard] until a tier completes; ladder
     steps are reported in [td_degradations].  The wall-clock deadline is
     shared across the whole descent; operation ceilings restart per
-    tier.  The default descent skips the dyck rung.  An explicit
-    [min_tier = Dyck] sends a CI exhaustion there instead, which
-    recovers only from an operation ceiling: a CI solve stops on the
-    deadline only once it has passed, so the rung's first deadline check
-    fails and the run ends with [Budget_exhausted] at [Dyck].  Steensgaard never exhausts: it
-    is near-linear and terminal, so with the default floor the ladder
-    always bottoms out on an answer.
+    tier.  Steensgaard never exhausts: it is near-linear and terminal,
+    so with the default floor the ladder always bottoms out on an
+    answer.
 
     Errors: [Frontend_error]; [Budget_exhausted] when the floor forbids
     descending past the tier that trips; [Cancelled] on cancellation

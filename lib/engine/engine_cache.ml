@@ -35,13 +35,15 @@ type t = { dir : string; lock : Mutex.t; st : stats }
 (* /7: Telemetry.t lost the demand-tier counter field. *)
 (* /8: Telemetry.cache_status lost its memory-hit constant, which
    renumbers the Disk_hit constant a stored telemetry record can carry. *)
-(* /9: Telemetry.t's dyck field became a solver_counters record and its
-   incr field holds Incr_engine.stats. *)
+(* /9: the counter field of Telemetry.t's reachability tier became a
+   solver_counters record, and its incr field holds Incr_engine.stats. *)
 (* /10: Telemetry.t lost its sharded-solve counter field. *)
 (* /11: Ci_solver.t keeps one hash-consed set per node (no insertion-order
    pair list) and no worklist; Ptpair.Set.t is a Ptset.t; Apath.table
    gained its pid array. *)
-let format_version = "alias-engine-cache/11"
+(* /12: Telemetry.t lost the reachability tier's counter field with the
+   tier itself. *)
+let format_version = "alias-engine-cache/12"
 
 let header_ok path =
   match

@@ -51,7 +51,6 @@ type t = {
   mutable t_alias_outputs : int;
   mutable t_ci : solver_counters option;
   mutable t_cs : solver_counters option;
-  mutable t_dyck : solver_counters option;   (* set on the dyck tier *)
   mutable t_incr : Incr_engine.stats option; (* set by an incremental Engine.analyze *)
   mutable t_checkers : checker_stat list;    (* in execution order *)
   mutable t_tier : string option;            (* ladder tier actually achieved *)
@@ -61,9 +60,8 @@ type t = {
 
 (* Phases recorded by Engine.analyze, in pipeline order.  "cs" only
    appears once the lazily-forced context-sensitive solve has actually
-   run; "dyck" replaces "ci"/"cs" on the Dyck tier, and "incr" replaces
-   "ci" on an incremental re-solve. *)
-let phase_names = [ "load"; "frontend"; "vdg"; "dyck"; "ci"; "incr"; "cs" ]
+   run, and "incr" replaces "ci" on an incremental re-solve. *)
+let phase_names = [ "load"; "frontend"; "vdg"; "ci"; "incr"; "cs" ]
 
 let create ~file ~source_bytes =
   {
@@ -76,7 +74,6 @@ let create ~file ~source_bytes =
     t_alias_outputs = 0;
     t_ci = None;
     t_cs = None;
-    t_dyck = None;
     t_incr = None;
     t_checkers = [];
     t_tier = None;
@@ -210,7 +207,6 @@ let copy t =
     t_alias_outputs = t.t_alias_outputs;
     t_ci = t.t_ci;
     t_cs = t.t_cs;
-    t_dyck = t.t_dyck;
     t_incr = t.t_incr;
     t_checkers = t.t_checkers;
     t_tier = t.t_tier;
@@ -245,7 +241,13 @@ let incr_json (s : Incr_engine.stats) =
     ("incr_full_fallback", Ejson.Bool s.Incr_engine.st_full_fallback);
   ]
 
-let to_json t =
+(* One version for both report shapes: bump it whenever a key of
+   either changes. *)
+let metrics_schema = "alias-engine-metrics/6"
+
+let schema_field = ("schema", Ejson.String metrics_schema)
+
+let run_fields t =
   let phases =
     Ejson.Assoc (List.map (fun (name, s) -> (name, Ejson.Float s)) t.t_phases)
   in
@@ -257,7 +259,6 @@ let to_json t =
     ]
     @ (match t.t_ci with Some c -> counters_json "ci" c | None -> [])
     @ (match t.t_cs with Some c -> counters_json "cs" c | None -> [])
-    @ (match t.t_dyck with Some c -> counters_json "dyck" c | None -> [])
     @ (match t.t_incr with Some i -> incr_json i | None -> [])
   in
   let checkers =
@@ -293,16 +294,17 @@ let to_json t =
     | [] -> []
     | fields -> [ ("budget", Ejson.Assoc fields) ]
   in
-  Ejson.Assoc
-    ([
-       ("file", Ejson.String t.t_file);
-       ("source_bytes", Ejson.Int t.t_source_bytes);
-       ("cache", Ejson.String (string_of_cache_status t.t_cache));
-       ("total_seconds", Ejson.Float (total_seconds t));
-       ("phases", phases);
-       ("counters", Ejson.Assoc counters);
-     ]
-    @ tier @ degradations @ budget @ checkers)
+  [
+    ("file", Ejson.String t.t_file);
+    ("source_bytes", Ejson.Int t.t_source_bytes);
+    ("cache", Ejson.String (string_of_cache_status t.t_cache));
+    ("total_seconds", Ejson.Float (total_seconds t));
+    ("phases", phases);
+    ("counters", Ejson.Assoc counters);
+  ]
+  @ tier @ degradations @ budget @ checkers
+
+let to_json t = Ejson.Assoc (schema_field :: run_fields t)
 
 (* A suite-level report: one entry per run plus aggregate totals, the
    shape `alias-analyze tables --metrics FILE` writes. *)
@@ -335,7 +337,7 @@ let suite_to_json ?(cache_stats = []) ts =
   in
   Ejson.Assoc
     [
-      ("schema", Ejson.String "alias-engine-metrics/5");
-      ("benchmarks", Ejson.List (List.map to_json ts));
+      schema_field;
+      ("benchmarks", Ejson.List (List.map (fun t -> Ejson.Assoc (run_fields t)) ts));
       ("totals", totals);
     ]

@@ -53,7 +53,6 @@ type t = {
   mutable t_alias_outputs : int;
   mutable t_ci : solver_counters option;
   mutable t_cs : solver_counters option;
-  mutable t_dyck : solver_counters option;  (** set on the dyck tier *)
   mutable t_incr : Incr_engine.stats option;
       (** set by an incremental [Engine.analyze] *)
   mutable t_checkers : checker_stat list;  (** in execution order *)
@@ -64,8 +63,8 @@ type t = {
 
 val phase_names : string list
 (** Phases recorded by [Engine.analyze], in pipeline order.  ["cs"] only
-    appears once the lazily-forced context-sensitive solve has run;
-    ["dyck"] and ["incr"] only on the runs that take those paths. *)
+    appears once the lazily-forced context-sensitive solve has run, and
+    ["incr"] only on an incremental re-solve. *)
 
 val create : file:string -> source_bytes:int -> t
 
@@ -124,7 +123,12 @@ val incr_json : Incr_engine.stats -> (string * Ejson.t) list
     server's [update] reply and the edit-replay report. *)
 
 val to_json : t -> Ejson.t
+(** One run's report, [{schema, file, ..., phases, counters, ...}]: the
+    shape [alias-analyze analyze FILE --metrics] and [lint --metrics]
+    write.  Its [schema], ["alias-engine-metrics/6"], is the one
+    {!suite_to_json} writes: one version for both shapes. *)
 
 val suite_to_json : ?cache_stats:(string * Ejson.t) list -> t list -> Ejson.t
-(** A suite-level report: one entry per run plus aggregate totals, the
-    shape [alias-analyze tables --metrics FILE] writes. *)
+(** A suite-level report, [{schema, benchmarks, totals}]: one entry per
+    run (the fields of {!to_json} less [schema]) plus aggregate totals,
+    the shape [alias-analyze tables --metrics FILE] writes. *)

@@ -454,8 +454,8 @@ let ladder_table results =
       ~headers:
         [
           ("name", Table.Left); ("node pairs", Table.Right); ("cs", Table.Right);
-          ("ci", Table.Right); ("dyck", Table.Right);
-          ("andersen", Table.Right); ("steensgaard", Table.Right);
+          ("ci", Table.Right); ("andersen", Table.Right);
+          ("steensgaard", Table.Right);
         ]
   in
   let rate hits pairs = float_of_int hits /. float_of_int (max 1 pairs) in
@@ -471,7 +471,7 @@ let ladder_table results =
     done;
     (!count, !hits)
   in
-  let totals = Array.make 5 0 and universes = Array.make 2 0 in
+  let totals = Array.make 4 0 and universes = Array.make 2 0 in
   List.iter
     (fun r ->
       let ops = Vdg.indirect_memops r.graph in
@@ -491,17 +491,12 @@ let ladder_table results =
          then stay cheap even on the quadratically many pairs *)
       let cs_locs = List.map (Query.locations (Query.cs_view r.ci r.cs)) nodes in
       let ci_locs = List.map (Query.locations (Query.ci_view r.ci)) nodes in
-      (* the dyck rung: field-sensitive like ci but flow-insensitive, so
-         its rate must land between the ci and andersen columns *)
-      let dyck = Dyck_solver.solve r.graph in
-      let dy_locs = List.map (Query.locations (Query.dyck_view dyck)) nodes in
       let path_verdict a b = a <> [] && b <> [] && Query.paths_may_overlap a b in
       let overlap xs ys =
         List.exists (fun x -> List.exists (Absloc.equal x) ys) xs
       in
       let node_pairs, cs_hits = pairs_over cs_locs path_verdict in
       let _, ci_hits = pairs_over ci_locs path_verdict in
-      let _, dy_hits = pairs_over dy_locs path_verdict in
       let line_pairs, and_hits =
         pairs_over (List.map (Andersen.memops_on_line anders) lines) overlap
       in
@@ -510,7 +505,7 @@ let ladder_table results =
       in
       List.iteri
         (fun i h -> totals.(i) <- totals.(i) + h)
-        [ cs_hits; ci_hits; dy_hits; and_hits; st_hits ];
+        [ cs_hits; ci_hits; and_hits; st_hits ];
       universes.(0) <- universes.(0) + node_pairs;
       universes.(1) <- universes.(1) + line_pairs;
       Table.add_row t
@@ -518,7 +513,6 @@ let ladder_table results =
           name_of r; Table.cell_int node_pairs;
           Table.cell_pct (rate cs_hits node_pairs);
           Table.cell_pct (rate ci_hits node_pairs);
-          Table.cell_pct (rate dy_hits node_pairs);
           Table.cell_pct (rate and_hits line_pairs);
           Table.cell_pct (rate st_hits line_pairs);
         ])
@@ -529,9 +523,8 @@ let ladder_table results =
       "TOTAL"; Table.cell_int universes.(0);
       Table.cell_pct (rate totals.(0) universes.(0));
       Table.cell_pct (rate totals.(1) universes.(0));
-      Table.cell_pct (rate totals.(2) universes.(0));
+      Table.cell_pct (rate totals.(2) universes.(1));
       Table.cell_pct (rate totals.(3) universes.(1));
-      Table.cell_pct (rate totals.(4) universes.(1));
     ];
   t
 

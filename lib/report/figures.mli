@@ -75,11 +75,9 @@ val indirect_delta_count : bench_result -> int
 
 val ladder_table : bench_result list -> Table.t
 (** Precision along the degradation ladder: the fraction of
-    indirect-operation pairs judged may-alias per tier (CS, CI and dyck
-    at VDG nodes; Andersen and Steensgaard line-keyed, as
-    served at degraded tiers).  The dyck column sits between ci and
-    andersen — field-sensitive but flow-insensitive.  Quantifies what
-    each budget-driven descent costs. *)
+    indirect-operation pairs judged may-alias per tier (CS and CI at VDG
+    nodes; Andersen and Steensgaard line-keyed, as served at degraded
+    tiers).  Quantifies what each budget-driven descent costs. *)
 
 val lint_report : bench_result -> Lint.report
 (** The full checker suite over one benchmark, CI and CS compared. *)

@@ -107,11 +107,12 @@ let deadline_of_params params =
     Protocol.bad_params "parameter \"deadline_ms\" must be positive"
   | Some ms -> Some (float_of_int ms /. 1000.)
 
-(* A tier named on the wire.  "demand" names the lazy tier protocol v3
-   added and this server no longer has; its answers always equaled ci's,
-   so the spelling reads as ci. *)
+(* A tier named on the wire.  "demand" and "dyck" name the tiers protocol
+   v3 and v4 added and this server no longer has.  Both read as ci:
+   demand's answers always equaled ci's, and ci is the nearest tier that
+   keeps a dyck floor's promise of a node-level answer. *)
 let tier_of_wire = function
-  | "demand" -> Some Engine.Ci
+  | "demand" | "dyck" -> Some Engine.Ci
   | s -> Engine.tier_of_string s
 
 let min_tier_of_string s =
@@ -119,8 +120,7 @@ let min_tier_of_string s =
   | Some tier -> tier
   | None ->
     Protocol.bad_params
-      "parameter \"min_tier\" must be one of steensgaard, andersen, dyck, \
-       ci, cs"
+      "parameter \"min_tier\" must be one of steensgaard, andersen, ci, cs"
 
 let min_tier_of_params params =
   Option.map min_tier_of_string (Protocol.opt_string_param params "min_tier")
@@ -137,10 +137,10 @@ let budget_of_params params =
 let query_opts_of params =
   let o = Protocol.query_opts_of_params params in
   (match o.Protocol.qo_tier with
-  | None | Some ("ci" | "cs" | "demand" | "dyck") -> ()
+  | None | Some "cs" -> ()
+  | Some s when tier_of_wire s = Some Engine.Ci -> ()
   | Some s ->
-    Protocol.bad_params
-      "parameter \"tier\" must be \"ci\", \"cs\" or \"dyck\" (got %S)" s);
+    Protocol.bad_params "parameter \"tier\" must be \"ci\" or \"cs\" (got %S)" s);
   (match o.Protocol.qo_deadline_ms with
   | Some ms when ms <= 0 ->
     Protocol.bad_params "parameter \"deadline_ms\" must be positive"
@@ -243,27 +243,23 @@ let do_ping _t _params =
           (List.map (fun c -> Ejson.String c) Protocol.capabilities) );
     ]
 
-(* v4: dyck-first opens.  Absent means exhaustive — the v2 wire
-   behavior — so older clients are unaffected; clients opening cold
-   sessions for pointwise queries send "dyck".  The v3 "demand" mode
-   opens an exhaustive session: its answers always equaled ci's. *)
-let mode_of_params params =
+(* Every open is exhaustive.  The v3 "demand" and v4 "dyck" modes named
+   lazier tiers this server no longer has; they still parse, and open an
+   exhaustive session like "exhaustive" or no mode at all. *)
+let check_mode params =
   match Protocol.opt_string_param params "mode" with
-  | None -> None
-  | Some "dyck" -> Some `Dyck
-  | Some ("exhaustive" | "demand") -> Some `Exhaustive
+  | None | Some ("exhaustive" | "demand" | "dyck") -> ()
   | Some s ->
-    Protocol.bad_params
-      "parameter \"mode\" must be \"dyck\" or \"exhaustive\" (got %S)" s
+    Protocol.bad_params "parameter \"mode\" must be \"exhaustive\" (got %S)" s
 
 let do_open t conn params =
   let path = Protocol.string_param params "file" in
   let deadline_s = deadline_of_params params in
   let min_tier = min_tier_of_params params in
-  let mode = mode_of_params params in
+  check_mode params;
   (* a v6 "jobs" parameter is accepted and ignored: the CI solve is
      always sequential, so it never changed the session produced *)
-  let r = Session.open_path ?deadline_s ?min_tier ?mode t.h_sessions path in
+  let r = Session.open_path ?deadline_s ?min_tier t.h_sessions path in
   let e = r.Session.or_entry in
   conn.cn_session <- Some e.Session.ses_id;
   let td = e.Session.ses_tiered in
@@ -287,7 +283,7 @@ let do_open t conn params =
        ("pipeline_seconds", Ejson.Float (Telemetry.total_seconds tele));
      ]
     @
-    match Session.solution_digest t.h_sessions e with
+    match e.Session.ses_digest with
     | Some d -> [ ("solution_digest", Ejson.String d) ]
     | None -> [])
 
@@ -359,25 +355,14 @@ let do_update t conn params =
             Ejson.Float (Telemetry.total_seconds td.Engine.td_telemetry) );
         ]
       @
-      match Session.solution_digest t.h_sessions entry with
+      match entry.Session.ses_digest with
       | Some d -> [ ("solution_digest", Ejson.String d) ]
       | None -> [])
-
-(* The node-tier view a session answers from without forcing anything:
-   the exhaustive CI solution when present, else the dyck solution.
-   Baseline tiers have neither; callers route them to line_for first. *)
-let session_view (e : Session.entry) =
-  let td = e.Session.ses_tiered in
-  match (td.Engine.td_analysis, td.Engine.td_dyck) with
-  | Some a, _ -> Some (Query.ci_view a.Engine.ci)
-  | None, Some d -> Some (Query.dyck_view d)
-  | None, None -> None
 
 (* The two sides of a may_alias question: either VDG node ids ("a"/"b",
    discoverable via the modref method) or source lines ("a_line"/
    "b_line": every indirect operation on that line).  Line resolution
-   reads only the graph — on a dyck session it must not force the
-   mod/ref sets, which would need the exhaustive solution. *)
+   reads only the graph, never the mod/ref sets. *)
 let nodes_for (graph : Vdg.t) params side =
   match Protocol.opt_int_param params side with
   | Some n ->
@@ -421,33 +406,23 @@ let line_for (e : Session.entry) params side =
   | Some line -> line
   | None -> Protocol.bad_params "missing parameter %S" line_key
 
-(* Tier selection shared by may_alias and points_to (v6 query_opts):
-   pick the view that answers at the requested tier, upgrading a dyck
-   session or running the CS solver as needed. *)
-let view_for t (e : Session.entry) (opts : Protocol.query_opts) natural =
+(* Tier selection shared by may_alias and points_to (v6 query_opts): the
+   session's CI solution, or CS when asked for, running the CS solver on
+   first use. *)
+let view_for (a : Engine.analysis) (opts : Protocol.query_opts) =
   match opts.Protocol.qo_tier with
-  | None -> (natural, [])  (* the session's natural node tier *)
-  | Some ("ci" | "demand") ->
-    (* an explicit exhaustive request upgrades a dyck session *)
-    let a = Session.require_analysis t.h_sessions e in
-    (Query.ci_view a.Engine.ci, [])
-  | Some "dyck" ->
-    (* answered by the session's dyck solution, solved on first use
-       whatever the session's natural tier — never a CI upgrade *)
-    (Query.dyck_view (Session.require_dyck t.h_sessions e), [])
   | Some "cs" -> (
-    let a = Session.require_analysis t.h_sessions e in
     match Engine.cs_tiered ?budget:(budget_of_opts opts) a with
     | Ok { Engine.co_cs = Some cs; _ } -> (Query.cs_view a.Engine.ci cs, [])
     | Ok { Engine.co_degradation = d; _ } ->
       (* the budget ran out mid-CS: the complete CI solution answers *)
       (Query.ci_view a.Engine.ci, Option.to_list d)
     | Error err -> raise (Session.Engine_error err))
-  | Some _ -> assert false (* validated by query_opts_of *)
+  | _ -> (Query.ci_view a.Engine.ci, [])  (* ci, or a retired spelling of it *)
 
 let do_may_alias t (e : Session.entry) params =
   let opts = query_opts_of params in
-  match session_view e with
+  match Session.analysis e with
   | None ->
     (* degraded session: answer at its baseline tier, by source line *)
     let td = e.Session.ses_tiered in
@@ -472,10 +447,10 @@ let do_may_alias t (e : Session.entry) params =
         ("b_line", Ejson.Int lb);
         ("tier", Ejson.String tier);
       ]
-  | Some natural ->
-    let a_nodes = nodes_for natural.Query.nv_graph params "a" in
-    let b_nodes = nodes_for natural.Query.nv_graph params "b" in
-    let view, degradations = view_for t e opts natural in
+  | Some a ->
+    let a_nodes = nodes_for a.Engine.graph params "a" in
+    let b_nodes = nodes_for a.Engine.graph params "b" in
+    let view, degradations = view_for a opts in
     check_opts_floor opts view.Query.nv_tier;
     note_degraded t (List.length degradations);
     let verdict =
@@ -500,15 +475,7 @@ let do_may_alias t (e : Session.entry) params =
 let do_points_to t (e : Session.entry) params =
   let opts = query_opts_of params in
   let node = Protocol.int_param params "node" in
-  let natural =
-    match session_view e with
-    | Some v -> v
-    | None ->
-      (* raises Tier_unavailable with the standard wording *)
-      ignore (Session.require_analysis t.h_sessions e : Engine.analysis);
-      assert false
-  in
-  let view, degradations = view_for t e opts natural in
+  let view, degradations = view_for (Session.require_analysis e) opts in
   check_opts_floor opts view.Query.nv_tier;
   note_degraded t (List.length degradations);
   if node < 0 || node >= Vdg.n_nodes view.Query.nv_graph then
@@ -546,7 +513,7 @@ let memoized e meth params compute =
     Session.memo_add e key v;
     v
 
-let do_modref t (e : Session.entry) params =
+let do_modref (e : Session.entry) params =
   fst
   @@ memoized e "modref" params
   @@ fun () ->
@@ -554,7 +521,7 @@ let do_modref t (e : Session.entry) params =
      for surface uniformity, the floor is checked against ci, and a tier
      above ci is unanswerable here *)
   let opts = query_opts_of params in
-  let modref = Session.require_modref t.h_sessions e in
+  let modref = Session.require_modref e in
   check_opts_floor opts (Engine.string_of_tier Engine.Ci);
   let fn = check_function e params in
   let ops =
@@ -575,11 +542,11 @@ let do_modref t (e : Session.entry) params =
       @ [ ("ops", Ejson.List (List.map op_json ops)) ]),
     0 )
 
-let do_purity t (e : Session.entry) params =
+let do_purity (e : Session.entry) params =
   fst
   @@ memoized e "purity" params
   @@ fun () ->
-  let a = Session.require_analysis t.h_sessions e in
+  let a = Session.require_analysis e in
   ( Ejson.Assoc
       [
         ( "functions",
@@ -619,11 +586,11 @@ let conflict_json (c : Query.conflict) =
       ("common", paths_json c.Query.cf_common);
     ]
 
-let do_conflicts t (e : Session.entry) params =
+let do_conflicts (e : Session.entry) params =
   fst
   @@ memoized e "conflicts" params
   @@ fun () ->
-  let modref = Session.require_modref t.h_sessions e in
+  let modref = Session.require_modref e in
   let fns =
     match check_function e params with
     | Some f -> [ f ]
@@ -658,8 +625,7 @@ let do_lint t (e : Session.entry) params =
   let budget = budget_of_params params in
   let run () =
     let report =
-      Lint.run ~checkers ~compare_cs ?budget
-        (Session.require_analysis t.h_sessions e)
+      Lint.run ~checkers ~compare_cs ?budget (Session.require_analysis e)
     in
     (Lint.to_json report, List.length report.Lint.rp_degradations)
   in
@@ -748,27 +714,17 @@ let method_names =
     "purity"; "conflicts"; "lint"; "stats"; "shutdown";
   ]
 
-(* Methods answered from the exhaustive solution whatever their params.
-   On a session that holds only a dyck solution, the first of them
-   upgrades it: the whole exhaustive pipeline. *)
-let needs_analysis = function
-  | "modref" | "purity" | "conflicts" | "lint" -> true
-  | _ -> false
-
 (* Methods that read a solved session run under the session lock.  The
    non-blocking variant (the reactor's inline path) raises
    {!Session.Busy} instead of parking the event loop behind a lock a
-   worker job is holding, or behind a dyck session's upgrade. *)
-let with_session ~blocking t conn meth params f =
+   worker job is holding. *)
+let with_session ~blocking t conn params f =
   let e = resolve t conn params in
   if blocking then Session.with_entry e (fun () -> f e)
-  else if
-    needs_analysis meth && Session.analysis e = None && Session.dyck e <> None
-  then raise Session.Busy
   else Session.try_with_entry e (fun () -> f e)
 
 let dispatch ~blocking t conn meth params =
-  let with_session = with_session ~blocking t conn meth params in
+  let with_session = with_session ~blocking t conn params in
   match meth with
   | "ping" -> do_ping t params
   | "open" -> do_open t conn params
@@ -776,9 +732,9 @@ let dispatch ~blocking t conn meth params =
   | "update" -> do_update t conn params
   | "may_alias" -> with_session (fun e -> do_may_alias t e params)
   | "points_to" -> with_session (fun e -> do_points_to t e params)
-  | "modref" -> with_session (fun e -> do_modref t e params)
-  | "purity" -> with_session (fun e -> do_purity t e params)
-  | "conflicts" -> with_session (fun e -> do_conflicts t e params)
+  | "modref" -> with_session (fun e -> do_modref e params)
+  | "purity" -> with_session (fun e -> do_purity e params)
+  | "conflicts" -> with_session (fun e -> do_conflicts e params)
   | "lint" -> with_session (fun e -> do_lint t e params)
   | "stats" -> do_stats t params
   | "shutdown" ->
@@ -916,10 +872,9 @@ let handle_line t conn line = handle_envelope t conn (Protocol.envelope_of_line 
 (* Whether a request can do solver-scale work (and so belongs on a
    worker domain rather than inline on the reactor): the solving methods
    themselves, any request that may implicitly open a file, and any
-   query whose opts can upgrade the session, run the CS solver or run
-   the session's first Dyck solve.  This reads the request only; a
-   light modref/purity/conflicts that finds a dyck session punts from
-   [with_session] instead. *)
+   query whose opts can run the CS solver or carry a deadline or floor.
+   A tier of ci (or its retired spellings) reads the live solution, so
+   it stays light. *)
 let heavy_request (rq : Protocol.request) =
   match rq.Protocol.rq_method with
   | "open" | "lint" | "update" -> true
@@ -930,7 +885,7 @@ let heavy_request (rq : Protocol.request) =
       (try Protocol.query_opts_of_params rq.Protocol.rq_params
        with Protocol.Bad_params _ -> Protocol.no_query_opts)
     with
-    | { Protocol.qo_tier = Some ("ci" | "cs" | "demand" | "dyck"); _ } -> true
+    | { Protocol.qo_tier = Some "cs"; _ } -> true
     | { Protocol.qo_deadline_ms = Some _; _ }
     | { Protocol.qo_min_tier = Some _; _ } ->
       true

@@ -53,12 +53,9 @@ type outcome =
 
 val handle : ?blocking:bool -> t -> conn -> Protocol.request -> outcome
 (** With [~blocking:false] (the reactor's inline path), a request raises
-    {!Session.Busy} instead of waiting on a session lock, and instead of
-    upgrading a dyck session: [modref], [purity], [conflicts] and [lint]
-    need the exhaustive solution, which a session opened with
-    [mode="dyck"] solves on first use.  Nothing is recorded for the
-    punted attempt; the caller retries on a worker with the default
-    blocking mode. *)
+    {!Session.Busy} instead of waiting on a session lock.  Nothing is
+    recorded for the punted attempt; the caller retries on a worker with
+    the default blocking mode. *)
 
 val handle_item :
   ?blocking:bool ->
@@ -89,12 +86,10 @@ val heavy_request : Protocol.request -> bool
 (** Whether a request can do solver-scale work and so belongs on a
     worker domain rather than inline on the reactor: [open], [lint] and
     [update]; any request that may implicitly open a file (a ["file"]
-    parameter); and any query whose opts can promote the session, run
-    the CS solver or run the session's first Dyck solve
-    ([tier=ci|cs|dyck], a deadline, or a floor).  The class reads only
-    the request, not the session: a light [modref], [purity] or
-    [conflicts] that lands on a dyck session punts from the inline path
-    ({!handle}). *)
+    parameter); and any query whose opts can run the CS solver or bound
+    the work ([tier=cs], a deadline, or a floor).  [tier=ci] and its
+    retired spellings [demand] and [dyck] read the live solution and
+    stay light.  The class reads only the request, not the session. *)
 
 val heavy_envelope :
   (Protocol.envelope, Protocol.error_code * string) result -> bool

@@ -14,11 +14,12 @@
    codes; version 3 adds mode=demand|exhaustive on "open", tier=demand
    on "may_alias", and per-tier answer counts in "stats" (the lazy
    demand tier is gone: "demand" now opens an exhaustive session and
-   answers at ci, whose verdicts it always equaled); version 4 adds the
-   dyck tier: mode=dyck on "open",
-   tier=dyck on "may_alias" (answered from a per-session
-   Dyck-reachability solution, solved once on first use), and
-   min_tier=dyck; version 5 adds incremental re-analysis: the "update"
+   answers at ci, whose verdicts it always equaled); version 4 added a
+   Dyck-reachability tier through mode=dyck on "open" and tier=dyck /
+   min_tier=dyck on queries (that tier is gone too: mode=dyck opens an
+   exhaustive session, and tier=dyck and min_tier=dyck read as ci, the
+   nearest tier that keeps a dyck floor's promise of a node-level
+   answer); version 5 adds incremental re-analysis: the "update"
    method re-solves a live exhaustive session in place against its
    previous solution (only procedures whose canonical digest changed are
    re-solved), replying with the incr_* counters and the new session id;
@@ -37,7 +38,7 @@ let protocol_version = 6
 
 let capabilities =
   [
-    "budgets"; "deadlines"; "tiers"; "cancellation"; "backpressure"; "dyck";
+    "budgets"; "deadlines"; "tiers"; "cancellation"; "backpressure";
     "incremental"; "batch";
   ]
 
@@ -311,7 +312,7 @@ let string_list_param params name =
    them as flat parameters.  Both spellings are accepted, with the
    nested object winning field-by-field when both are present. *)
 type query_opts = {
-  qo_tier : string option;  (* ci | cs | dyck; "demand" reads as ci *)
+  qo_tier : string option;  (* ci | cs; "demand" and "dyck" read as ci *)
   qo_deadline_ms : int option;
   qo_min_tier : string option;
 }

@@ -19,7 +19,7 @@ val protocol_version : int
 
 val capabilities : string list
 (** Feature tags advertised by [ping]: ["budgets"; "deadlines"; "tiers";
-    "cancellation"; "backpressure"; "dyck"; "incremental"; "batch"]. *)
+    "cancellation"; "backpressure"; "incremental"; "batch"]. *)
 
 type error_code =
   | Parse_error  (** -32700: the line is not JSON *)
@@ -143,7 +143,8 @@ val string_list_param : Ejson.t -> string -> string list
     accepts both, the nested object winning field-by-field. *)
 
 type query_opts = {
-  qo_tier : string option;  (** [ci | cs | dyck]; ["demand"] reads as [ci] *)
+  qo_tier : string option;
+      (** [ci | cs]; the retired ["demand"] and ["dyck"] read as [ci] *)
   qo_deadline_ms : int option;
   qo_min_tier : string option;
 }

@@ -23,30 +23,20 @@
 type entry = {
   ses_id : string;  (* the Engine.cache_key digest, exposed to clients *)
   ses_path : string;
-  mutable ses_tiered : Engine.tiered;
-      (* the solution, at whatever tier survived; a dyck-tier entry is
-         upgraded in place (under ses_lock) when a query needs the
-         exhaustive solution *)
-  mutable ses_modref : Modref.t Lazy.t option;
-      (* CI mod/ref sets, built on first query; None below the Ci tier,
-         filled in by the upgrade *)
-  mutable ses_dyck : Dyck_solver.t option;
-      (* per-session dyck solution for tier="dyck" queries on a node-tier
-         session, solved on first use over the session's own VDG or
-         handed on by an upgrade; dyck-tier sessions answer from td_dyck
-         instead *)
+  ses_tiered : Engine.tiered;  (* the solution, at whatever tier survived *)
+  ses_modref : Modref.t Lazy.t option;
+      (* CI mod/ref sets, built on first query; None below the Ci tier *)
   ses_bytes : int;  (* approximate retained size *)
   ses_lock : Mutex.t;  (* serializes queries on this session *)
   mutable ses_stamp : int;  (* LRU clock value of the last touch *)
   mutable ses_queries : int;
-  mutable ses_digest : string option;
-      (* memoized canonical solution digest; None below the Ci tier *)
+  ses_digest : string option;
+      (* canonical solution digest; None below the Ci tier *)
   ses_memo : (string, Ejson.t * int) Hashtbl.t;
       (* per-session answer memo for deterministic whole-file methods
          (lint/purity/conflicts/modref): request key -> (result JSON,
-         degradation count).  Entries are only valid for the current
-         solution, so the table is reset on an upgrade; update/open
-         build a fresh entry, which drops it wholesale. *)
+         degradation count).  An entry's solution never changes, and
+         update/open build a fresh entry, so nothing invalidates it. *)
 }
 
 (* Keep the answer memo bounded for long-lived sessions queried with
@@ -67,8 +57,6 @@ exception Tier_unavailable of string
 let tier e = e.ses_tiered.Engine.td_tier
 
 let analysis e = e.ses_tiered.Engine.td_analysis
-
-let dyck e = e.ses_tiered.Engine.td_dyck
 
 type stats = {
   mutable st_solved : int;  (* opens that went through the engine *)
@@ -153,79 +141,21 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Ensure the entry holds a full >= Ci solution.  A dyck-tier entry is
-   upgraded in place by running the exhaustive pipeline over its own
-   input, under the session lock the caller already holds (queries on one
-   session serialize), so racing queries see either tier, never a torn
-   record.  The input is the same text, so node ids carry over.  Baseline
-   tiers are left to a re-open with a larger budget, and raise. *)
-let require_analysis t e =
-  match analysis e with
-  | Some a -> a
-  | None when dyck e <> None -> (
-    match
-      Engine.analyze ~config:t.config ?cache:t.cache Engine.default_request
-        e.ses_tiered.Engine.td_input
-    with
-    | Ok ({ Engine.td_analysis = Some a; _ } as td) ->
-      (* the dyck solution keeps serving tier="dyck" queries after
-         the upgrade *)
-      e.ses_dyck <- dyck e;
-      e.ses_tiered <- td;
-      (* answers memoized against the dyck solution are stale *)
-      Hashtbl.reset e.ses_memo;
-      e.ses_modref <- Some (lazy (Modref.of_ci a.Engine.ci));
-      locked t (fun () -> t.st.st_upgraded <- t.st.st_upgraded + 1);
-      a
-    | Ok _ -> assert false (* an unbudgeted CI run always reaches ci *)
-    | Error err -> raise (Engine_error err))
-  | None ->
-    raise
-      (Tier_unavailable
-         (Printf.sprintf
-            "session %s holds a %s-tier solution; this query needs at \
-             least the ci tier (re-open with a larger deadline or \
-             min_tier)"
-            e.ses_id
-            (Engine.string_of_tier (tier e))))
+(* A baseline-tier entry has no CI solution: the client must re-open it
+   with a larger budget. *)
+let below_ci e =
+  Tier_unavailable
+    (Printf.sprintf
+       "session %s holds a %s-tier solution; this query needs at least the \
+        ci tier (re-open with a larger deadline or min_tier)"
+       e.ses_id
+       (Engine.string_of_tier (tier e)))
 
-let require_modref t e =
-  match e.ses_modref with
-  | Some m -> Lazy.force m
-  | None -> (
-    let a = require_analysis t e in
-    (* the upgrade installs the lazy cell; the fallback covers a future
-       tier that has an analysis but no prefilled cell *)
-    match e.ses_modref with
-    | Some m -> Lazy.force m
-    | None -> Modref.of_ci a.Engine.ci)
+let require_analysis e =
+  match analysis e with Some a -> a | None -> raise (below_ci e)
 
-(* The solution behind tier="dyck" queries.  A dyck-tier session answers
-   from its own; a node-tier session solves one, once and unbudgeted,
-   over its already-built VDG (under the session lock the caller holds).
-   Baseline tiers have no VDG to solve over. *)
-let require_dyck t e =
-  match dyck e with
-  | Some d -> d
-  | None -> (
-    match e.ses_dyck with
-    | Some d -> d
-    | None -> (
-      match analysis e with
-      | Some a ->
-        let d =
-          Dyck_solver.solve ~config:t.config.Engine.ci_config a.Engine.graph
-        in
-        e.ses_dyck <- Some d;
-        d
-      | None ->
-        raise
-          (Tier_unavailable
-             (Printf.sprintf
-                "session %s holds a %s-tier solution; tier=\"dyck\" needs a \
-                 VDG (re-open with a larger deadline or min_tier)"
-                e.ses_id
-                (Engine.string_of_tier (tier e))))))
+let require_modref e =
+  match e.ses_modref with Some m -> Lazy.force m | None -> raise (below_ci e)
 
 (* Callers hold t.lock. *)
 let touch t e =
@@ -314,21 +244,39 @@ type open_status = [ `Session_hit | `Solved of Telemetry.cache_status ]
 
 type open_result = { or_entry : entry; or_status : open_status }
 
-let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) t path =
+(* A fresh entry for a solved program: the digest is echoed to clients,
+   and is computed here, outside the manager lock (it walks the whole
+   solution), only for exhaustive tiers. *)
+let make_entry ~key ~path (td : Engine.tiered) =
+  let analysis = td.Engine.td_analysis in
+  {
+    ses_id = key;
+    ses_path = path;
+    ses_tiered = td;
+    ses_modref =
+      Option.map
+        (fun (a : Engine.analysis) -> lazy (Modref.of_ci a.Engine.ci))
+        analysis;
+    ses_bytes = approx_bytes td;
+    ses_lock = Mutex.create ();
+    ses_stamp = 0;
+    ses_queries = 0;
+    ses_digest = Option.map Solution_digest.ci_digest analysis;
+    ses_memo = Hashtbl.create 8;
+  }
+
+let open_path ?deadline_s ?min_tier t path =
   let deadline_s =
     match deadline_s with Some _ as d -> d | None -> t.default_deadline_s
   in
   (* Without a deadline nothing can degrade, so an undeadlined open
-     demands (and a hit must already have) the tier the mode aims for —
-     the full Ci tier for exhaustive opens (also the upgrade path for a
-     previously degraded session), the dyck tier for dyck opens (which
-     any node tier satisfies). *)
-  let aim = match mode with `Dyck -> Engine.Dyck | `Exhaustive -> Engine.Ci in
+     demands (and a hit must already have) the full Ci tier — also the
+     upgrade path for a previously degraded session. *)
   let floor =
     match (min_tier, deadline_s) with
     | Some m, _ -> m
     | None, Some _ -> Engine.Steensgaard
-    | None, None -> aim
+    | None, None -> Engine.Ci
   in
   let satisfies e = Engine.tier_rank (tier e) >= Engine.tier_rank floor in
   (* Fast path: the file's stat fingerprint is unchanged since the last
@@ -376,14 +324,6 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) t path =
           t.st.st_session_hits <- t.st.st_session_hits + 1;
           touch t e;
           `Hit e
-        | Some e
-          when dyck e <> None
-               && Engine.tier_rank floor <= Engine.tier_rank Engine.Ci ->
-          (* a live dyck session asked for exhaustively: upgrade it in
-             place (outside this lock), keeping the session identity *)
-          t.st.st_session_hits <- t.st.st_session_hits + 1;
-          touch t e;
-          `Upgrade e
         | Some e ->
           (* live but too coarse: drop and re-solve at a higher tier *)
           drop t e;
@@ -393,12 +333,6 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) t path =
   in
   match live with
   | `Hit e -> { or_entry = e; or_status = `Session_hit }
-  | `Upgrade e ->
-    Mutex.lock e.ses_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock e.ses_lock)
-      (fun () -> ignore (require_analysis t e : Engine.analysis));
-    { or_entry = e; or_status = `Session_hit }
   | `Miss ->
     (* Solve outside the manager lock: other sessions stay responsive
        while this one compiles.  Two racing opens of the same new file
@@ -416,7 +350,7 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) t path =
         (fun () ->
           Engine.analyze ~config:t.config ?cache:t.cache
             {
-              Engine.want = aim;
+              Engine.want = Engine.Ci;
               min_tier = floor;
               budget = Some budget;
               prev = None;
@@ -424,32 +358,7 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) t path =
             input)
     in
     let td = match solved with Ok td -> td | Error e -> raise (Engine_error e) in
-    (* the canonical solution digest is echoed to clients; computed
-       outside the manager lock (it walks the whole solution) and only
-       for exhaustive tiers *)
-    let digest =
-      Option.map
-        (fun (a : Engine.analysis) -> Solution_digest.ci_digest a)
-        td.Engine.td_analysis
-    in
-    let entry =
-      {
-        ses_id = key;
-        ses_path = path;
-        ses_tiered = td;
-        ses_modref =
-          Option.map
-            (fun (a : Engine.analysis) -> lazy (Modref.of_ci a.Engine.ci))
-            td.Engine.td_analysis;
-        ses_dyck = None;
-        ses_bytes = approx_bytes td;
-        ses_lock = Mutex.create ();
-        ses_stamp = 0;
-        ses_queries = 0;
-        ses_digest = digest;
-        ses_memo = Hashtbl.create 8;
-      }
-    in
+    let entry = make_entry ~key ~path td in
     let result =
       locked t (fun () ->
           t.st.st_degraded <-
@@ -505,7 +414,7 @@ let open_path ?deadline_s ?min_tier ?(mode = `Exhaustive) t path =
    Raises [Not_found] when no live session exists for [path] (the
    client must open first — there is nothing to splice from), and
    [Tier_unavailable] when the live session is not exhaustive: a
-   baseline or dyck tier has no CI solution to diff against. *)
+   baseline tier has no CI solution to diff against. *)
 let update ?source t path =
   let input =
     match source with
@@ -547,29 +456,7 @@ let update ?source t path =
       | Ok _ -> assert false (* an unbudgeted incremental run always splices *)
       | Error err -> raise (Engine_error err)
     in
-    let digest =
-      Option.map
-        (fun (a : Engine.analysis) -> Solution_digest.ci_digest a)
-        td.Engine.td_analysis
-    in
-    let entry =
-      {
-        ses_id = key;
-        ses_path = path;
-        ses_tiered = td;
-        ses_modref =
-          Option.map
-            (fun (a : Engine.analysis) -> lazy (Modref.of_ci a.Engine.ci))
-            td.Engine.td_analysis;
-        ses_dyck = None;
-        ses_bytes = approx_bytes td;
-        ses_lock = Mutex.create ();
-        ses_stamp = 0;
-        ses_queries = 0;
-        ses_digest = digest;
-        ses_memo = Hashtbl.create 8;
-      }
-    in
+    let entry = make_entry ~key ~path td in
     locked t (fun () ->
         (* drop whatever currently serves this path (it may have changed
            since the snapshot above — last update wins), plus any entry
@@ -590,21 +477,6 @@ let update ?source t path =
         t.st.st_updated <- t.st.st_updated + 1;
         evict_over_budget t ~keep:key);
     (entry, outcome)
-
-(* The entry's canonical solution digest, memoized.  Computed on first
-   ask for entries that gained their analysis after insertion (an
-   upgraded dyck session); the dyck tier stays [None] — the digest never
-   forces an upgrade. *)
-let solution_digest _t e =
-  match e.ses_digest with
-  | Some _ as d -> d
-  | None -> (
-    match analysis e with
-    | None -> None
-    | Some a ->
-      let d = Solution_digest.ci_digest a in
-      e.ses_digest <- Some d;
-      Some d)
 
 let find t id =
   locked t (fun () ->

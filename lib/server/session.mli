@@ -21,34 +21,24 @@
     upgrade path).  Budgets of in-flight solves are registered by path
     so close/shutdown can cancel them mid-solve.
 
-    A session opened in dyck mode holds only the Dyck-tier solution.
-    The first query that needs the exhaustive one upgrades the entry in
-    place ({!require_analysis}), which runs the whole exhaustive
-    pipeline; the server's reactor therefore hands such a query to a
-    worker ({!Handler.handle}).  Every CI solve here is the sequential
+    An entry's solution never changes: a query reads the one the open
+    (or {!update}) produced.  Every CI solve here is the sequential
     {!Ci_solver} fixpoint, through {!Engine.analyze}. *)
 
 type entry = {
   ses_id : string;  (** the {!Engine.cache_key} digest, exposed to clients *)
   ses_path : string;
-  mutable ses_tiered : Engine.tiered;
-      (** the solution, at whatever tier survived the budget; a
-          dyck-tier entry is upgraded in place (under [ses_lock]) when a
-          query needs the exhaustive solution *)
-  mutable ses_modref : Modref.t Lazy.t option;
-      (** CI mod/ref sets, built on first query; [None] below [Ci],
-          filled in by the upgrade *)
-  mutable ses_dyck : Dyck_solver.t option;
-      (** per-session dyck solution for [tier="dyck"] queries on a
-          node-tier session, solved by {!require_dyck} on first use or
-          handed on by an upgrade; dyck-tier sessions answer from
-          [td_dyck] instead *)
+  ses_tiered : Engine.tiered;
+      (** the solution, at whatever tier survived the budget *)
+  ses_modref : Modref.t Lazy.t option;
+      (** CI mod/ref sets, built on first query; [None] below [Ci] *)
   ses_bytes : int;  (** approximate retained size of [ses_tiered] *)
   ses_lock : Mutex.t;  (** serializes queries on this session *)
   mutable ses_stamp : int;  (** LRU clock value of the last touch *)
   mutable ses_queries : int;
-  mutable ses_digest : string option;
-      (** memoized canonical solution digest; [None] below [Ci] *)
+  ses_digest : string option;
+      (** the canonical solution digest ({!Solution_digest.ci_digest}),
+          computed when the entry is built; [None] below [Ci] *)
   ses_memo : (string, Ejson.t * int) Hashtbl.t;
       (** per-session answer memo, see {!memo_find} — use the accessors,
           not the table *)
@@ -67,30 +57,16 @@ val tier : entry -> Engine.tier
 val analysis : entry -> Engine.analysis option
 (** [Some] iff the entry holds a full [>= Ci] solution. *)
 
-val dyck : entry -> Dyck_solver.t option
-(** The entry's dyck solution, while the session sits at the dyck tier
-    (an upgrade hands it on to [ses_dyck]). *)
+val require_analysis : entry -> Engine.analysis
+(** The entry's full [>= Ci] solution.
+    @raise Tier_unavailable at the baseline tiers. *)
+
+val require_modref : entry -> Modref.t
+(** The CI mod/ref sets, built on first use.  Callers must hold the
+    entry's lock ({!with_entry}).
+    @raise Tier_unavailable at the baseline tiers. *)
 
 type t
-
-val require_analysis : t -> entry -> Engine.analysis
-(** Ensure the entry holds a full [>= Ci] solution, upgrading a dyck-tier
-    entry in place by running {!Engine.analyze} over the entry's own
-    input (same text, so node ids carry over; counted under the
-    [upgraded] stat).  Callers must hold the entry's lock
-    ({!with_entry}).
-    @raise Tier_unavailable at the baseline tiers.
-    @raise Engine_error when the upgrade itself fails. *)
-
-val require_modref : t -> entry -> Modref.t
-(** As {!require_analysis}, then the CI mod/ref sets. *)
-
-val require_dyck : t -> entry -> Dyck_solver.t
-(** The solution behind [tier="dyck"] queries: a dyck-tier entry's own,
-    else one {!Dyck_solver.solve} over a node-tier entry's VDG, run once
-    per session and unbudgeted, then kept in [ses_dyck].  Callers must
-    hold the entry's lock ({!with_entry}).
-    @raise Tier_unavailable at the baseline tiers (no VDG). *)
 
 val create :
   ?max_entries:int ->
@@ -117,29 +93,14 @@ type open_status =
 type open_result = { or_entry : entry; or_status : open_status }
 
 val open_path :
-  ?deadline_s:float ->
-  ?min_tier:Engine.tier ->
-  ?mode:[ `Dyck | `Exhaustive ] ->
-  t ->
-  string ->
-  open_result
-(** Load (re-stat and re-digest) the file and return its session.  With
-    [deadline_s], the solve runs under a wall-clock budget and may land
-    at a degraded tier no lower than [min_tier].  [min_tier] defaults to
-    [Steensgaard] when a deadline (explicit or server default) is in
-    force, else the mode's aim — so an undeadlined open never accepts,
-    and will upgrade, a degraded live session.
-
-    [mode] (default [`Exhaustive], the v2 wire behavior) picks the
-    pipeline: [`Exhaustive] solves CI before returning; [`Dyck] solves
-    the flow-insensitive Dyck-reachability tier instead, which has no
-    store chains to thread and so opens faster; either way a query at
-    the session's own tier is a lookup, while one that needs the
-    exhaustive solution upgrades a dyck session ({!require_analysis}).
-    A dyck open is satisfied by any live
-    sufficiently-precise session; an exhaustive open landing on a live
-    dyck session upgrades it in place ({!require_analysis}) and reports
-    a session hit.
+  ?deadline_s:float -> ?min_tier:Engine.tier -> t -> string -> open_result
+(** Load (re-stat and re-digest) the file and return its session, solving
+    CI before returning.  With [deadline_s], the solve runs under a
+    wall-clock budget and may land at a degraded tier no lower than
+    [min_tier].  [min_tier] defaults to [Steensgaard] when a deadline
+    (explicit or server default) is in force, else [Ci] — so an
+    undeadlined open never accepts a degraded live session: it drops it
+    and solves again (counted under the [upgraded] stat).
 
     @raise Sys_error on an unreadable path.
     @raise Engine_error when the solve returns [Error] (frontend error,
@@ -159,14 +120,8 @@ val update : ?source:string -> t -> string -> entry * Incr_engine.outcome
     @raise Not_found when no live session exists for the path (open it
     first — there is nothing to splice from).
     @raise Tier_unavailable when the live session is not exhaustive: a
-    baseline or dyck tier has no CI solution to diff against.
+    baseline tier has no CI solution to diff against.
     @raise Engine_error when the incremental solve returns [Error]. *)
-
-val solution_digest : t -> entry -> string option
-(** The entry's canonical solution digest ({!Solution_digest.ci_digest}),
-    memoized on the entry; computed on first ask for entries that gained
-    their analysis after insertion (an upgraded session).  [None] for
-    the dyck and baseline tiers — never forces an upgrade. *)
 
 val find : t -> string -> entry option
 (** Look up a live session by id; touches its LRU stamp. *)
@@ -203,10 +158,10 @@ val try_with_entry : entry -> (unit -> 'a) -> 'a
 val memo_find : entry -> string -> (Ejson.t * int) option
 (** Per-session answer memo for methods that are deterministic functions
     of the solution and their params (lint, purity, conflicts, modref):
-    request key -> (result JSON, degradation count).  Invalidated
-    whenever the entry's solution changes (tier upgrade in place;
-    update/re-open build a fresh entry).  Bounded; both calls must run
-    under {!with_entry}/{!try_with_entry}. *)
+    request key -> (result JSON, degradation count).  An entry's
+    solution never changes (update/re-open build a fresh entry), so
+    nothing invalidates it.  Bounded; both calls must run under
+    {!with_entry}/{!try_with_entry}. *)
 
 val memo_add : entry -> string -> Ejson.t * int -> unit
 

@@ -274,7 +274,7 @@ let test_floor_above_want () =
         Alcotest.(check int)
           (label ^ ": no descents") 0
           (List.length td.Engine.td_degradations))
-    [ (Engine.Ci, Engine.Cs); (Engine.Dyck, Engine.Ci); (Engine.Andersen, Engine.Cs) ]
+    [ (Engine.Ci, Engine.Cs); (Engine.Andersen, Engine.Cs) ]
 
 let test_error_json_shapes () =
   let kinds =

@@ -197,11 +197,25 @@ let test_metrics_json () =
   let json = Figures.suite_metrics results in
   (* must survive a print/parse round trip *)
   let parsed = Ejson.of_string (Ejson.to_string json) in
-  Alcotest.(check (option string))
-    "schema version" (Some "alias-engine-metrics/5")
-    (match Ejson.member "schema" parsed with
+  let schema j =
+    match Ejson.member "schema" j with
     | Some (Ejson.String v) -> Some v
-    | _ -> None);
+    | _ -> None
+  in
+  Alcotest.(check (option string))
+    "suite schema version" (Some "alias-engine-metrics/6") (schema parsed);
+  (* the one-run shape `analyze FILE --metrics` and `lint --metrics`
+     write carries the same version *)
+  let run = List.hd results in
+  let single =
+    Ejson.of_string
+      (Ejson.to_string (Telemetry.to_json run.Figures.analysis.Engine.telemetry))
+  in
+  Alcotest.(check (option string))
+    "run schema version" (Some "alias-engine-metrics/6") (schema single);
+  Alcotest.(check bool)
+    "run record has phases" true
+    (Ejson.member "phases" single <> None);
   let benchmarks =
     match Ejson.member "benchmarks" parsed with
     | Some (Ejson.List l) -> l
@@ -214,10 +228,10 @@ let test_metrics_json () =
     | Some p -> p
     | None -> Alcotest.fail "missing phases"
   in
-  (* phase presence is path-dependent ("dyck" replaces "ci"/"cs" on dyck
-     sessions, "incr" replaces "ci" on a splice): any recorded phase must
-     be a well-known name with a non-negative float, and an exhaustive
-     suite run records them all except those two *)
+  (* phase presence is path-dependent ("incr" replaces "ci" on a
+     splice): any recorded phase must be a well-known name with a
+     non-negative float, and an exhaustive suite run records them all
+     except that one *)
   List.iter
     (fun name ->
       match Ejson.member name phases with
@@ -225,7 +239,7 @@ let test_metrics_json () =
         if s < 0. then Alcotest.fail (name ^ ": negative phase time")
       | Some _ -> Alcotest.fail (name ^ ": phase time not a float")
       | None ->
-        if name <> "dyck" && name <> "incr" then
+        if name <> "incr" then
           Alcotest.fail ("missing phase " ^ name))
     Telemetry.phase_names;
   (match phases with
@@ -271,11 +285,10 @@ let test_metrics_json () =
       [ "runs"; "cache_misses"; "cache_disk_hits"; "ci_pairs"; "cs_pairs" ]
   | None -> Alcotest.fail "missing totals");
   (* at fixpoint, the worklist drains completely *)
-  let r = List.hd results in
   Alcotest.(check int)
     "CI worklist drained"
-    (Ci_solver.worklist_pushes r.Figures.ci)
-    (Ci_solver.worklist_pops r.Figures.ci)
+    (Ci_solver.worklist_pushes run.Figures.ci)
+    (Ci_solver.worklist_pops run.Figures.ci)
 
 (* ---- Ejson round trips -------------------------------------------------------------- *)
 

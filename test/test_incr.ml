@@ -287,39 +287,6 @@ let fresh_cache_dir =
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     dir
 
-let test_dyck_entry_never_serves_exhaustive () =
-  (* (cache_key, tier) audit: a Dyck-tier run must leave nothing on
-     disk, so after a restart an exhaustive request re-solves cold
-     rather than being satisfied by a lazy-tier remnant *)
-  let dir = fresh_cache_dir () in
-  let input = Engine.load_string ~file:"audit.c" crafted_base in
-  let dyck = { Engine.default_request with want = Engine.Dyck } in
-  let cache = Engine_cache.create dir in
-  (match Engine.analyze ~cache dyck input with
-  | Ok td ->
-    Alcotest.(check bool)
-      "dyck tier achieved" true (td.Engine.td_tier = Engine.Dyck)
-  | Error e -> Alcotest.failf "dyck run: %s" (Engine.error_message e));
-  Alcotest.(check (list string))
-    "dyck run persists no disk entry" []
-    (Array.to_list (Sys.readdir dir)
-    |> List.filter (fun f -> Filename.check_suffix f ".bin"));
-  (* restart: fresh cache object over the same directory *)
-  let cache2 = Engine_cache.create dir in
-  let a = Test_util.analysis ~cache:cache2 input in
-  Alcotest.(check bool)
-    "exhaustive request after restart is a cold solve" true
-    (a.Engine.telemetry.Telemetry.t_cache = Telemetry.Cold);
-  (* the exhaustive solution does persist, and a restarted dyck request
-     may be upgraded by it — the higher tier is always sound *)
-  let cache3 = Engine_cache.create dir in
-  match Engine.analyze ~cache:cache3 dyck input with
-  | Ok td ->
-    Alcotest.(check bool)
-      "disk full solution outranks a dyck request" true
-      (td.Engine.td_tier = Engine.Ci || td.Engine.td_tier = Engine.Cs)
-  | Error e -> Alcotest.failf "dyck after restart: %s" (Engine.error_message e)
-
 let test_incremental_results_cacheable () =
   (* an incremental run stores under the edited source's own key: a
      later cold run of the same text is served from cache *)
@@ -354,8 +321,6 @@ let tests =
     Alcotest.test_case "chain reuse" `Quick test_chain_reuse;
     Alcotest.test_case "examples replay" `Quick test_examples_replay;
     Alcotest.test_case "workload replay" `Slow test_workload_replay;
-    Alcotest.test_case "dyck entry never serves exhaustive" `Quick
-      test_dyck_entry_never_serves_exhaustive;
     Alcotest.test_case "incremental results cacheable" `Quick
       test_incremental_results_cacheable;
   ]

@@ -369,7 +369,15 @@ let soundness_hand_written () =
       assert_cs_subset_ci r label;
       assert_analysis_covers_interp r label ~fuel:100_000;
       assert_baselines_cover_ci r label)
-    subjects
+    subjects;
+  (* the ladder below ci on the example programs, which the interpreter
+     need not run cleanly (some are lint fixtures for runtime faults) *)
+  List.iter
+    (fun path ->
+      assert_baselines_cover_ci
+        (analyze_prog (Norm.compile ~file:path (Test_util.read_file path)))
+        path)
+    (Test_util.example_files ())
 
 let strong_update_monotone_hand_written () =
   List.iter (fun (label, src) -> assert_strong_update_monotone src label) subjects

@@ -27,6 +27,5 @@ let () =
       ("checkers", Test_checkers.tests);
       ("server", Test_server.tests);
       ("incr", Test_incr.tests);
-      ("dyck", Test_dyck.tests);
       ("oracle", Test_oracle.tests);
     ]

@@ -112,14 +112,14 @@ let test_report_json_shape () =
   (match Ejson.member "violations" j with
   | Some (Ejson.List []) -> ()
   | _ -> Alcotest.fail "violations field");
-  Alcotest.(check int) "five tiers" 5 (List.length Oracle.tier_names)
+  Alcotest.(check int) "four tiers" 4 (List.length Oracle.tier_names)
 
 let test_violation_rendering () =
   let v =
     {
       Oracle.vi_program = "p";
       vi_seed = Some 3;
-      vi_tier = "dyck";
+      vi_tier = "andersen";
       vi_loc = Srcloc.{ file = "p.c"; line = 4; col = 2 };
       vi_rw = `Write;
       vi_observed = "g.f";
@@ -135,9 +135,9 @@ let test_violation_rendering () =
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("mentions " ^ needle) true (contains needle))
-    [ "dyck"; "g.f"; "write" ];
+    [ "andersen"; "g.f"; "write" ];
   match Ejson.member "tier" (Oracle.violation_json v) with
-  | Some (Ejson.String "dyck") -> ()
+  | Some (Ejson.String "andersen") -> ()
   | _ -> Alcotest.fail "tier field"
 
 let tests =

@@ -87,6 +87,67 @@ let preproc_errors () =
   expect_error "#bogus directive";
   expect_error "#define F(a, b) a\nint x = F(1);"  (* arity mismatch *)
 
+(* The 41-line bomb hits the expansion cap long before its 2^39 copies:
+   a located error, in well under a second of expansion work. *)
+let macro_bomb_capped () =
+  let t0 = Unix.gettimeofday () in
+  (match pp (Test_util.macro_bomb 39) with
+  | exception Srcloc.Error (loc, msg) ->
+    Alcotest.(check int) "reported at the use" 41 loc.Srcloc.line;
+    Alcotest.(check bool)
+      ("names the cause: " ^ msg) true
+      (String.starts_with ~prefix:"macro expansion too large" msg)
+  | _ -> Alcotest.fail "a depth-39 macro bomb must not expand");
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "fails fast (%.2fs)" took) true (took < 10.);
+  (* a chain short enough to stay under the cap still expands in full:
+     1024 copies of x, plus the declaration's own *)
+  Alcotest.(check int)
+    "depth 10 expands" 1025
+    (List.length
+       (List.filter (( = ) (Token.Ident "x")) (toks (pp (Test_util.macro_bomb 10)))))
+
+(* The CLI end of the same input: exit 1 with a one-line diagnosis.  Runs
+   the built analyzer, which dune places next to this test's directory. *)
+let analyze_reports_macro_bomb () =
+  let exe = "../bin/analyze.exe" in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s not built" exe;
+  let src = Filename.temp_file "bomb" ".c" in
+  let err = Filename.temp_file "bomb" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ src; err ])
+    (fun () ->
+      Out_channel.with_open_bin src (fun oc ->
+          output_string oc (Test_util.macro_bomb 39));
+      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+      let pid =
+        Unix.create_process exe [| exe; "analyze"; src |] Unix.stdin null err_fd
+      in
+      Unix.close null;
+      Unix.close err_fd;
+      (* a regression would hang: give up (and kill it) after 30 s *)
+      let rec wait n =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when n > 0 ->
+          Unix.sleepf 0.05;
+          wait (n - 1)
+        | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          Alcotest.fail "analyze did not finish within 30 s"
+        | _, status -> status
+      in
+      Alcotest.(check bool) "exit 1" true (wait 600 = Unix.WEXITED 1);
+      match String.split_on_char '\n' (String.trim (Test_util.read_file err)) with
+      | [ line ] ->
+        Alcotest.(check bool)
+          ("one-line frontend error: " ^ line) true
+          (String.ends_with ~suffix:"macro expansion too large (over 4194304 bytes)"
+             line)
+      | lines -> Alcotest.failf "expected one line, got %d" (List.length lines))
+
 let tests =
   [
     Alcotest.test_case "object macro" `Quick object_macro;
@@ -104,4 +165,7 @@ let tests =
     Alcotest.test_case "include ignored" `Quick include_ignored;
     Alcotest.test_case "line structure" `Quick line_structure_preserved;
     Alcotest.test_case "errors" `Quick preproc_errors;
+    Alcotest.test_case "macro bomb hits the expansion cap" `Quick macro_bomb_capped;
+    Alcotest.test_case "analyze reports a macro bomb in one line" `Quick
+      analyze_reports_macro_bomb;
   ]

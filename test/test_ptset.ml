@@ -232,24 +232,6 @@ let check_delivery label ci =
   Alcotest.(check int) (label ^ " pops = pushes") (Ci_solver.worklist_pushes ci)
     (Ci_solver.worklist_pops ci)
 
-(* Dyck's pushes: the same per-output term over its value outputs, plus
-   one push per lookup for each first insertion into the global store.
-   The equality holds only if no item is ever queued twice, which the
-   solver guarantees without a membership table. *)
-let check_dyck_push_count label g =
-  let d = Dyck_solver.solve g in
-  let value_term = ref 0 and lookups = ref 0 in
-  Vdg.iter_nodes g (fun nd ->
-      let o = nd.Vdg.nid in
-      if nd.Vdg.nkind = Vdg.Nlookup then incr lookups;
-      value_term :=
-        !value_term
-        + (Ptpair.Set.cardinal (Dyck_solver.pairs d o) * List.length (Vdg.consumers g o)));
-  Alcotest.(check int)
-    (label ^ " dyck pushes = pairs × consumers + store × lookups")
-    (!value_term + (List.length (Dyck_solver.store_pairs d) * !lookups))
-    (Dyck_solver.worklist_pushes d)
-
 let solver_stats_populated () =
   let a = analysis_of "allroots" in
   let cs = Engine.cs a in
@@ -264,9 +246,7 @@ let solver_stats_populated () =
 let exact_delivery () =
   List.iter
     (fun (file, src) ->
-      check_delivery file (Test_util.analysis (Engine.load_string ~file src)).Engine.ci;
-      check_dyck_push_count file
-        (Engine.build_graph (Engine.compile (Engine.load_string ~file src))))
+      check_delivery file (Test_util.analysis (Engine.load_string ~file src)).Engine.ci)
     (Test_util.solver_subjects ())
 
 let tests =

@@ -800,38 +800,17 @@ let test_close_cancels_inflight () =
   Alcotest.(check int) "nothing left in flight" 0
     (session_stat sessions "inflight")
 
-(* ---- (h) v3 wire compatibility: the "demand" spellings --------------------------- *)
+(* ---- (h) wire compatibility: the "demand" and "dyck" spellings ------------------ *)
 
-(* The demand tier is gone, but its v3 spellings still parse: a
-   mode="demand" open is an ordinary exhaustive session and a
-   tier="demand" query answers at ci — whose verdicts the demand tier
-   always equaled. *)
+(* The demand (v3) and dyck (v4) tiers are gone, but their spellings
+   still parse: mode="demand" or mode="dyck" opens an ordinary exhaustive
+   session, and tier= or min_tier= either spelling answers at ci — whose
+   verdicts demand always equaled, and the nearest tier that keeps a dyck
+   floor's promise.  A re-open under the other spelling lands on the
+   same session. *)
 let test_demand_spellings_answer_at_ci () =
   let dir = fresh_dir () in
   let file = temp_c dir "conflict.c" conflict_src in
-  let sessions = Session.create () in
-  let h = Handler.create sessions in
-  let conn = Handler.new_conn () in
-  let pong = expect_ok "ping" (rpc h conn "ping" Ejson.Null) in
-  (match member_exn "ping" "capabilities" pong with
-  | Ejson.List caps ->
-    Alcotest.(check bool)
-      "demand capability no longer listed" false
-      (List.mem (Ejson.String "demand") caps)
-  | _ -> Alcotest.fail "capabilities must be a list");
-  let opened =
-    expect_ok "demand open"
-      (rpc h conn "open"
-         (Ejson.Assoc
-            [ ("file", Ejson.String file); ("mode", Ejson.String "demand") ]))
-  in
-  Alcotest.(check string)
-    "cold open is a miss" "miss"
-    (string_field "open" "status" opened);
-  Alcotest.(check string)
-    "a demand open solves exhaustively" "ci"
-    (string_field "open" "tier" opened);
-  let id = string_field "open" "session" opened in
   let a = Test_util.analysis (Engine.load_file file) in
   let nodes =
     List.map (fun ((n : Vdg.node), _) -> n.Vdg.nid)
@@ -839,257 +818,85 @@ let test_demand_spellings_answer_at_ci () =
   in
   Alcotest.(check bool) "the program has indirect ops" true (nodes <> []);
   List.iter
-    (fun x ->
+    (fun (spelling, other) ->
+      let sessions = Session.create () in
+      let h = Handler.create sessions in
+      let conn = Handler.new_conn () in
+      let pong = expect_ok "ping" (rpc h conn "ping" Ejson.Null) in
+      (match member_exn "ping" "capabilities" pong with
+      | Ejson.List caps ->
+        Alcotest.(check bool)
+          (spelling ^ " capability no longer listed") false
+          (List.mem (Ejson.String spelling) caps)
+      | _ -> Alcotest.fail "capabilities must be a list");
+      let opened =
+        expect_ok (spelling ^ " open")
+          (rpc h conn "open"
+             (Ejson.Assoc
+                [ ("file", Ejson.String file); ("mode", Ejson.String spelling) ]))
+      in
+      Alcotest.(check string)
+        "cold open is a miss" "miss"
+        (string_field "open" "status" opened);
+      Alcotest.(check string)
+        (Printf.sprintf "a %s open solves exhaustively" spelling) "ci"
+        (string_field "open" "tier" opened);
+      let id = string_field "open" "session" opened in
       List.iter
-        (fun y ->
-          let reply =
-            expect_ok "demand-tier may_alias"
-              (rpc h conn "may_alias"
-                 (Ejson.Assoc
-                    [
-                      ("a", Ejson.Int x); ("b", Ejson.Int y);
-                      ("tier", Ejson.String "demand");
-                      ("min_tier", Ejson.String "demand");
-                    ]))
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "may_alias(%d,%d) matches exhaustive" x y)
-            (Query.may_alias a.Engine.ci x y)
-            (bool_field "may_alias" "may_alias" reply);
-          Alcotest.(check string)
-            "answered at the ci tier" "ci"
-            (string_field "may_alias" "tier" reply))
-        nodes)
-    nodes;
-  let stats = expect_ok "stats" (rpc h conn "stats" Ejson.Null) in
-  Alcotest.(check bool)
-    "no demand block in stats" true
-    (Ejson.member "demand" stats = None);
-  Alcotest.(check int)
-    "answers counted under ci"
-    (List.length nodes * List.length nodes)
-    (int_field "answers_by_tier" "ci"
-       (member_exn "stats" "answers_by_tier" stats));
-  (* the session is exhaustive: a plain re-open is an ordinary hit *)
-  let reopened =
-    expect_ok "exhaustive re-open"
-      (rpc h conn "open" (Ejson.Assoc [ ("file", Ejson.String file) ]))
-  in
-  Alcotest.(check string)
-    "same session" id
-    (string_field "open" "session" reopened);
-  Alcotest.(check string)
-    "exhaustive re-open is a session hit" "session-hit"
-    (string_field "open" "status" reopened)
-
-(* A mode="demand" re-open is an exhaustive re-open: it promotes a lazy
-   dyck session in place — same session, only the fixpoint runs — and
-   the promoted session answers exactly as the CI solution does. *)
-let test_demand_reopen_promotes_in_place () =
-  let dir = fresh_dir () in
-  let file = temp_c dir "conflict.c" conflict_src in
-  let sessions = Session.create () in
-  let h = Handler.create sessions in
-  let conn = Handler.new_conn () in
-  let opened =
-    expect_ok "dyck open"
-      (rpc h conn "open"
-         (Ejson.Assoc
-            [ ("file", Ejson.String file); ("mode", Ejson.String "dyck") ]))
-  in
-  Alcotest.(check string)
-    "session starts at the dyck tier" "dyck"
-    (string_field "open" "tier" opened);
-  let id = string_field "open" "session" opened in
-  let reopened =
-    expect_ok "demand re-open"
-      (rpc h conn "open"
-         (Ejson.Assoc
-            [ ("file", Ejson.String file); ("mode", Ejson.String "demand") ]))
-  in
-  Alcotest.(check string)
-    "same session" id
-    (string_field "open" "session" reopened);
-  Alcotest.(check string)
-    "promoted to ci" "ci"
-    (string_field "open" "tier" reopened);
-  Alcotest.(check string)
-    "no re-solve from scratch" "session-hit"
-    (string_field "open" "status" reopened);
-  Alcotest.(check int) "promotion counted" 1 (session_stat sessions "upgraded");
-  Alcotest.(check int) "exactly one solve" 1 (session_stat sessions "solved");
-  let a = Test_util.analysis (Engine.load_file file) in
-  let nodes =
-    List.map (fun ((n : Vdg.node), _) -> n.Vdg.nid)
-      (Vdg.indirect_memops a.Engine.graph)
-  in
-  Alcotest.(check bool) "the program has indirect ops" true (nodes <> []);
-  List.iter
-    (fun x ->
+        (fun x ->
+          List.iter
+            (fun y ->
+              let reply =
+                expect_ok (spelling ^ "-tier may_alias")
+                  (rpc h conn "may_alias"
+                     (Ejson.Assoc
+                        [
+                          ("a", Ejson.Int x); ("b", Ejson.Int y);
+                          ("tier", Ejson.String spelling);
+                          ("min_tier", Ejson.String spelling);
+                        ]))
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s may_alias(%d,%d) matches exhaustive"
+                   spelling x y)
+                (Query.may_alias a.Engine.ci x y)
+                (bool_field "may_alias" "may_alias" reply);
+              Alcotest.(check string)
+                "answered at the ci tier" "ci"
+                (string_field "may_alias" "tier" reply))
+            nodes)
+        nodes;
+      let stats = expect_ok "stats" (rpc h conn "stats" Ejson.Null) in
+      Alcotest.(check bool)
+        ("no " ^ spelling ^ " block in stats") true
+        (Ejson.member spelling stats = None);
+      Alcotest.(check int)
+        "answers counted under ci"
+        (List.length nodes * List.length nodes)
+        (int_field "answers_by_tier" "ci"
+           (member_exn "stats" "answers_by_tier" stats));
+      (* the session is exhaustive: a re-open under the other spelling,
+         or under none, is an ordinary hit *)
       List.iter
-        (fun y ->
-          let reply =
-            expect_ok "promoted may_alias"
-              (rpc h conn "may_alias"
-                 (Ejson.Assoc [ ("a", Ejson.Int x); ("b", Ejson.Int y) ]))
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "may_alias(%d,%d) matches exhaustive" x y)
-            (Query.may_alias a.Engine.ci x y)
-            (bool_field "may_alias" "may_alias" reply);
-          Alcotest.(check string)
-            "answered at the ci tier" "ci"
-            (string_field "may_alias" "tier" reply))
-        nodes)
-    nodes;
-  (* a further demand re-open of the now-exhaustive session is a plain hit *)
-  let third =
-    expect_ok "second demand re-open"
-      (rpc h conn "open"
-         (Ejson.Assoc
-            [ ("file", Ejson.String file); ("mode", Ejson.String "demand") ]))
-  in
-  Alcotest.(check string)
-    "exhaustive session satisfies demand opens" "session-hit"
-    (string_field "open" "status" third);
-  Alcotest.(check int) "no second promotion" 1
-    (session_stat sessions "upgraded")
-
-(* ---- (i) v4: dyck-mode sessions -------------------------------------------------- *)
-
-let test_dyck_mode_session () =
-  let dir = fresh_dir () in
-  let file = temp_c dir "conflict.c" conflict_src in
-  let sessions = Session.create () in
-  let h = Handler.create sessions in
-  let conn = Handler.new_conn () in
-  (* the dyck capability shipped in v4 *)
-  let pong = expect_ok "ping" (rpc h conn "ping" Ejson.Null) in
-  Alcotest.(check bool)
-    "protocol v4 or later" true
-    (int_field "ping" "protocol_version" pong >= 4);
-  (match member_exn "ping" "capabilities" pong with
-  | Ejson.List caps ->
-    Alcotest.(check bool)
-      "dyck capability listed" true
-      (List.mem (Ejson.String "dyck") caps)
-  | _ -> Alcotest.fail "capabilities must be a list");
-  (* a cold dyck open solves the dyck tier, not ci *)
-  let opened =
-    expect_ok "dyck open"
-      (rpc h conn "open"
-         (Ejson.Assoc
-            [ ("file", Ejson.String file); ("mode", Ejson.String "dyck") ]))
-  in
-  Alcotest.(check string)
-    "cold open is a miss" "miss"
-    (string_field "open" "status" opened);
-  Alcotest.(check string)
-    "session sits at the dyck tier" "dyck"
-    (string_field "open" "tier" opened);
-  let id = string_field "open" "session" opened in
-  (* dyck is a sound superset of ci: a ci may-alias verdict is never
-     refuted *)
-  let a = Test_util.analysis (Engine.load_file file) in
-  let nodes =
-    List.map (fun ((n : Vdg.node), _) -> n.Vdg.nid)
-      (Vdg.indirect_memops a.Engine.graph)
-  in
-  Alcotest.(check bool) "the program has indirect ops" true (nodes <> []);
-  List.iter
-    (fun x ->
-      List.iter
-        (fun y ->
-          let reply =
-            expect_ok "dyck may_alias"
-              (rpc h conn "may_alias"
-                 (Ejson.Assoc [ ("a", Ejson.Int x); ("b", Ejson.Int y) ]))
+        (fun (what, params) ->
+          let reopened =
+            expect_ok what
+              (rpc h conn "open"
+                 (Ejson.Assoc (("file", Ejson.String file) :: params)))
           in
           Alcotest.(check string)
-            "answered at the dyck tier" "dyck"
-            (string_field "may_alias" "tier" reply);
-          if Query.may_alias a.Engine.ci x y then
-            Alcotest.(check bool)
-              (Printf.sprintf "dyck never refutes ci alias (%d,%d)" x y)
-              true
-              (bool_field "may_alias" "may_alias" reply))
-        nodes)
-    nodes;
-  (* stats count the answers the dyck tier gave *)
-  let stats = expect_ok "stats" (rpc h conn "stats" Ejson.Null) in
-  let by_tier = member_exn "stats" "answers_by_tier" stats in
-  Alcotest.(check int)
-    "dyck answers counted"
-    (List.length nodes * List.length nodes)
-    (int_field "answers_by_tier" "dyck" by_tier);
-  (* an exhaustive re-open upgrades the dyck session in place *)
-  let reopened =
-    expect_ok "exhaustive re-open"
-      (rpc h conn "open" (Ejson.Assoc [ ("file", Ejson.String file) ]))
-  in
-  Alcotest.(check string)
-    "same session survives" id
-    (string_field "open" "session" reopened);
-  Alcotest.(check string)
-    "now at the ci tier" "ci"
-    (string_field "open" "tier" reopened);
-  Alcotest.(check string)
-    "the upgrade reused the session" "session-hit"
-    (string_field "open" "status" reopened)
-
-(* tier="dyck" on an exhaustive session answers from a per-session dyck
-   solution, without disturbing the ci solution *)
-let test_dyck_tier_query_on_exhaustive_session () =
-  let dir = fresh_dir () in
-  let file = temp_c dir "conflict.c" conflict_src in
-  let sessions = Session.create () in
-  let h = Handler.create sessions in
-  let conn = Handler.new_conn () in
-  let opened =
-    expect_ok "open"
-      (rpc h conn "open" (Ejson.Assoc [ ("file", Ejson.String file) ]))
-  in
-  Alcotest.(check string)
-    "exhaustive open" "ci"
-    (string_field "open" "tier" opened);
-  let a = Test_util.analysis (Engine.load_file file) in
-  let nodes =
-    List.map (fun ((n : Vdg.node), _) -> n.Vdg.nid)
-      (Vdg.indirect_memops a.Engine.graph)
-  in
-  List.iter
-    (fun x ->
-      List.iter
-        (fun y ->
-          let reply =
-            expect_ok "dyck-tier may_alias"
-              (rpc h conn "may_alias"
-                 (Ejson.Assoc
-                    [
-                      ("a", Ejson.Int x); ("b", Ejson.Int y);
-                      ("tier", Ejson.String "dyck");
-                    ]))
-          in
+            (what ^ ": same session") id
+            (string_field "open" "session" reopened);
           Alcotest.(check string)
-            "answered at the dyck tier" "dyck"
-            (string_field "may_alias" "tier" reply);
-          if Query.may_alias a.Engine.ci x y then
-            Alcotest.(check bool)
-              (Printf.sprintf "dyck never refutes ci (%d,%d)" x y)
-              true
-              (bool_field "may_alias" "may_alias" reply))
-        nodes)
-    nodes;
-  (* the session still answers plain queries at ci *)
-  let x = List.hd nodes in
-  let plain =
-    expect_ok "plain may_alias"
-      (rpc h conn "may_alias"
-         (Ejson.Assoc [ ("a", Ejson.Int x); ("b", Ejson.Int x) ]))
-  in
-  Alcotest.(check string)
-    "natural tier still ci" "ci"
-    (string_field "may_alias" "tier" plain)
+            (what ^ ": session hit") "session-hit"
+            (string_field "open" "status" reopened))
+        [
+          ( other ^ " re-open",
+            [ ("mode", Ejson.String other); ("min_tier", Ejson.String other) ] );
+          ("exhaustive re-open", []);
+        ];
+      Alcotest.(check int) "exactly one solve" 1 (session_stat sessions "solved"))
+    [ ("demand", "dyck"); ("dyck", "demand") ]
 
 (* ---- (j) incremental update (protocol v5) ---------------------------------------- *)
 
@@ -1281,17 +1088,19 @@ let test_update_errors () =
   expect_error "update of a missing file" Protocol.Frontend_error
     (rpc h conn "update"
        (Ejson.Assoc [ ("file", Ejson.String (Filename.concat dir "no.c")) ]));
-  (* a lazy dyck session has no ci solution to diff against *)
-  let lazy_file = temp_c dir "lazy.c" disjoint_src in
-  ignore
-    (expect_ok "dyck open"
-       (rpc h conn "open"
-          (Ejson.Assoc
-             [
-               ("file", Ejson.String lazy_file); ("mode", Ejson.String "dyck");
-             ])));
-  expect_error "update of a dyck session" Protocol.Tier_unavailable
-    (rpc h conn "update" (Ejson.Assoc [ ("file", Ejson.String lazy_file) ]))
+  (* a session degraded to a baseline has no ci solution to diff against *)
+  let slow_file = temp_c dir "slow.c" (slow_src 150) in
+  let opened =
+    expect_ok "deadlined open"
+      (rpc h conn "open"
+         (Ejson.Assoc
+            [ ("file", Ejson.String slow_file); ("deadline_ms", Ejson.Int 1) ]))
+  in
+  Alcotest.(check bool)
+    "1ms deadline lands below ci" true
+    (string_field "open" "tier" opened <> "ci");
+  expect_error "update of a baseline session" Protocol.Tier_unavailable
+    (rpc h conn "update" (Ejson.Assoc [ ("file", Ejson.String slow_file) ]))
 
 let test_client_timeout_on_dead_daemon () =
   let dir = fresh_dir () in
@@ -1454,23 +1263,23 @@ let test_query_opts_codec () =
         ( "opts",
           Ejson.Assoc
             [
-              ("tier", Ejson.String "dyck");
+              ("tier", Ejson.String "cs");
               ("deadline_ms", Ejson.Int 5);
               ("min_tier", Ejson.String "ci");
             ] );
       ]
   in
   let qo = Protocol.query_opts_of_params nested in
-  Alcotest.(check (option string)) "nested tier" (Some "dyck") qo.Protocol.qo_tier;
+  Alcotest.(check (option string)) "nested tier" (Some "cs") qo.Protocol.qo_tier;
   Alcotest.(check (option int)) "nested deadline" (Some 5) qo.Protocol.qo_deadline_ms;
   Alcotest.(check (option string)) "nested floor" (Some "ci") qo.Protocol.qo_min_tier;
   (* v5 clients spell the same knobs as flat parameters *)
   let flat =
     Protocol.query_opts_of_params
       (Ejson.Assoc
-         [ ("tier", Ejson.String "dyck"); ("deadline_ms", Ejson.Int 5) ])
+         [ ("tier", Ejson.String "cs"); ("deadline_ms", Ejson.Int 5) ])
   in
-  Alcotest.(check (option string)) "flat tier" (Some "dyck") flat.Protocol.qo_tier;
+  Alcotest.(check (option string)) "flat tier" (Some "cs") flat.Protocol.qo_tier;
   Alcotest.(check (option int)) "flat deadline" (Some 5) flat.Protocol.qo_deadline_ms;
   Alcotest.(check (option string)) "flat floor unset" None flat.Protocol.qo_min_tier;
   (* when both spellings appear, the nested object wins field-by-field *)
@@ -1508,9 +1317,10 @@ let test_query_opts_codec () =
   | exception Protocol.Bad_params _ -> ()
   | _ -> Alcotest.fail "a mistyped nested knob must raise Bad_params"
 
-(* A tier="dyck" query may run the session's first Dyck solve, so the
-   reactor must hand it to the pool like tier="ci"/"cs"; a plain
-   session-keyed query is a lookup and stays inline. *)
+(* Only a tier that can run the CS solver sends a session-keyed query to
+   the pool.  tier="ci" reads the live solution, and so do its retired
+   spellings "demand" and "dyck": they stay inline on the reactor, like
+   a plain query. *)
 let test_heavy_request_tiers () =
   let may_alias params =
     {
@@ -1522,90 +1332,28 @@ let test_heavy_request_tiers () =
           @ params);
     }
   in
+  let flat tier = may_alias [ ("tier", Ejson.String tier) ] in
+  let nested tier =
+    may_alias [ ("opts", Ejson.Assoc [ ("tier", Ejson.String tier) ]) ]
+  in
   Alcotest.(check bool)
     "plain may_alias is light" false
     (Handler.heavy_request (may_alias []));
-  Alcotest.(check bool)
-    "flat tier=dyck is heavy" true
-    (Handler.heavy_request (may_alias [ ("tier", Ejson.String "dyck") ]));
-  Alcotest.(check bool)
-    "nested opts.tier=dyck is heavy" true
-    (Handler.heavy_request
-       (may_alias
-          [ ("opts", Ejson.Assoc [ ("tier", Ejson.String "dyck") ]) ]));
-  Alcotest.(check bool)
-    "tier=ci stays heavy" true
-    (Handler.heavy_request (may_alias [ ("tier", Ejson.String "ci") ]))
-
-(* A dyck session holds no exhaustive solution, so its first modref,
-   purity or conflicts upgrades it by running the whole exhaustive
-   pipeline.  The three are classed light, so the reactor's inline path
-   must punt them to a worker (Session.Busy) rather than solve on the
-   event loop; the worker's blocking retry answers and upgrades once.
-   An exhaustive session answers the same requests inline. *)
-let test_dyck_session_punts_upgrades () =
-  let dir = fresh_dir () in
-  let dyck_file = temp_c dir "conflict.c" conflict_src in
-  let ci_file = temp_c dir "disjoint.c" disjoint_src in
-  let sessions = Session.create () in
-  let h = Handler.create sessions in
-  let conn = Handler.new_conn () in
-  let open_session params =
-    string_field "open" "session" (expect_ok "open" (rpc h conn "open" params))
-  in
-  let dyck_id =
-    open_session
-      (Ejson.Assoc
-         [ ("file", Ejson.String dyck_file); ("mode", Ejson.String "dyck") ])
-  in
-  let ci_id = open_session (Ejson.Assoc [ ("file", Ejson.String ci_file) ]) in
-  let request id meth =
-    {
-      Protocol.rq_id = Ejson.Int 1;
-      rq_method = meth;
-      rq_params = Ejson.Assoc [ ("session", Ejson.String id) ];
-    }
-  in
-  let answer what = function
-    | Handler.Reply r | Handler.Reply_shutdown r -> (
-      match Protocol.response_of_line r with
-      | Ok rs -> ignore (expect_ok what rs.Protocol.rs_result : Ejson.t)
-      | Error msg -> Alcotest.failf "%s: unparsable response: %s" what msg)
-  in
-  let inline id meth =
-    match Handler.handle ~blocking:false h conn (request id meth) with
-    | exception Session.Busy -> `Punted
-    | outcome ->
-      answer meth outcome;
-      `Answered
-  in
-  let methods = [ "modref"; "purity"; "conflicts" ] in
   List.iter
-    (fun meth ->
+    (fun tier ->
       Alcotest.(check bool)
-        (meth ^ " is classed light") false
-        (Handler.heavy_request (request dyck_id meth));
+        ("flat tier=" ^ tier ^ " is light") false
+        (Handler.heavy_request (flat tier));
       Alcotest.(check bool)
-        (meth ^ " on a dyck session punts") true
-        (inline dyck_id meth = `Punted))
-    methods;
-  Alcotest.(check int) "nothing upgraded inline" 0
-    (session_stat sessions "upgraded");
-  List.iter
-    (fun meth -> answer meth (Handler.handle h conn (request dyck_id meth)))
-    methods;
-  Alcotest.(check int) "the blocking path upgrades once" 1
-    (session_stat sessions "upgraded");
-  List.iter
-    (fun id ->
-      List.iter
-        (fun meth ->
-          Alcotest.(check bool)
-            (meth ^ " on an exhaustive session answers inline") true
-            (inline id meth = `Answered))
-        methods)
-    [ ci_id; dyck_id ];
-  Alcotest.(check int) "no further upgrade" 1 (session_stat sessions "upgraded")
+        ("nested opts.tier=" ^ tier ^ " is light") false
+        (Handler.heavy_request (nested tier)))
+    [ "ci"; "demand"; "dyck" ];
+  Alcotest.(check bool)
+    "flat tier=cs is heavy" true
+    (Handler.heavy_request (flat "cs"));
+  Alcotest.(check bool)
+    "nested opts.tier=cs is heavy" true
+    (Handler.heavy_request (nested "cs"))
 
 let test_batched_matches_unbatched () =
   let dir = fresh_dir () in
@@ -1677,6 +1425,34 @@ let test_shutdown_latency () =
     (Printf.sprintf "shutdown-to-exit under 50ms (took %.1fms)"
        (1e3 *. elapsed))
     true (elapsed < 0.05)
+
+(* The 41-line macro bomb over the socket: "open" answers with a
+   frontend error instead of holding a worker until memory runs out, and
+   the daemon keeps serving. *)
+let test_macro_bomb_open () =
+  let dir = fresh_dir () in
+  let file = temp_c dir "bomb.c" (Test_util.macro_bomb 39) in
+  let socket = Filename.concat dir "bomb.sock" in
+  let handler = Handler.create (Session.create ()) in
+  let server = Domain.spawn (fun () -> Server.serve_unix ~jobs:1 handler socket) in
+  let c = Client.connect ~retry_for:10. ~timeout:30. socket in
+  (match
+     Client.call c ~meth:"open" ~params:(Ejson.Assoc [ ("file", Ejson.String file) ])
+   with
+  | Error (code, msg) ->
+    Alcotest.(check string)
+      "open is a frontend error"
+      (Protocol.string_of_error_code Protocol.Frontend_error)
+      (Protocol.string_of_error_code code);
+    Alcotest.(check bool)
+      ("names the cause: " ^ msg) true
+      (String.ends_with ~suffix:"macro expansion too large (over 4194304 bytes)" msg)
+  | Ok v -> Alcotest.failf "open answered %s" (Ejson.to_compact_string v));
+  let pong = expect_ok "ping after the bomb" (Client.call c ~meth:"ping" ~params:Ejson.Null) in
+  Alcotest.(check bool) "daemon still answers" true (bool_field "ping" "pong" pong);
+  ignore (Client.call c ~meth:"shutdown" ~params:Ejson.Null);
+  Domain.join server;
+  Client.close c
 
 let test_pipelined_out_of_order_await () =
   let dir = fresh_dir () in
@@ -1902,12 +1678,6 @@ let tests =
       test_client_timeout_on_dead_daemon;
     Alcotest.test_case "demand: mode=demand session answers at ci" `Quick
       test_demand_spellings_answer_at_ci;
-    Alcotest.test_case "demand: exhaustive re-open promotes in place" `Quick
-      test_demand_reopen_promotes_in_place;
-    Alcotest.test_case "dyck: mode=dyck session answers lazily" `Quick
-      test_dyck_mode_session;
-    Alcotest.test_case "dyck: tier=dyck on an exhaustive session" `Quick
-      test_dyck_tier_query_on_exhaustive_session;
     Alcotest.test_case "update: in-place incremental re-analysis" `Quick
       test_update_in_place;
     Alcotest.test_case "update: source buffer overrides the disk" `Quick
@@ -1919,10 +1689,10 @@ let tests =
       test_batch_dispatch;
     Alcotest.test_case "v6: query opts round-trip and v5 compat" `Quick
       test_query_opts_codec;
-    Alcotest.test_case "reactor: tier=dyck queries run on the pool" `Quick
-      test_heavy_request_tiers;
-    Alcotest.test_case "reactor: dyck-session upgrades run on the pool" `Quick
-      test_dyck_session_punts_upgrades;
+    Alcotest.test_case "reactor: tier=dyck queries run on the reactor, cs on the pool"
+      `Quick test_heavy_request_tiers;
+    Alcotest.test_case "frontend: a macro bomb open fails, ping still answers"
+      `Quick test_macro_bomb_open;
     Alcotest.test_case "v6: batched payloads match unbatched" `Quick
       test_batched_matches_unbatched;
     Alcotest.test_case "v6: shutdown under 50ms on a live socket" `Quick

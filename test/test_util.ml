@@ -12,6 +12,18 @@ let analysis ?config ?cache ?(req = Engine.default_request) input =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* A macro bomb of [depth + 2] lines: A0 is one token and each Ai is
+   A(i-1) twice, so the last line's A[depth] would expand to 2^depth
+   copies of x. *)
+let macro_bomb depth =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "#define A0 x\n";
+  for i = 1 to depth do
+    Printf.bprintf b "#define A%d A%d + A%d\n" i (i - 1) (i - 1)
+  done;
+  Printf.bprintf b "int x; int main(void) { return A%d; }\n" depth;
+  Buffer.contents b
+
 let example_files () =
   let dir = "../examples/c" in
   let dir = if Sys.file_exists dir then dir else "examples/c" in
