@@ -13,7 +13,8 @@
    where the memo wins) and uniform-random (the memo's worst case, where
    the naive lists win).  The "benchmarks" section times full CI and CS
    solves and records the deterministic outcome facts — executed meets
-   (CI and CS), pair counts, and the canonical solution digest.
+   (CI and CS), the CS worklist's stale skips (fixed by its FIFO order),
+   pair counts, and the canonical solution digest.
 
    --check FILE re-reads a previously written report and fails (exit 1)
    if any deterministic field drifted for a benchmark present in both:
@@ -199,7 +200,7 @@ let benchmark_json name =
    interning deltas) legitimately varies between hosts and run shapes *)
 let deterministic_fields =
   [
-    "nodes"; "ci_meets"; "cs_meets";
+    "nodes"; "ci_meets"; "cs_meets"; "cs_stale_skips";
     "cs_pairs"; "digest"; "incr_probe_resolved"; "incr_probe_reused";
     "incr_probe_digest_ok";
   ]

@@ -1,5 +1,5 @@
 type ctx = {
-  ids : (int * int, int) Hashtbl.t;  (* (formal node, Ptpair.key pair) -> id *)
+  ids : (int, int) Hashtbl.t;  (* the caller's key for (formal node, pair) -> id *)
   mutable rev : (Vdg.node_id * Ptpair.t) array;
   mutable count : int;
 }
@@ -8,8 +8,7 @@ type t = Ptset.t
 
 let create_ctx () = { ids = Hashtbl.create 256; rev = [||]; count = 0 }
 
-let intern ctx node (pair : Ptpair.t) =
-  let key = (node, Ptpair.key pair) in
+let intern ctx ~key node (pair : Ptpair.t) =
   match Hashtbl.find_opt ctx.ids key with
   | Some id -> id
   | None ->
@@ -33,7 +32,7 @@ let count ctx = ctx.count
 
 let empty : t = Ptset.empty
 
-let singleton ctx node pair = Ptset.singleton (intern ctx node pair)
+let singleton ctx ~key node pair = Ptset.singleton (intern ctx ~key node pair)
 
 let union = Ptset.union
 let subset = Ptset.subset
@@ -51,30 +50,13 @@ let to_string ctx s =
 
 module Antichain = struct
   type set = t
+  type nonrec t = set list
 
-  (* [seen] indexes current members by hash-consed set id, making the
-     most common insert outcome — an exact re-derivation of an existing
-     member — an O(1) rejection, and giving the solver an O(1) liveness
-     check for worklist entries whose member has since been evicted. *)
-  type nonrec t = {
-    mutable sets : set list;
-    seen : (int, unit) Hashtbl.t;
-  }
+  let mem ac s = List.exists (Ptset.equal s) ac
 
-  let create () = { sets = []; seen = Hashtbl.create 4 }
-
+  (* an exact re-derivation of a member, the most common outcome, is
+     rejected by id before any memoized subset test *)
   let insert ac s =
-    if Hashtbl.mem ac.seen (Ptset.id s) then false
-    else if List.exists (fun member -> Ptset.subset member s) ac.sets then false
-    else begin
-      let keep, evicted = List.partition (fun member -> not (Ptset.subset s member)) ac.sets in
-      List.iter (fun member -> Hashtbl.remove ac.seen (Ptset.id member)) evicted;
-      ac.sets <- s :: keep;
-      Hashtbl.replace ac.seen (Ptset.id s) ();
-      true
-    end
-
-  let mem_member ac s = Hashtbl.mem ac.seen (Ptset.id s)
-  let members ac = ac.sets
-  let is_empty ac = ac.sets = []
+    if mem ac s || List.exists (fun member -> Ptset.subset member s) ac then None
+    else Some (s :: List.filter (fun member -> not (Ptset.subset s member)) ac)
 end

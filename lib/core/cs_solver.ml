@@ -1,268 +1,257 @@
 type config = {
   ci_pruning : bool;
-  max_meets : int;
   stale_skip : bool;
 }
 
-exception Budget_exceeded
+let default_config = { ci_pruning = true; stale_skip = true }
 
-let default_config = { ci_pruning = true; max_meets = 50_000_000; stale_skip = true }
-
-(* Per-(output, pair) state: the antichain of assumption sets under which
-   the pair holds. *)
-type entry = {
-  e_pair : Ptpair.t;
-  e_chain : Assumption.Antichain.t;
-  (* bumped on every successful antichain insert; lets return propagation
-     prove "this chain is unchanged since I last looked" in O(1) *)
-  mutable e_ver : int;
-}
-
+(* A solution.  Every (output, pair) entry owns a dense slot: [base.(o)]
+   plus the pair's rank in CI's sorted key set at [o], which exists
+   because CS ⊆ CI at every node.  An entry is present iff its antichain
+   is non-empty; the present entries of an output are linked through
+   [next] in first-arrival order, starting at [head].  The worklist
+   state lives in [state] below and is dropped at fixpoint. *)
 type t = {
   g : Vdg.t;
   ci : Ci_solver.t;
-  config : config;
-  budget : Budget.t;
   actx : Assumption.ctx;
-  pts : (int, entry) Hashtbl.t array;  (* per output, keyed by Ptpair.key *)
-  order : entry list ref array;        (* reversed insertion order per output *)
-  (* each item remembers the output whose antichain gained [aset]; if
-     that member has been evicted by a weaker set before the item is
-     popped, the item is stale and skipped (the evictor pushed subsuming
-     items of its own) *)
-  worklist : (Vdg.node_id * Vdg.node_id * int * Ptpair.t * Assumption.t) Queue.t;
+  base : int array;  (* output -> its first slot *)
+  chains : Assumption.Antichain.t array;  (* slot -> members; [] = absent *)
+  next : int array;  (* slot -> the output's next entry; -1 = last *)
+  head : int array;  (* output -> its first entry; -1 = none *)
   mutable flow_in_count : int;
   mutable flow_out_count : int;
-  mutable worklist_pushed : int;
-  mutable worklist_popped : int;
+  mutable pushes : int;
+  mutable pops : int;
   mutable stale_skips : int;
-  mutable ptset_stats : Ptset.stats option;  (* per-solve delta, set at fixpoint *)
-  (* (call, edge_idx*2+which, pair key, aset id) -> sum of satisfier-entry
-     versions at the last propagate-return for that tuple.  Versions are
-     monotone, so an equal sum means every satisfier chain is unchanged
-     and the identical Cartesian product was already flowed. *)
-  pr_memo : (int * int * int * int, int) Hashtbl.t;
-  mutable pr_memo_skips : int;
-  (* (satisfier output, pair key) -> return-propagation instances whose
-     Cartesian product reads that chain; fired on successful inserts so
-     re-propagation work is proportional to chain changes, not to call
-     input churn *)
-  subs :
-    ( int * int,
-      (Vdg.node_id * string * [ `Value | `Store ] * Ptpair.t * Assumption.t)
-      list
-      ref )
-    Hashtbl.t;
-  (* CI-derived pruning info, per lookup/update node *)
-  single_loc : (Vdg.node_id, bool) Hashtbl.t;
-  ci_locs : (Vdg.node_id, Apath.t list) Hashtbl.t;
+  mutable ptset_stats : Ptset.stats;  (* per-solve delta, set at fixpoint *)
 }
 
-let entries t output = !(t.order.(output))
+let flow_in_count t = t.flow_in_count
+let flow_out_count t = t.flow_out_count
+let worklist_pushes t = t.pushes
+let worklist_pops t = t.pops
+let worklist_stale_skips t = t.stale_skips
+let ptset_stats t = t.ptset_stats
+let assumption_ctx t = t.actx
 
-let entry_chain t output pair =
-  match Hashtbl.find_opt t.pts.(output) (Ptpair.key pair) with
-  | Some e -> Assumption.Antichain.members e.e_chain
-  | None -> []
-
-let iter_qualified t output f =
-  List.iter
-    (fun e ->
-      List.iter (fun aset -> f e.e_pair aset) (Assumption.Antichain.members e.e_chain))
-    (List.rev (entries t output))
-
-(* ---- flow-out -------------------------------------------------------------------- *)
-
-let rec flow_out t output pair aset =
-  t.flow_out_count <- t.flow_out_count + 1;
-  if t.flow_out_count > t.config.max_meets then raise Budget_exceeded;
-  Budget.tick_meet t.budget;
-  let e =
-    match Hashtbl.find_opt t.pts.(output) (Ptpair.key pair) with
-    | Some e -> e
-    | None ->
-      let e = { e_pair = pair; e_chain = Assumption.Antichain.create (); e_ver = 0 } in
-      Hashtbl.add t.pts.(output) (Ptpair.key pair) e;
-      t.order.(output) := e :: !(t.order.(output));
-      e
+(* the slot of key [k] at output [o], or -1 if CI lacks the pair there *)
+let find_slot t o k =
+  let keys = (Ci_solver.pairs t.ci o).Ptset.elems in
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let x = Array.unsafe_get keys mid in
+      if x = k then t.base.(o) + mid else if x < k then go (mid + 1) hi else go lo mid
   in
-  if Assumption.Antichain.insert e.e_chain aset then begin
-    e.e_ver <- e.e_ver + 1;
-    List.iter
-      (fun (consumer, idx) ->
-        Queue.add (output, consumer, idx, pair, aset) t.worklist;
-        t.worklist_pushed <- t.worklist_pushed + 1)
-      (Vdg.consumers t.g output);
-    (match (Vdg.node t.g output).Vdg.nkind with
-    | Vdg.Nret_value fname ->
-      List.iter
-        (fun call -> propagate_return t call fname `Value pair aset)
-        (Ci_solver.callers t.ci fname)
-    | Vdg.Nret_store fname ->
-      List.iter
-        (fun call -> propagate_return t call fname `Store pair aset)
-        (Ci_solver.callers t.ci fname)
-    | _ -> ());
-    (* this chain grew: re-run every return propagation that reads it
-       (the version memo inside makes duplicate firings cheap) *)
-    match Hashtbl.find_opt t.subs (output, Ptpair.key pair) with
-    | None -> ()
-    | Some lst ->
-      List.iter
-        (fun (call, fname, which, p, a) -> propagate_return t call fname which p a)
-        !lst
-  end
+  go 0 (Array.length keys)
 
-(* ---- return propagation (Figure 5, propagate-return) ------------------------------- *)
+let pair_at t o slot =
+  Ptpair.of_key t.g.Vdg.tbl (Ci_solver.pairs t.ci o).Ptset.elems.(slot - t.base.(o))
 
-(* The actual-argument output at [call] corresponding to a callee formal
+(* The actual-argument output at a call corresponding to a callee formal
    output, under the given argmap. *)
-and actual_of_formal t call argmap formal_node =
-  let cm = Hashtbl.find t.g.Vdg.call_meta call in
+let actual_of_formal t (cm : Vdg.call_meta) argmap formal_node =
   match (Vdg.node t.g formal_node).Vdg.nkind with
   | Vdg.Nformal_store _ -> Some cm.Vdg.cm_store
   | Vdg.Nformal (_, i) ->
-    let arg_idx =
-      match argmap with
-      | None -> Some i
-      | Some map -> if i < Array.length map then Some map.(i) else None
+    let k =
+      match argmap with None -> i | Some map -> if i < Array.length map then map.(i) else -1
     in
-    (match arg_idx with
-    | Some k when k < Array.length cm.Vdg.cm_args -> Some cm.Vdg.cm_args.(k)
-    | _ -> None)
+    if k >= 0 && k < Array.length cm.Vdg.cm_args then Some cm.Vdg.cm_args.(k) else None
   | _ -> None
 
-and propagate_return t call fname which pair aset =
-  let cm = Hashtbl.find t.g.Vdg.call_meta call in
-  let target =
-    match which with
-    | `Value -> cm.Vdg.cm_result
-    | `Store -> Some cm.Vdg.cm_cstore
+(* each assumed formal pair's satisfier slot on the matching actual, in
+   [Assumption.elements] order; -1 where the edge has no matching actual
+   or CI lacks the pair there *)
+let satisfiers t cm argmap aset =
+  Array.of_list
+    (List.map
+       (fun aid ->
+         let formal_node, fpair = Assumption.describe t.actx aid in
+         match actual_of_formal t cm argmap formal_node with
+         | Some actual -> find_slot t actual (Ptpair.key fpair)
+         | None -> -1)
+       (Assumption.elements aset))
+
+(* ---- solve state ------------------------------------------------------------------ *)
+
+(* One return-propagation instance: a pair that arrived at a callee's
+   return node under one assumption set, translated back to one call
+   site along one of its callee edges.  [sats] are the assumptions'
+   satisfier slots on that edge ([satisfiers]); [vsum] is the sum of
+   their versions at the last visit (-1: never visited).  Versions only grow, so an equal sum
+   means every satisfier chain is unchanged and the Cartesian product
+   was already flowed.  The instances of one call's edges naming the
+   procedure run together, as one group. *)
+type inst = {
+  i_target : Vdg.node_id;
+  i_pair : Ptpair.t;
+  sats : int array;
+  mutable vsum : int;
+}
+
+(* a call site a return node flows back to: the result or store output
+   fed, and the argmaps of the call's edges naming the procedure *)
+type site = {
+  s_call : Vdg.call_meta;
+  s_target : Vdg.node_id;
+  s_argmaps : int array option array;
+}
+
+type state = {
+  t : t;
+  tbl : Apath.table;
+  config : config;
+  budget : Budget.t;
+  tail : int array;  (* output -> its last entry; -1 = none *)
+  ver : int array;  (* slot -> successful inserts so far *)
+  (* slot -> the instance groups whose product reads that chain, newest
+     first; fired on successful inserts so re-propagation work is
+     proportional to chain changes, not to call input churn *)
+  subs : inst array list array;
+  (* the CI call graph, fixed before the solve starts *)
+  callees : (Vdg.fun_meta * int array option) array array;  (* call -> edges *)
+  sites : site array array;  (* return node -> its call sites *)
+  ci_locs : Apath.t list array;  (* lookup/update node -> CI's locations *)
+  (* each item remembers the slot whose antichain gained [aset]; if that
+     member has been evicted by a weaker set before the item is popped,
+     the item is stale and skipped (the evictor pushed subsuming items
+     of its own) *)
+  worklist : (int * Vdg.node_id * int * Ptpair.t * Assumption.t) Queue.t;
+}
+
+(* [f pair aset] over the entries of [output] present on entry; each
+   chain is read when its entry is reached *)
+let iter_qualified st output f =
+  let last = st.tail.(output) in
+  let rec go slot =
+    let pair = pair_at st.t output slot in
+    List.iter (fun aset -> f pair aset) st.t.chains.(slot);
+    if slot <> last then go st.t.next.(slot)
   in
-  match target with
+  if last >= 0 then go st.t.head.(output)
+
+(* ---- flow-out -------------------------------------------------------------------- *)
+
+let slot_of st output pair =
+  let slot = find_slot st.t output (Ptpair.key pair) in
+  if slot < 0 then
+    invalid_arg
+      (Printf.sprintf "Cs_solver: pair %s at node %d is outside the CI solution"
+         (Ptpair.to_string pair) output);
+  slot
+
+let rec flow_out st output pair aset = flow_out_at st output (slot_of st output pair) pair aset
+
+(* a fact entering a procedure at formal output [fnode] holds there
+   under the self-assumption that it holds on entry *)
+and flow_formal st fnode pair =
+  let slot = slot_of st fnode pair in
+  flow_out_at st fnode slot pair (Assumption.singleton st.t.actx ~key:slot fnode pair)
+
+and flow_out_at st output slot pair aset =
+  let t = st.t in
+  t.flow_out_count <- t.flow_out_count + 1;
+  Budget.tick_meet st.budget;
+  let chain = t.chains.(slot) in
+  match Assumption.Antichain.insert chain aset with
   | None -> ()
-  | Some target ->
-    let whichbit = match which with `Value -> 0 | `Store -> 1 in
-    let pkey = Ptpair.key pair in
-    let aelems = Assumption.elements aset in
-    (* once per (callee-name, argmap) edge at this call *)
-    List.iteri
-      (fun edge_idx (edge_name, argmap) ->
-        if String.equal edge_name fname then begin
-          (* Resolve each assumed formal pair to its satisfier entry on the
-             matching actual.  If no satisfier version changed since the
-             last visit of this exact (call, edge, which, pair, aset), the
-             Cartesian product below is identical to last time and every
-             flow it produces was already attempted: skip it wholesale. *)
-          let sat_refs =
-            List.map
-              (fun aid ->
-                let formal_node, fpair = Assumption.describe t.actx aid in
-                match actual_of_formal t call argmap formal_node with
-                | None -> None
-                | Some actual -> Some (actual, Ptpair.key fpair))
-              aelems
+  | Some grown ->
+    (* first arrival: link the entry at the output's tail *)
+    if chain = [] then begin
+      (match st.tail.(output) with
+      | -1 -> t.head.(output) <- slot
+      | last -> t.next.(last) <- slot);
+      st.tail.(output) <- slot
+    end;
+    t.chains.(slot) <- grown;
+    st.ver.(slot) <- st.ver.(slot) + 1;
+    List.iter
+      (fun (consumer, idx) ->
+        Queue.add (slot, consumer, idx, pair, aset) st.worklist;
+        t.pushes <- t.pushes + 1)
+      (Vdg.consumers t.g output);
+    (* a (slot, set) is inserted at most once (members are only replaced
+       by subsets), so each instance is created here, exactly once *)
+    Array.iter
+      (fun site ->
+        let inst argmap =
+          let sats = satisfiers t site.s_call argmap aset in
+          { i_target = site.s_target; i_pair = pair; sats; vsum = -1 }
+        in
+        run st (Array.map inst site.s_argmaps))
+      st.sites.(output);
+    (* this chain grew: re-run every return propagation that reads it
+       (the version memo inside makes duplicate firings cheap) *)
+    List.iter (run st) st.subs.(slot)
+
+(* ---- return propagation (Figure 5, propagate-return) ------------------------------- *)
+
+and run st group =
+  Array.iter
+    (fun i ->
+      if i.vsum < 0 then
+        (* first visit: subscribe to every satisfier chain it reads, so
+           future inserts there re-run it *)
+        Array.iter (fun s -> if s >= 0 then st.subs.(s) <- group :: st.subs.(s)) i.sats;
+      let vsum = Array.fold_left (fun acc s -> if s < 0 then acc else acc + st.ver.(s)) 0 i.sats in
+      if vsum <> i.vsum then begin
+        i.vsum <- vsum;
+        (* For each assumption, the set of caller assumption-sets that
+           satisfy it; the Cartesian product over assumptions gives all
+           sufficient caller contexts. *)
+        let satisfier_sets =
+          Array.fold_right (fun s acc -> (if s < 0 then [] else st.t.chains.(s)) :: acc) i.sats []
+        in
+        if List.for_all (fun s -> s <> []) satisfier_sets then begin
+          (* hash-consing makes duplicate partial products visible as
+             equal ids; dropping them (first occurrence kept) prunes the
+             Cartesian product without changing the flowed sets *)
+          let dedup = function
+            | ([] | [ _ ]) as sets -> sets
+            | sets ->
+              let seen = Hashtbl.create 8 in
+              List.filter
+                (fun s ->
+                  let id = Ptset.id s in
+                  (not (Hashtbl.mem seen id)) && (Hashtbl.add seen id (); true))
+                sets
           in
-          let sat_entries =
-            List.map
-              (function
-                | None -> None
-                | Some (actual, fkey) -> Hashtbl.find_opt t.pts.(actual) fkey)
-              sat_refs
-          in
-          let vsum =
+          let products =
             List.fold_left
-              (fun acc -> function None -> acc | Some e -> acc + e.e_ver)
-              0 sat_entries
+              (fun acc sats ->
+                dedup
+                  (List.concat_map
+                     (fun partial -> List.map (fun s -> Assumption.union partial s) sats)
+                     acc))
+              [ Assumption.empty ] satisfier_sets
           in
-          let mkey = (call, (edge_idx lsl 1) lor whichbit, pkey, Ptset.id aset) in
-          let prev = Hashtbl.find_opt t.pr_memo mkey in
-          if prev = None then
-            (* first visit: subscribe this instance to every satisfier
-               chain it reads, so future inserts there re-run it *)
-            List.iter
-              (function
-                | None -> ()
-                | Some key ->
-                  let lst =
-                    match Hashtbl.find_opt t.subs key with
-                    | Some l -> l
-                    | None ->
-                      let l = ref [] in
-                      Hashtbl.add t.subs key l;
-                      l
-                  in
-                  lst := (call, fname, which, pair, aset) :: !lst)
-              sat_refs;
-          if prev = Some vsum then t.pr_memo_skips <- t.pr_memo_skips + 1
-          else begin
-          Hashtbl.replace t.pr_memo mkey vsum;
-          (* For each assumption, the set of caller assumption-sets that
-             satisfy it; the Cartesian product over assumptions gives all
-             sufficient caller contexts. *)
-          let satisfier_sets =
-            List.map
-              (function
-                | None -> []
-                | Some e -> Assumption.Antichain.members e.e_chain)
-              sat_entries
-          in
-          if List.for_all (fun s -> s <> []) satisfier_sets then begin
-            (* hash-consing makes duplicate partial products visible as
-               equal ids; dropping them (first occurrence kept) prunes
-               the Cartesian product without changing the flowed sets *)
-            let dedup = function
-              | ([] | [ _ ]) as sets -> sets
-              | sets ->
-                let seen = Hashtbl.create 8 in
-                List.filter
-                  (fun s ->
-                    let id = Ptset.id s in
-                    if Hashtbl.mem seen id then false
-                    else begin
-                      Hashtbl.add seen id ();
-                      true
-                    end)
-                  sets
-            in
-            let products =
-              List.fold_left
-                (fun acc sats ->
-                  dedup
-                    (List.concat_map
-                       (fun partial ->
-                         List.map (fun s -> Assumption.union partial s) sats)
-                       acc))
-                [ Assumption.empty ] satisfier_sets
-            in
-            List.iter (fun caller_aset -> flow_out t target pair caller_aset) products
-          end
-          end
-        end)
-      (Ci_solver.callee_edges t.ci call)
+          List.iter (fun caller_aset -> flow_out st i.i_target i.i_pair caller_aset) products
+        end
+      end)
+    group
 
 (* ---- CI pruning helpers -------------------------------------------------------------- *)
 
-let node_single_loc t nid =
-  match Hashtbl.find_opt t.single_loc nid with Some b -> b | None -> false
-
 (* Can this update node modify path [ps] at all, according to CI? *)
-let ci_modifiable t nid ps =
-  match Hashtbl.find_opt t.ci_locs nid with
-  | None -> true
-  | Some locs -> List.exists (fun l -> Apath.dom l ps) locs
+let ci_modifiable st nid ps = List.exists (fun l -> Apath.dom l ps) st.ci_locs.(nid)
 
-(* assumption contribution of a location input, after pruning *)
-let loc_assumptions t nid al =
-  if t.config.ci_pruning && node_single_loc t nid then Assumption.empty else al
+(* assumption contribution of a location input, after pruning: none at
+   a node CI proves to reference at most one location *)
+let loc_assumptions st nid al =
+  match st.ci_locs.(nid) with
+  | ([] | [ _ ]) when st.config.ci_pruning -> Assumption.empty
+  | _ -> al
 
 (* ---- transfer functions --------------------------------------------------------------- *)
 
-let flow_in t nid idx pair aset =
-  t.flow_in_count <- t.flow_in_count + 1;
-  Budget.tick_transfer t.budget;
-  let n = Vdg.node t.g nid in
-  let tbl = t.g.Vdg.tbl in
+let flow_in st nid idx pair aset =
+  st.t.flow_in_count <- st.t.flow_in_count + 1;
+  Budget.tick_transfer st.budget;
+  let n = Vdg.node st.t.g nid in
+  let tbl = st.tbl in
   let input k = List.nth n.Vdg.ninputs k in
   let eps = Apath.empty_offset tbl in
   match n.Vdg.nkind with
@@ -271,29 +260,29 @@ let flow_in t nid idx pair aset =
     (match idx with
     | 0 ->
       let rl = pair.Ptpair.referent in
-      let al = loc_assumptions t nid aset in
+      let al = loc_assumptions st nid aset in
       if Apath.is_location rl then
-        iter_qualified t (input 1) (fun sp sa ->
+        iter_qualified st (input 1) (fun sp sa ->
             if Apath.dom rl sp.Ptpair.path then
               let off =
                 match Apath.subtract tbl sp.Ptpair.path rl with
                 | Some off -> off
                 | None -> eps
               in
-              flow_out t nid
+              flow_out st nid
                 (Ptpair.make off sp.Ptpair.referent)
                 (Assumption.union al sa))
     | 1 ->
-      iter_qualified t (input 0) (fun lp la ->
+      iter_qualified st (input 0) (fun lp la ->
           let rl = lp.Ptpair.referent in
-          let al = loc_assumptions t nid la in
+          let al = loc_assumptions st nid la in
           if Apath.is_location rl && Apath.dom rl pair.Ptpair.path then
             let off =
               match Apath.subtract tbl pair.Ptpair.path rl with
               | Some off -> off
               | None -> eps
             in
-            flow_out t nid
+            flow_out st nid
               (Ptpair.make off pair.Ptpair.referent)
               (Assumption.union al aset))
     | _ -> ())
@@ -301,51 +290,51 @@ let flow_in t nid idx pair aset =
     (match idx with
     | 0 ->
       let rl = pair.Ptpair.referent in
-      let al = loc_assumptions t nid aset in
+      let al = loc_assumptions st nid aset in
       if Apath.is_location rl then begin
-        iter_qualified t (input 2) (fun vp va ->
+        iter_qualified st (input 2) (fun vp va ->
             if Apath.is_offset vp.Ptpair.path then
-              flow_out t nid
+              flow_out st nid
                 (Ptpair.make (Apath.append tbl rl vp.Ptpair.path) vp.Ptpair.referent)
                 (Assumption.union al va));
-        iter_qualified t (input 1) (fun sp sa ->
+        iter_qualified st (input 1) (fun sp sa ->
             if not (Apath.strong_dom rl sp.Ptpair.path) then
               let contribution =
-                if t.config.ci_pruning
-                   && not (ci_modifiable t nid sp.Ptpair.path)
+                if st.config.ci_pruning
+                   && not (ci_modifiable st nid sp.Ptpair.path)
                 then Assumption.empty
                 else al
               in
-              flow_out t nid sp (Assumption.union contribution sa))
+              flow_out st nid sp (Assumption.union contribution sa))
       end
     | 1 ->
       (* a new store pair: blocked until some location pair has arrived *)
-      let has_loc = entries t (input 0) <> [] in
+      let has_loc = st.t.head.(input 0) >= 0 in
       if has_loc then begin
-        if t.config.ci_pruning && not (ci_modifiable t nid pair.Ptpair.path) then
+        if st.config.ci_pruning && not (ci_modifiable st nid pair.Ptpair.path) then
           (* CI proves this update cannot touch the pair: pass it through
              without coupling it to any location assumptions *)
-          flow_out t nid pair aset
+          flow_out st nid pair aset
         else
-          iter_qualified t (input 0) (fun lp la ->
+          iter_qualified st (input 0) (fun lp la ->
               let rl = lp.Ptpair.referent in
               if Apath.is_location rl && not (Apath.strong_dom rl pair.Ptpair.path)
               then
-                flow_out t nid pair
-                  (Assumption.union (loc_assumptions t nid la) aset))
+                flow_out st nid pair
+                  (Assumption.union (loc_assumptions st nid la) aset))
       end
     | 2 ->
       if Apath.is_offset pair.Ptpair.path then
-        iter_qualified t (input 0) (fun lp la ->
+        iter_qualified st (input 0) (fun lp la ->
             let rl = lp.Ptpair.referent in
             if Apath.is_location rl then
-              flow_out t nid
+              flow_out st nid
                 (Ptpair.make (Apath.append tbl rl pair.Ptpair.path) pair.Ptpair.referent)
-                (Assumption.union (loc_assumptions t nid la) aset))
+                (Assumption.union (loc_assumptions st nid la) aset))
     | _ -> ())
   | Vdg.Nfield_addr acc ->
     if idx = 0 && Apath.is_location pair.Ptpair.referent then
-      flow_out t nid
+      flow_out st nid
         (Ptpair.make pair.Ptpair.path (Apath.extend tbl pair.Ptpair.referent acc))
         aset
   | Vdg.Noffset_read acc ->
@@ -357,203 +346,217 @@ let flow_in t nid idx pair aset =
           | Some off -> off
           | None -> eps
         in
-        flow_out t nid (Ptpair.make off pair.Ptpair.referent) aset
+        flow_out st nid (Ptpair.make off pair.Ptpair.referent) aset
     end
   | Vdg.Noffset_write acc ->
     let acc_path = Apath.extend tbl eps acc in
     (match idx with
     | 0 ->
       let killed = acc <> Apath.Index && Apath.dom acc_path pair.Ptpair.path in
-      if not killed then flow_out t nid pair aset
+      if not killed then flow_out st nid pair aset
     | 1 ->
       if Apath.is_offset pair.Ptpair.path then
-        flow_out t nid
+        flow_out st nid
           (Ptpair.make (Apath.append tbl acc_path pair.Ptpair.path) pair.Ptpair.referent)
           aset
     | _ -> ())
-  | Vdg.Ngamma -> flow_out t nid pair aset
-  | Vdg.Nprimop Vdg.Ptr_arith -> if idx = 0 then flow_out t nid pair aset
+  | Vdg.Ngamma -> flow_out st nid pair aset
+  | Vdg.Nprimop Vdg.Ptr_arith -> if idx = 0 then flow_out st nid pair aset
   | Vdg.Nprimop (Vdg.Scalar_op _) -> ()
   | Vdg.Nformal _ | Vdg.Nformal_store _ ->
     (* root-wiring inputs: entry facts get the self-assumption, mirroring
        call-site propagation *)
-    flow_out t nid pair (Assumption.singleton t.actx nid pair)
-  | Vdg.Nret_value _ | Vdg.Nret_store _ -> flow_out t nid pair aset
+    flow_formal st nid pair
+  | Vdg.Nret_value _ | Vdg.Nret_store _ -> flow_out st nid pair aset
   | Vdg.Ncall ->
-    let cm = Hashtbl.find t.g.Vdg.call_meta nid in
+    let cm = Hashtbl.find st.t.g.Vdg.call_meta nid in
     (match idx with
     | 0 -> ()  (* call graph is fixed from the CI solution *)
     | 1 ->
+      Array.iter
+        (fun ((meta : Vdg.fun_meta), _argmap) -> flow_formal st meta.Vdg.fm_formal_store pair)
+        st.callees.(nid);
       List.iter
-        (fun (name, _argmap) ->
-          match Hashtbl.find_opt t.g.Vdg.funs name with
-          | Some meta ->
-            let fnode = meta.Vdg.fm_formal_store in
-            flow_out t fnode pair (Assumption.singleton t.actx fnode pair)
-          | None -> ())
-        (Ci_solver.callee_edges t.ci nid);
-      List.iter
-        (fun _ext -> flow_out t cm.Vdg.cm_cstore pair aset)
-        (Ci_solver.extern_callees t.ci nid)
+        (fun _ext -> flow_out st cm.Vdg.cm_cstore pair aset)
+        (Ci_solver.extern_callees st.t.ci nid)
     | k ->
       let arg_idx = k - 2 in
-      List.iter
-        (fun (name, argmap) ->
-          match Hashtbl.find_opt t.g.Vdg.funs name with
-          | Some meta ->
-            Array.iteri
-              (fun formal_idx fnode ->
-                let maps_here =
-                  match argmap with
-                  | None -> formal_idx = arg_idx
-                  | Some map ->
-                    formal_idx < Array.length map && map.(formal_idx) = arg_idx
-                in
-                if maps_here then
-                  flow_out t fnode pair (Assumption.singleton t.actx fnode pair))
-              meta.Vdg.fm_formals
-          | None -> ())
-        (Ci_solver.callee_edges t.ci nid);
+      Array.iter
+        (fun ((meta : Vdg.fun_meta), argmap) ->
+          Array.iteri
+            (fun formal_idx fnode ->
+              let maps_here =
+                match argmap with
+                | None -> formal_idx = arg_idx
+                | Some map ->
+                  formal_idx < Array.length map && map.(formal_idx) = arg_idx
+              in
+              if maps_here then flow_formal st fnode pair)
+            meta.Vdg.fm_formals)
+        st.callees.(nid);
       List.iter
         (fun ext ->
-          let fs = Hashtbl.find_opt t.g.Vdg.externs ext in
+          let fs = Hashtbl.find_opt st.t.g.Vdg.externs ext in
           let summary = Extern_summary.lookup ext fs in
           match cm.Vdg.cm_result, summary.Extern_summary.sum_returns with
           | Some res, Extern_summary.Ret_arg k' when k' = arg_idx ->
-            flow_out t res pair aset
+            flow_out st res pair aset
           | _ -> ())
-        (Ci_solver.extern_callees t.ci nid))
+        (Ci_solver.extern_callees st.t.ci nid))
   | Vdg.Ncall_result _ | Vdg.Ncall_store _ -> ()
 
 (* ---- driver ------------------------------------------------------------------------------ *)
 
-let seed t =
-  let tbl = t.g.Vdg.tbl in
+let seed st =
+  let tbl = st.tbl in
   let eps = Apath.empty_offset tbl in
-  Vdg.iter_nodes t.g (fun n ->
+  Vdg.iter_nodes st.t.g (fun n ->
       match n.Vdg.nkind with
       | Vdg.Nbase b | Vdg.Nalloc b ->
-        flow_out t n.Vdg.nid (Ptpair.make eps (Apath.of_base tbl b)) Assumption.empty
+        flow_out st n.Vdg.nid (Ptpair.make eps (Apath.of_base tbl b)) Assumption.empty
       | _ -> ());
-  if t.g.Vdg.entry_store >= 0 then begin
+  if st.t.g.Vdg.entry_store >= 0 then begin
     let argv_arr = Apath.mk_base tbl (Apath.Bext "argv") ~singular:false in
     let argv_str = Apath.mk_base tbl (Apath.Bext "argv_strings") ~singular:false in
     let slot = Apath.extend tbl (Apath.of_base tbl argv_arr) Apath.Index in
-    flow_out t t.g.Vdg.entry_store
+    flow_out st st.t.g.Vdg.entry_store
       (Ptpair.make slot (Apath.of_base tbl argv_str))
       Assumption.empty
   end;
   (* external results that exist regardless of argument values *)
   List.iter
     (fun call ->
-      let cm = Hashtbl.find t.g.Vdg.call_meta call in
+      let cm = Hashtbl.find st.t.g.Vdg.call_meta call in
       List.iter
         (fun ext ->
-          let fs = Hashtbl.find_opt t.g.Vdg.externs ext in
+          let fs = Hashtbl.find_opt st.t.g.Vdg.externs ext in
           let summary = Extern_summary.lookup ext fs in
           match cm.Vdg.cm_result, summary.Extern_summary.sum_returns with
           | Some res, Extern_summary.Ret_external name ->
             let base = Apath.mk_base tbl (Apath.Bext name) ~singular:false in
-            flow_out t res
+            flow_out st res
               (Ptpair.make eps (Apath.of_base tbl base))
               Assumption.empty
           | _ -> ())
-        (Ci_solver.extern_callees t.ci call))
-    t.g.Vdg.calls
+        (Ci_solver.extern_callees st.t.ci call))
+    st.t.g.Vdg.calls
 
-let precompute_pruning t =
-  Vdg.iter_nodes t.g (fun n ->
-      match n.Vdg.nkind with
-      | Vdg.Nlookup | Vdg.Nupdate ->
-        let locs = Ci_solver.referenced_locations t.ci n.Vdg.nid in
-        Hashtbl.replace t.ci_locs n.Vdg.nid locs;
-        Hashtbl.replace t.single_loc n.Vdg.nid (List.length locs <= 1)
-      | _ -> ())
+(* The state over a CI solution: slot bases from CI's set sizes, the CI
+   call graph (callee edges per call; per return node, the call sites it
+   flows back to; both in CI's list orders) and CI's locations per
+   memory operation. *)
+let create config budget (g : Vdg.t) ci =
+  let n = Vdg.n_nodes g in
+  let base = Array.make (n + 1) 0 in
+  for o = 0 to n - 1 do
+    base.(o + 1) <- base.(o) + Ptset.cardinal (Ci_solver.pairs ci o)
+  done;
+  let slots = base.(n) in
+  let callees = Array.make n [||] and sites = Array.make n [||] and ci_locs = Array.make n [] in
+  List.iter
+    (fun call ->
+      let edge (name, argmap) =
+        Option.map (fun meta -> (meta, argmap)) (Hashtbl.find_opt g.Vdg.funs name)
+      in
+      callees.(call) <- Array.of_list (List.filter_map edge (Ci_solver.callee_edges ci call)))
+    g.Vdg.calls;
+  let sites_of fname target =
+    Array.of_list
+      (List.filter_map
+         (fun call ->
+           let cm = Hashtbl.find g.Vdg.call_meta call in
+           let named (name, argmap) = if String.equal name fname then Some argmap else None in
+           Option.map
+             (fun target ->
+               let argmaps = List.filter_map named (Ci_solver.callee_edges ci call) in
+               { s_call = cm; s_target = target; s_argmaps = Array.of_list argmaps })
+             (target cm))
+         (Ci_solver.callers ci fname))
+  in
+  Vdg.iter_nodes g (fun nd ->
+      let nid = nd.Vdg.nid in
+      match nd.Vdg.nkind with
+      | Vdg.Nret_value f -> sites.(nid) <- sites_of f (fun cm -> cm.Vdg.cm_result)
+      | Vdg.Nret_store f -> sites.(nid) <- sites_of f (fun cm -> Some cm.Vdg.cm_cstore)
+      | Vdg.Nlookup | Vdg.Nupdate -> ci_locs.(nid) <- Ci_solver.referenced_locations ci nid
+      | _ -> ());
+  {
+    t =
+      {
+        g;
+        ci;
+        actx = Assumption.create_ctx ();
+        base;
+        chains = Array.make slots [];
+        next = Array.make slots (-1);
+        head = Array.make n (-1);
+        flow_in_count = 0;
+        flow_out_count = 0;
+        pushes = 0;
+        pops = 0;
+        stale_skips = 0;
+        ptset_stats = Ptset.stats ();
+      };
+    tbl = g.Vdg.tbl;
+    config;
+    budget = (match budget with Some b -> b | None -> Budget.unlimited ());
+    tail = Array.make n (-1);
+    ver = Array.make slots 0;
+    subs = Array.make slots [];
+    callees;
+    sites;
+    ci_locs;
+    worklist = Queue.create ();
+  }
 
 let solve ?(config = default_config) ?budget (g : Vdg.t) ~(ci : Ci_solver.t) : t =
-  let budget =
-    match budget with Some b -> b | None -> Budget.unlimited ()
-  in
   let before = Ptset.stats () in
-  let t =
-    {
-      g;
-      ci;
-      config;
-      budget;
-      actx = Assumption.create_ctx ();
-      pts = Array.init (Vdg.n_nodes g) (fun _ -> Hashtbl.create 4);
-      order = Array.init (Vdg.n_nodes g) (fun _ -> ref []);
-      worklist = Queue.create ();
-      flow_in_count = 0;
-      flow_out_count = 0;
-      worklist_pushed = 0;
-      worklist_popped = 0;
-      stale_skips = 0;
-      ptset_stats = None;
-      pr_memo = Hashtbl.create 1024;
-      pr_memo_skips = 0;
-      subs = Hashtbl.create 256;
-      single_loc = Hashtbl.create 64;
-      ci_locs = Hashtbl.create 64;
-    }
-  in
-  precompute_pruning t;
-  seed t;
-  (* the item's aset was an antichain member of (src, pair) when pushed;
-     if a weaker set evicted it in the meantime, every flow this item
-     would produce is subsumed by the evictor's own (pending or already
-     processed) items, so the item can be dropped *)
-  let live src pair aset =
-    match Hashtbl.find_opt t.pts.(src) (Ptpair.key pair) with
-    | Some e -> Assumption.Antichain.mem_member e.e_chain aset
-    | None -> false
-  in
-  while not (Queue.is_empty t.worklist) do
-    let src, nid, idx, pair, aset = Queue.pop t.worklist in
-    t.worklist_popped <- t.worklist_popped + 1;
-    if (not t.config.stale_skip) || live src pair aset then flow_in t nid idx pair aset
+  let st = create config budget g ci in
+  let t = st.t in
+  seed st;
+  while not (Queue.is_empty st.worklist) do
+    let slot, nid, idx, pair, aset = Queue.pop st.worklist in
+    t.pops <- t.pops + 1;
+    if (not config.stale_skip) || Assumption.Antichain.mem t.chains.(slot) aset then
+      flow_in st nid idx pair aset
     else t.stale_skips <- t.stale_skips + 1
   done;
-  t.ptset_stats <- Some (Ptset.delta ~before ~after:(Ptset.stats ()));
+  t.ptset_stats <- Ptset.delta ~before ~after:(Ptset.stats ());
   t
 
 (* ---- accessors ---------------------------------------------------------------------------- *)
 
-let pairs t output = List.rev_map (fun e -> e.e_pair) !(t.order.(output))
+(* [f pair chain] over an output's entries in first-arrival order *)
+let map_entries t output f =
+  let rec go slot acc =
+    if slot < 0 then List.rev acc
+    else go t.next.(slot) (f (pair_at t output slot) t.chains.(slot) :: acc)
+  in
+  go t.head.(output) []
 
-let qualified t output =
-  List.rev_map
-    (fun e -> (e.e_pair, Assumption.Antichain.members e.e_chain))
-    !(t.order.(output))
+let pairs t output = map_entries t output (fun pair _ -> pair)
+let qualified t output = map_entries t output (fun pair chain -> (pair, chain))
 
-let flow_in_count t = t.flow_in_count
-let flow_out_count t = t.flow_out_count
-let worklist_pushes t = t.worklist_pushed
-let worklist_pops t = t.worklist_popped
-let worklist_stale_skips t = t.stale_skips
-
-let ptset_stats t =
-  match t.ptset_stats with
-  | Some s -> s
-  | None -> Ptset.delta ~before:(Ptset.stats ()) ~after:(Ptset.stats ())
-
-let referenced_locations t nid =
+(* the distinct location referents at a memory operation's location
+   input, in arrival order, over the entries whose chain passes [keep] *)
+let locations_where t nid keep =
   let n = Vdg.node t.g nid in
   match n.Vdg.nkind, n.Vdg.ninputs with
   | (Vdg.Nlookup | Vdg.Nupdate), loc :: _ ->
     let seen = Hashtbl.create 8 in
     List.fold_left
-      (fun acc (p : Ptpair.t) ->
+      (fun acc ((p : Ptpair.t), chain) ->
         let r = p.Ptpair.referent in
-        if Apath.is_location r && not (Hashtbl.mem seen r.Apath.pid) then begin
+        if Apath.is_location r && (not (Hashtbl.mem seen r.Apath.pid)) && keep chain then begin
           Hashtbl.replace seen r.Apath.pid ();
           r :: acc
         end
         else acc)
-      [] (pairs t loc)
+      [] (qualified t loc)
     |> List.rev
   | _ -> []
+
+let referenced_locations t nid = locations_where t nid (fun _ -> true)
 
 (* ---- context-projected queries (paper, end of Section 4.1) ----------------- *)
 
@@ -561,41 +564,16 @@ let referenced_locations t nid =
    assumed formal pair is present on the matching actual *)
 let satisfiable_at t ~call aset =
   Assumption.is_empty aset
-  || List.exists
-       (fun (_name, argmap) ->
-         List.for_all
-           (fun aid ->
-             let formal_node, fpair = Assumption.describe t.actx aid in
-             match actual_of_formal t call argmap formal_node with
-             | Some actual -> entry_chain t actual fpair <> []
-             | None -> false)
-           (Assumption.elements aset))
-       (Ci_solver.callee_edges t.ci call)
+  ||
+  match Hashtbl.find_opt t.g.Vdg.call_meta call with
+  | None -> false
+  | Some cm ->
+    List.exists
+      (fun (_name, argmap) ->
+        Array.for_all (fun s -> s >= 0 && t.chains.(s) <> []) (satisfiers t cm argmap aset))
+      (Ci_solver.callee_edges t.ci call)
 
 let locations_at_callsite t ~call nid =
-  let n = Vdg.node t.g nid in
   let callee_names = List.map fst (Ci_solver.callee_edges t.ci call) in
-  if not (List.mem n.Vdg.nfun callee_names) then referenced_locations t nid
-  else
-    match n.Vdg.nkind, n.Vdg.ninputs with
-    | (Vdg.Nlookup | Vdg.Nupdate), loc :: _ ->
-      let seen = Hashtbl.create 8 in
-      List.fold_left
-        (fun acc (pair : Ptpair.t) ->
-          let r = pair.Ptpair.referent in
-          if
-            Apath.is_location r
-            && (not (Hashtbl.mem seen r.Apath.pid))
-            && List.exists
-                 (fun aset -> satisfiable_at t ~call aset)
-                 (entry_chain t loc pair)
-          then begin
-            Hashtbl.replace seen r.Apath.pid ();
-            r :: acc
-          end
-          else acc)
-        [] (pairs t loc)
-      |> List.rev
-    | _ -> []
-
-let assumption_ctx t = t.actx
+  if not (List.mem (Vdg.node t.g nid).Vdg.nfun callee_names) then referenced_locations t nid
+  else locations_where t nid (List.exists (satisfiable_at t ~call))

@@ -20,16 +20,35 @@
     - function pointers are handled context-insensitively (the call graph
       is taken from the CI solution), as in the paper's implementation.
 
+    {2 State layout}
+
+    The solve relies on CS ⊆ CI at every node: every (output, pair)
+    entry it can derive owns a dense {e slot}, the output's base plus the
+    pair's rank in CI's sorted key set there.  Per-slot data are flat
+    arrays: the entry's antichain (its member list, [[]] when absent), a
+    version bumped on every successful insert, and a link to the
+    output's next entry in first-arrival order.  Worklist items carry
+    their source slot.  Each return-propagation instance (a pair arriving
+    at a return node under one assumption set, translated back to one
+    call site along one callee edge) is created once, on the return
+    path, and keeps its own memo: its satisfier slots and the sum of
+    their versions when it last flowed; a successful insert re-runs the
+    instances subscribed to its slot.  The CI call graph is read into
+    arrays when the solve starts.  At
+    fixpoint the solution keeps the slots, chains, order links and
+    counters; subscriptions, instances, pruning tables and the worklist
+    are dropped.  A derived pair outside CI's set breaks the invariant
+    and raises [Invalid_argument] naming the node.
+
     The goal is an empirical upper bound on precision, not a practical
     analysis: worst-case cost is exponential, and the paper's cost
     metrics (transfer-function and meet counts) are exposed for the
-    Section 4.2 comparison. *)
+    Section 4.2 comparison.  The only fuel is a {!Budget}. *)
 
 type t
 
 type config = {
   ci_pruning : bool;    (** use the CI solution to prune assumptions *)
-  max_meets : int;      (** safety fuel; raises {!Budget_exceeded} at 0. *)
   stale_skip : bool;
       (** drop worklist items whose assumption set was evicted from its
           antichain (by a weaker set) before the item was popped.  Sound
@@ -41,23 +60,22 @@ type config = {
           pre-hash-consing seed. *)
 }
 
-exception Budget_exceeded
-
 val default_config : config
 
 val solve : ?config:config -> ?budget:Budget.t -> Vdg.t -> ci:Ci_solver.t -> t
 (** Run to fixpoint.  The CI solution supplies the call graph and the
     pruning information.  When [budget] is given, every transfer-function
     and meet application ticks it; a tripped limit raises
-    {!Budget.Exhausted} (the legacy [max_meets] fuel still raises
-    {!Budget_exceeded}). *)
+    {!Budget.Exhausted}. *)
 
 val pairs : t -> Vdg.node_id -> Ptpair.t list
 (** Unqualified projection: pairs on an output with assumptions stripped
-    and duplicates removed (paper, end of Section 4.1). *)
+    and duplicates removed (paper, end of Section 4.1), in the order
+    they first arrived. *)
 
 val qualified : t -> Vdg.node_id -> (Ptpair.t * Assumption.t list) list
-(** Full qualified solution for clients that want it. *)
+(** Full qualified solution for clients that want it, in {!pairs} order;
+    each pair's assumption sets are its antichain, newest first. *)
 
 val flow_in_count : t -> int
 val flow_out_count : t -> int
@@ -78,7 +96,8 @@ val ptset_stats : t -> Ptset.stats
     bytes. *)
 
 val referenced_locations : t -> Vdg.node_id -> Apath.t list
-(** As {!Ci_solver.referenced_locations}, from the CS solution. *)
+(** As {!Ci_solver.referenced_locations}, from the CS solution, but in
+    the order the pairs first arrived (not sorted). *)
 
 (** {2 Using the qualified information directly}
 

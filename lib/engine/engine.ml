@@ -190,9 +190,9 @@ let fingerprint (c : config) ~file =
     | Ci_solver.Lifo -> "lifo"
     | Ci_solver.Random_order seed -> "rand:" ^ string_of_int seed
   in
-  Printf.sprintf "file=%s;su=%b;sched=%s;prune=%b;budget=%d;mode=%s" file
+  Printf.sprintf "file=%s;su=%b;sched=%s;prune=%b;mode=%s" file
     c.ci_config.Ci_solver.strong_updates schedule
-    c.cs_config.Cs_solver.ci_pruning c.cs_config.Cs_solver.max_meets
+    c.cs_config.Cs_solver.ci_pruning
     (match c.vdg_mode with Vdg_build.Sparse -> "sparse" | Vdg_build.Dense -> "dense")
 
 let cache_key config input =
@@ -327,15 +327,6 @@ let cs_tiered ?budget a =
               co_tier = Ci;
               co_cs = None;
               co_degradation = Some { d_from = Cs; d_to = Ci; d_reason = r };
-            }
-        | exception Cs_solver.Budget_exceeded ->
-          (* the legacy max_meets fuel in the CS config *)
-          Ok
-            {
-              co_tier = Ci;
-              co_cs = None;
-              co_degradation =
-                Some { d_from = Cs; d_to = Ci; d_reason = Budget.Meet_limit };
             }))
 
 let cs_forced a = a.cs_cell.cc_cs <> None

@@ -219,8 +219,7 @@ val incr_snapshot : analysis -> Incr_engine.prev
 
 val cs : analysis -> Cs_solver.t
 (** Force the context-sensitive solve; idempotent, safe under domains.
-    Unbudgeted: may raise [Cs_solver.Budget_exceeded] if the config's
-    [max_meets] fuel runs out. *)
+    Unbudgeted: use {!cs_tiered} to bound it. *)
 
 val cs_forced : analysis -> bool
 (** Has {!cs} (or a cached CS solution) already been materialized? *)

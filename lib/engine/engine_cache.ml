@@ -43,7 +43,10 @@ type t = { dir : string; lock : Mutex.t; st : stats }
    gained its pid array. *)
 (* /12: Telemetry.t lost the reachability tier's counter field with the
    tier itself. *)
-let format_version = "alias-engine-cache/12"
+(* /13: Cs_solver.t holds flat per-slot arrays (antichains as member
+   lists, first-arrival links) instead of per-node entry tables, and its
+   config lost the max_meets fuel. *)
+let format_version = "alias-engine-cache/13"
 
 let header_ok path =
   match

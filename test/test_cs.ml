@@ -170,13 +170,10 @@ let budget_guard_fires () =
   let src = id_example in
   let g = Vdg_build.build (Norm.compile ~file:"cs.c" src) in
   let ci = Ci_solver.solve g in
-  match
-    Cs_solver.solve
-      ~config:{ Cs_solver.default_config with Cs_solver.max_meets = 3 }
-      g ~ci
-  with
-  | exception Cs_solver.Budget_exceeded -> ()
-  | _ -> Alcotest.fail "expected Budget_exceeded"
+  let budget = Budget.start { Budget.no_limits with Budget.max_meets = Some 3 } in
+  match Cs_solver.solve ~budget g ~ci with
+  | exception Budget.Exhausted Budget.Meet_limit -> ()
+  | _ -> Alcotest.fail "expected Budget.Exhausted Meet_limit"
 
 let qualified_modref_per_callsite () =
   (* the paper: qualified information can be used directly — project a
@@ -236,8 +233,8 @@ let mk_pair tbl name =
 let assumption_set_ops () =
   let tbl = Apath.create_table () in
   let ctx = Assumption.create_ctx () in
-  let a = Assumption.singleton ctx 1 (mk_pair tbl "a") in
-  let b = Assumption.singleton ctx 2 (mk_pair tbl "b") in
+  let a = Assumption.singleton ctx ~key:1 1 (mk_pair tbl "a") in
+  let b = Assumption.singleton ctx ~key:2 2 (mk_pair tbl "b") in
   let ab = Assumption.union a b in
   Alcotest.(check int) "union size" 2 (Assumption.cardinal ab);
   Alcotest.(check bool) "a subset ab" true (Assumption.subset a ab);
@@ -245,31 +242,41 @@ let assumption_set_ops () =
   Alcotest.(check bool) "empty subset all" true (Assumption.subset Assumption.empty a);
   Alcotest.(check bool) "union idempotent" true (Assumption.union ab ab = ab);
   Alcotest.(check bool) "interning stable" true
-    (Assumption.singleton ctx 1 (mk_pair tbl "a") = a)
+    (Assumption.singleton ctx ~key:1 1 (mk_pair tbl "a") = a)
+
+(* [Antichain.insert] as (added?, resulting antichain) *)
+let insert ac s =
+  match Assumption.Antichain.insert ac s with
+  | Some grown -> (true, grown)
+  | None -> (false, ac)
 
 let antichain_subsumption () =
   let tbl = Apath.create_table () in
   let ctx = Assumption.create_ctx () in
-  let a = Assumption.singleton ctx 1 (mk_pair tbl "a") in
-  let b = Assumption.singleton ctx 2 (mk_pair tbl "b") in
+  let a = Assumption.singleton ctx ~key:1 1 (mk_pair tbl "a") in
+  let b = Assumption.singleton ctx ~key:2 2 (mk_pair tbl "b") in
   let ab = Assumption.union a b in
-  let ac = Assumption.Antichain.create () in
-  Alcotest.(check bool) "insert ab" true (Assumption.Antichain.insert ac ab);
+  let added, ac = insert [] ab in
+  Alcotest.(check bool) "insert ab" true added;
   (* a is weaker than ab: inserting it evicts ab *)
-  Alcotest.(check bool) "insert weaker a" true (Assumption.Antichain.insert ac a);
-  Alcotest.(check int) "superset evicted" 1 (List.length (Assumption.Antichain.members ac));
-  (* ab is now subsumed *)
-  Alcotest.(check bool) "stronger rejected" false (Assumption.Antichain.insert ac ab);
+  let added, ac = insert ac a in
+  Alcotest.(check bool) "insert weaker a" true added;
+  Alcotest.(check int) "superset evicted" 1 (List.length ac);
+  Alcotest.(check bool) "evicted set is no member" false (Assumption.Antichain.mem ac ab);
+  (* ab is now subsumed, and a re-insert of a member is rejected *)
+  Alcotest.(check bool) "stronger rejected" false (fst (insert ac ab));
+  Alcotest.(check bool) "duplicate rejected" false (fst (insert ac a));
   (* incomparable set coexists *)
-  Alcotest.(check bool) "incomparable kept" true (Assumption.Antichain.insert ac b);
-  Alcotest.(check int) "two members" 2 (List.length (Assumption.Antichain.members ac))
+  let added, ac = insert ac b in
+  Alcotest.(check bool) "incomparable kept" true added;
+  Alcotest.(check int) "two members" 2 (List.length ac);
+  Alcotest.(check bool) "newest first" true (Assumption.equal (List.hd ac) b)
 
 let antichain_empty_set_is_bottom () =
-  let ac = Assumption.Antichain.create () in
-  Alcotest.(check bool) "insert empty" true
-    (Assumption.Antichain.insert ac Assumption.empty);
+  let added, ac = insert [] Assumption.empty in
+  Alcotest.(check bool) "insert empty" true added;
   Alcotest.(check bool) "everything else subsumed" false
-    (Assumption.Antichain.insert ac (Ptset.of_list [ 1; 2 ]))
+    (fst (insert ac (Ptset.of_list [ 1; 2 ])))
 
 let tests =
   [

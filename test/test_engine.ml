@@ -146,6 +146,29 @@ let test_cache_roundtrip () =
     "disk hit: identical CS pair counts"
     (pc_to_list (Stats.cs_pair_counts cold_cs cold.Engine.graph))
     (pc_to_list (Stats.cs_pair_counts disk_cs disk.Engine.graph));
+  (* the unmarshalled CS solution reads back entry for entry, in the
+     same first-arrival order *)
+  let qualified cs nid =
+    List.map
+      (fun (p, chain) ->
+        Ptpair.to_string p
+        ^ " :: "
+        ^ String.concat " | "
+            (List.map
+               (fun aset ->
+                 String.concat "," (List.map string_of_int (Assumption.elements aset)))
+               chain))
+      (Cs_solver.qualified cs nid)
+  in
+  let locations cs nid = List.map Apath.to_string (Cs_solver.referenced_locations cs nid) in
+  Vdg.iter_nodes cold.Engine.graph (fun n ->
+      let nid = n.Vdg.nid in
+      Alcotest.(check (list string))
+        (Printf.sprintf "disk hit: CS qualified pairs at node %d" nid)
+        (qualified cold_cs nid) (qualified disk_cs nid);
+      Alcotest.(check (list string))
+        (Printf.sprintf "disk hit: CS locations at node %d" nid)
+        (locations cold_cs nid) (locations disk_cs nid));
   Alcotest.(check bool)
     "disk hit carried the already-solved CS solution"
     true (Engine.cs_forced disk);

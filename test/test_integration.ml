@@ -6,7 +6,7 @@
    - precision ordering: CS refines CI; CI (at memory operations,
      projected to bases) refines Andersen; Andersen refines Steensgaard;
    - ablation monotonicity: disabling strong updates only adds facts;
-   - the paper's headline shape on benchmark programs.
+   - the paper's headline shape on every suite and battery program.
 
    The battery runs over hand-written programs, suite benchmarks, and a
    set of randomized generator profiles. *)
@@ -429,31 +429,39 @@ let random_programs_battery () =
 
 (* ---- paper-shape assertions on benchmarks ------------------------------------------------ *)
 
-let paper_headline_on_small_benchmarks () =
+(* on every program we generate: the paper's 13 and the battery.  The CS
+   solver's slot layout relies on CS ⊆ CI, so this guards it too. *)
+let paper_headline_on_generated_programs () =
+  let check label prog =
+    let r = analyze_prog prog in
+    assert_cs_subset_ci r label;
+    (* the headline: CS adds nothing at indirect memory operations *)
+    List.iter
+      (fun ((n : Vdg.node), _) ->
+        let a =
+          List.sort Apath.compare (Ci_solver.referenced_locations r.ci n.Vdg.nid)
+        in
+        let b =
+          List.sort Apath.compare (Cs_solver.referenced_locations r.cs n.Vdg.nid)
+        in
+        if not (List.equal Apath.equal a b) then
+          Alcotest.fail
+            (Printf.sprintf "%s: CS refines CI at node %d (paper shape broken)" label
+               n.Vdg.nid))
+      (Vdg.indirect_memops r.g);
+    (* CS drops some pairs overall (or at worst none), never adds *)
+    let ci_total = (Stats.ci_pair_counts r.ci).Stats.pc_total in
+    let cs_total = (Stats.cs_pair_counts r.cs r.g).Stats.pc_total in
+    Alcotest.(check bool) (label ^ ": cs <= ci") true (cs_total <= ci_total)
+  in
   List.iter
-    (fun name ->
-      let entry = Option.get (Suite.find name) in
-      let r = analyze_prog (Suite.compile entry) in
-      assert_cs_subset_ci r name;
-      (* the headline: CS adds nothing at indirect memory operations *)
-      List.iter
-        (fun ((n : Vdg.node), _) ->
-          let a =
-            List.sort Apath.compare (Ci_solver.referenced_locations r.ci n.Vdg.nid)
-          in
-          let b =
-            List.sort Apath.compare (Cs_solver.referenced_locations r.cs n.Vdg.nid)
-          in
-          if not (List.equal Apath.equal a b) then
-            Alcotest.fail
-              (Printf.sprintf "%s: CS refines CI at node %d (paper shape broken)" name
-                 n.Vdg.nid))
-        (Vdg.indirect_memops r.g);
-      (* CS drops some pairs overall (or at worst none), never adds *)
-      let ci_total = (Stats.ci_pair_counts r.ci).Stats.pc_total in
-      let cs_total = (Stats.cs_pair_counts r.cs r.g).Stats.pc_total in
-      Alcotest.(check bool) (name ^ ": cs <= ci") true (cs_total <= ci_total))
-    [ "allroots"; "backprop"; "part"; "anagram"; "span" ]
+    (fun (e : Suite.entry) -> check e.Suite.profile.Profile.name (Suite.compile e))
+    Suite.benchmarks;
+  List.iter
+    (fun profile ->
+      let file = profile.Profile.name ^ ".c" in
+      check file (Norm.compile ~file (Genc.generate profile)))
+    Test_util.battery_profiles
 
 let benchmark_soundness () =
   List.iter
@@ -488,7 +496,7 @@ let tests =
     Alcotest.test_case "schedule independence" `Quick schedule_independence;
     Alcotest.test_case "sparse/dense agreement" `Quick sparse_dense_agreement;
     Alcotest.test_case "random program battery" `Slow random_programs_battery;
-    Alcotest.test_case "paper headline shape" `Slow paper_headline_on_small_benchmarks;
+    Alcotest.test_case "paper headline shape" `Slow paper_headline_on_generated_programs;
     Alcotest.test_case "benchmark soundness" `Slow benchmark_soundness;
     Alcotest.test_case "figure 7 shape" `Slow figure7_shape;
     Alcotest.test_case "pruning stats shape" `Slow pruning_stats_shape;
